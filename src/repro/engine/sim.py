@@ -27,19 +27,30 @@ per-event closures entirely:
   spills into a list when a second callback registers (callbacks are
   callables, never lists, so ``type(c) is list`` discriminates).
 
-Pending events live in an *array-backed two-tier calendar* instead of a
-binary heap. ``_near`` is a sorted array consumed in place through a
-moving ``_head`` cursor; ``_far`` is an unsorted overflow array holding
-every entry at or beyond ``_horizon`` (the largest timestamp of the last
-sorted batch). The dominant DES pattern -- each completion scheduling
-the next timeout further in the future -- therefore costs one
-``list.append`` per schedule and one indexed read per fire; when the
-sorted segment drains, the overflow (already nearly sorted, because
-virtual time only moves forward) is sorted once with Timsort and becomes
-the next segment. Same-time entries (callback flushes, spawns,
-interrupts) binary-insert into the sorted segment. Entries are totally
-ordered by the unique ``(when, seq)`` key, so the pop sequence -- and
-every golden trace -- is bit-for-bit identical to the heap-based kernel.
+Pending events live in a *three-tier calendar*, split by ``_horizon``
+(the largest timestamp of the last sorted batch):
+
+- ``_far`` is an unsorted overflow array holding every entry at or
+  beyond the horizon. The dominant DES pattern -- each completion
+  scheduling the next timeout further in the future -- costs one
+  ``list.append`` per schedule.
+- ``_near`` is a sorted array consumed in place through a moving
+  ``_head`` cursor, one indexed read per fire. It is written once per
+  refill and never inserted into: when it and the heap below have
+  drained, the overflow (already nearly sorted, because virtual time
+  only moves forward) is sorted once with Timsort and becomes the next
+  segment.
+- ``_low`` is a binary heap holding every entry scheduled *below* the
+  horizon after the refill: same-time entries (callback flushes, spawns,
+  interrupts) and, once a bulk arrival batch has pushed the horizon far
+  ahead, every hop and timeout due before its end. A heap push costs
+  O(log pending-below-horizon) instead of the O(segment) memmove a
+  sorted insert into ``_near`` would pay.
+
+Every pop takes the smaller of ``_near[_head]`` and the heap head.
+Entries are totally ordered by the unique ``(when, seq)`` key, so the
+pop sequence -- and every golden trace -- is bit-for-bit identical to a
+plain heap-based kernel.
 
 Observability is opt-in: attach a
 :class:`~repro.engine.observability.Observability` (or pass it to the
@@ -64,7 +75,8 @@ Example
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left as _bisect_left, insort as _insort
+from bisect import bisect_left as _bisect_left
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ProcessFailure, SimulationError
@@ -457,14 +469,17 @@ class Simulator:
 
     def __init__(self, start: float = 0.0, observability: Any = None) -> None:
         self._now = float(start)
-        # Array-backed two-tier event calendar. ``_near`` is sorted
-        # ascending by (when, seq) and consumed in place through the
-        # moving ``_head`` cursor; ``_far`` is unsorted overflow holding
-        # every entry with ``when >= _horizon``. ``_far_min`` tracks the
+        # Three-tier event calendar (see the module docstring). ``_near``
+        # is sorted ascending by (when, seq), written only by _refill
+        # and consumed in place through the moving ``_head`` cursor;
+        # ``_low`` is a heap of entries pushed with ``when < _horizon``
+        # since that refill; ``_far`` is unsorted overflow holding every
+        # entry with ``when >= _horizon``. ``_far_min`` tracks the
         # smallest timestamp in ``_far`` (inf when empty) so peeking the
-        # next due time never scans. Both list objects keep their
+        # next due time never scans. All three list objects keep their
         # identity for the simulator's lifetime.
         self._near: list = []
+        self._low: list = []
         self._far: list = []
         self._head = 0
         self._horizon = -_INF
@@ -511,38 +526,26 @@ class Simulator:
 
         Entries at or beyond the horizon append to the unsorted overflow
         (the dominant schedule-into-the-future pattern); earlier entries
-        binary-insert into the live sorted segment. Every new entry
-        compares greater than every already-consumed one (its ``seq`` is
-        larger and its ``when`` is not in the past), so the insertion
-        point always lands at or after the head cursor.
+        go into the below-horizon heap. Either way every overflow entry
+        compares greater than every sorted-segment and heap entry, which
+        is what lets the run loop ignore ``_far`` until both drain.
         """
-        if entry[0] >= self._horizon:
+        when = entry[0]
+        if when >= self._horizon:
             self._far.append(entry)
-            if entry[0] < self._far_min:
-                self._far_min = entry[0]
-            return
-        near = self._near
-        _insort(near, entry)
-        head = self._head
-        if head > 4096 and head << 1 > len(near):
-            # A long same-timestamp chain can grow the consumed prefix
-            # without ever draining the segment; shear it off once it
-            # dominates so memory stays proportional to pending events.
-            del near[:head]
-            self._head = 0
-            observability = self.observability
-            if observability is not None:
-                observability.registry.counter(
-                    "engine.calendar.compactions"
-                ).inc()
+            if when < self._far_min:
+                self._far_min = when
+        else:
+            _heappush(self._low, entry)
 
     def _refill(self) -> None:
         """Sort the overflow into a fresh consumable segment.
 
-        Only called when the sorted segment is fully consumed and the
-        overflow is non-empty. Virtual time only moves forward, so the
-        overflow is typically appended in nearly ascending order --
-        exactly the input Timsort consumes in linear time.
+        Only called when the sorted segment and the below-horizon heap
+        are fully consumed and the overflow is non-empty. Virtual time
+        only moves forward, so the overflow is typically appended in
+        nearly ascending order -- exactly the input Timsort consumes in
+        linear time.
         """
         near, far = self._near, self._far
         far.sort()
@@ -604,7 +607,7 @@ class Simulator:
             if when < self._far_min:
                 self._far_min = when
         else:
-            self._push(entry)
+            _heappush(self._low, entry)
         return evt
 
     def schedule_batch(
@@ -622,8 +625,8 @@ class Simulator:
         counter and the payloads) and appended to the unsorted overflow
         tier, which the next :meth:`_refill` absorbs with one Timsort.
         Entries below the current horizon -- only possible mid-run --
-        take the per-entry sorted-insert path, exactly as a loop of
-        individual schedules would.
+        are pushed one by one into the below-horizon heap, exactly as a
+        loop of individual schedules would.
 
         ``whens`` must be ascending (a sorted trace) and must not start
         in the past; ``payloads`` defaults to ``range(n)``, i.e. the
@@ -669,9 +672,9 @@ class Simulator:
         # entries[split:] all belong in the overflow tier.
         split = _bisect_left(whens, self._horizon)
         if split:
-            push = self._push
+            low = self._low
             for entry in entries[:split]:
-                push(entry)
+                _heappush(low, entry)
         if split < n:
             self._far.extend(entries[split:])
             first = whens[split]
@@ -774,6 +777,7 @@ class Simulator:
         hook is set).
         """
         near = self._near  # stable identity; only contents mutate
+        low = self._low
         far = self._far
         on_event = self.on_event  # read once; set hooks before run()
         seq_next = self._seq_next
@@ -787,14 +791,21 @@ class Simulator:
                 # re-enters the loop) stay correct.
                 while True:
                     head = self._head
-                    if head == len(near):
-                        if not far:
-                            break
+                    if head < len(near):
+                        entry = near[head]
+                        if low and low[0] < entry:
+                            entry = _heappop(low)
+                        else:
+                            head += 1
+                            self._head = head
+                    elif low:
+                        entry = _heappop(low)
+                    elif far:
                         self._refill()
-                        head = 0
-                    entry = near[head]
-                    head += 1
-                    self._head = head
+                        entry = near[0]
+                        head = self._head = 1
+                    else:
+                        break
                     popped += 1
                     self._now = when = entry[0]
                     kind = entry[2]
@@ -814,14 +825,16 @@ class Simulator:
                                 for cb in callback:
                                     push((when, seq_next(), 2, cb, evt))
                             elif (near[head][0] if head < len(near)
-                                  else self._far_min) > when:
+                                  else self._far_min) > when and not (
+                                      low and low[0][0] <= when):
                                 # No other entry is due at `when` (the
-                                # overflow minimum is inf when empty), so
-                                # the callback entry we would push would
-                                # pop straight back off. Dispatch it
-                                # directly -- relative sequence order
-                                # (and therefore every tie-break) is
-                                # unchanged.
+                                # overflow minimum is inf when empty, and
+                                # only matters once the sorted segment
+                                # has drained), so the callback entry we
+                                # would push would pop straight back
+                                # off. Dispatch it directly -- relative
+                                # sequence order (and therefore every
+                                # tie-break) is unchanged.
                                 callback(evt)
                             else:
                                 push((when, seq_next(), 2, callback, evt))
@@ -832,17 +845,29 @@ class Simulator:
             else:
                 while True:
                     head = self._head
-                    if head == len(near):
-                        if not far:
-                            break
+                    if head < len(near):
+                        entry = near[head]
+                        from_low = low and low[0] < entry
+                        if from_low:
+                            entry = low[0]
+                    elif low:
+                        entry = low[0]
+                        from_low = True
+                    elif far:
                         self._refill()
                         head = 0
-                    entry = near[head]
+                        entry = near[0]
+                        from_low = False
+                    else:
+                        break
                     when = entry[0]
                     if until is not None and when > until:
                         self._now = until
                         return self._now
-                    self._head = head + 1
+                    if from_low:
+                        _heappop(low)
+                    else:
+                        self._head = head + 1
                     self._now = when
                     self._event_count += 1
                     if on_event is not None:
@@ -875,8 +900,12 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or ``None`` if idle."""
+        low = self._low
         if self._head < len(self._near):
-            return self._near[self._head][0]
+            when = self._near[self._head][0]
+            return low[0][0] if low and low[0][0] < when else when
+        if low:
+            return low[0][0]
         if self._far:
             return self._far_min
         return None

@@ -36,6 +36,10 @@ OP_TEXT, OP_CLOSE, OP_PING, OP_PONG = 0x1, 0x8, 0x9, 0xA
 #: Largest request body / frame payload accepted (grids are small).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Most header lines accepted per request (the service's own client
+#: sends a handful), so a peer cannot grow the header table unbounded.
+MAX_HEADER_LINES = 100
+
 #: Reason phrases for the status codes the service emits.
 _REASONS = {
     200: "OK",
@@ -75,7 +79,10 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
     """Parse one request off ``reader``; None when the peer hung up.
 
     Raises :class:`ServiceError` (``bad-request``/``payload-too-large``)
-    for malformed or oversized requests.
+    for malformed or oversized requests: a bad request line, more than
+    :data:`MAX_HEADER_LINES` header lines, a ``Content-Length`` that is
+    not a plain non-negative decimal integer, or a body over
+    :data:`MAX_BODY_BYTES`.
     """
     try:
         request_line = await reader.readline()
@@ -90,18 +97,20 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
             "malformed request line", code="bad-request", status=400
         )
     headers: Dict[str, str] = {}
+    n_lines = 0
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
+        n_lines += 1
+        if n_lines > MAX_HEADER_LINES:
+            raise ServiceError(
+                f"more than {MAX_HEADER_LINES} header lines",
+                code="bad-request", status=400,
+            )
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise ServiceError(
-            f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
-            code="payload-too-large", status=413,
-        )
+    length = _content_length(headers.get("content-length", "0"))
     body = b""
     if length:
         try:
@@ -109,6 +118,28 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
         except IncompleteReadError:
             return None
     return HttpRequest(method.upper(), path, headers, body)
+
+
+def _content_length(value: str) -> int:
+    """Parse a ``Content-Length`` value: ASCII decimal digits only.
+
+    ``int()`` alone would accept signs, underscores and non-ASCII
+    digits, and raise a bare ``ValueError`` on anything else -- or on
+    a digit string longer than the interpreter's conversion limit,
+    which is why the size is bounded by length before converting.
+    """
+    if not (value.isascii() and value.isdigit()):
+        raise ServiceError(
+            f"invalid Content-Length {value!r}",
+            code="bad-request", status=400,
+        )
+    digits = value.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise ServiceError(
+            f"request body exceeds {MAX_BODY_BYTES} bytes",
+            code="payload-too-large", status=413,
+        )
+    return int(digits)
 
 
 def http_response(

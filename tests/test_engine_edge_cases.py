@@ -1,8 +1,19 @@
 """Additional edge-case tests for the kernel and low-level models."""
 
+import heapq
+import itertools
+import random
+
 import pytest
 
-from repro.engine import Container, Interrupt, Resource, Simulator, Store
+from repro.engine import (
+    Container,
+    Interrupt,
+    Observability,
+    Resource,
+    Simulator,
+    Store,
+)
 from repro.errors import ModelError
 from repro.node import (
     Kernel,
@@ -367,13 +378,14 @@ class TestStoreEdgeCases:
 
 
 class TestTwoTierCalendarEdges:
-    """Remaining edges of the array-backed two-tier event calendar.
+    """Remaining edges of the array-backed three-tier event calendar.
 
     The calendar keeps a sorted in-place-consumed ``_near`` segment and
     an unsorted ``_far`` overflow whose minimum is tracked in
-    ``_far_min``. These tests pin the overflow-min bookkeeping across
-    refill cycles, the consumed-prefix compaction under sustained
-    near-horizon insertion, and calendar behaviour under mass
+    ``_far_min``; entries scheduled below the horizon go to the ``_low``
+    heap instead. These tests pin the overflow-min bookkeeping across
+    refill cycles, the write-once sorted segment under sustained
+    below-horizon insertion, and calendar behaviour under mass
     cancellation -- all through observable behaviour (``peek``, firing
     order, final clock), with white-box asserts only where the edge is
     otherwise invisible.
@@ -393,7 +405,7 @@ class TestTwoTierCalendarEdges:
         # entries: _far_min must restart from inf, not stay stale.
         sim.run(until=25.0)
         assert fired == [10.0, 20.0]
-        for when in (9.0, 8.0):  # below the horizon -> live insort
+        for when in (9.0, 8.0):  # below the horizon -> heap tier
             sim.timeout(when).add_callback(
                 lambda e, w=when: fired.append(25.0 + w)
             )
@@ -412,30 +424,38 @@ class TestTwoTierCalendarEdges:
         sim.timeout(2.0)
         assert sim.peek() == 7.0
 
-    def test_consumed_prefix_compaction_under_chained_insertion(self):
+    def test_below_horizon_chain_never_grows_sorted_segment(self):
         # A sentinel far in the future pins the horizon high, so every
-        # chained timeout insorts into the live near segment and the
-        # consumed prefix grows past the 4096-entry shear threshold.
-        sim = Simulator()
+        # chained timeout lands below it: each one must go to the heap
+        # tier, leaving the write-once sorted segment untouched.
+        obs = Observability()
+        sim = Simulator(observability=obs)
         n_chain = 9_000
         fired = []
         sim.timeout(1e9, "sentinel").add_callback(
             lambda e: fired.append(e.value)
         )
         sim.run(until=0.0)  # force the refill that sets the horizon
+        refills = obs.registry.counter("engine.calendar.refills")
+        assert refills.value == 1.0
+        near_len = len(sim._near)
+        samples = []
 
         def chain(sim):
             for _ in range(n_chain):
                 yield sim.timeout(1.0)
+                samples.append((sim.now, refills.value, len(sim._near)))
             fired.append(sim.now)
 
         sim.spawn(chain(sim))
         sim.run()
         assert fired == [float(n_chain), "sentinel"]
-        # The shear fired: the consumed prefix was cut, so the near
-        # array never accumulates the whole chain's dead entries.
-        assert len(sim._near) < n_chain
-        assert sim._head <= len(sim._near)
+        assert [t for t, _, _ in samples] == [
+            float(i) for i in range(1, n_chain + 1)
+        ]
+        # No refill happens during the chain, so the sorted segment
+        # must keep exactly its refill-time length throughout.
+        assert {(r, n) for _, r, n in samples} == {(1.0, near_len)}
 
     def test_mass_cancellation_keeps_calendar_consistent(self):
         # Cancellation is a pruning hint, not an unschedule: cancelled
@@ -482,12 +502,123 @@ class TestTwoTierCalendarEdges:
         ]
 
 
+class _ModelTimeout:
+    """A timeout handle of :class:`_HeapModelKernel` (one waiter)."""
+
+    __slots__ = ("callback",)
+
+    def add_callback(self, callback):
+        self.callback = callback
+
+
+class _HeapModelKernel:
+    """Reference kernel: one plain ``heapq`` calendar on ``(when, seq)``.
+
+    It mirrors the :class:`Simulator` contract the calendar tiers must
+    not change -- sequence numbering, ``run(until)`` semantics, and the
+    fast loop's inline dispatch of a lone timeout waiter when nothing
+    else is due at the same time -- with a single heap and no tiers.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def timeout(self, delay):
+        handle = _ModelTimeout()
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq),
+                                    handle, None, None))
+        return handle
+
+    def schedule_batch(self, whens, callback, payloads):
+        for when, payload in zip(whens, payloads):
+            heapq.heappush(self._heap, (when, next(self._seq), None,
+                                        callback, payload))
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else None
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            when, _, handle, callback, payload = heapq.heappop(heap)
+            self.now = when
+            self.events_processed += 1
+            if handle is None:
+                callback(payload)
+            elif until is None and not (heap and heap[0][0] <= when):
+                handle.callback(handle)  # inline: no entry, no seq
+            else:
+                heapq.heappush(heap, (when, next(self._seq), None,
+                                      handle.callback, handle))
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def _drive_random_interleaving(kernel, seed):
+    """Drive ``kernel`` through a random mix of calendar operations.
+
+    Roots and the children of every fired entry are schedule-ahead
+    timeouts (landing in the overflow), short timeouts (below the
+    horizon once a refill has set it), same-time timeouts and small
+    ascending ``schedule_batch`` calls; top-level ``run(until=...)``
+    calls interleave with further scheduling. Times sit on a coarse
+    grid so ties across tiers are common. Returns the firing log and a
+    ``(now, events_processed, peek)`` sample after every run.
+    """
+    rng = random.Random(seed)
+    ids = itertools.count()
+    fired = []
+    budget = [150]
+
+    def grid(lo, hi):
+        return round(rng.uniform(lo, hi) * 2.0) / 2.0
+
+    def fire(ident):
+        fired.append((kernel.now, ident))
+        for _ in range(rng.randint(0, 2)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            schedule_one()
+
+    def schedule_one():
+        choice = rng.randrange(4)
+        if choice == 3:
+            whens = sorted(kernel.now + grid(0.0, 30.0)
+                           for _ in range(rng.randint(1, 4)))
+            kernel.schedule_batch(whens, fire,
+                                  [next(ids) for _ in whens])
+            return
+        delay = (grid(20.0, 60.0), grid(0.0, 3.0), 0.0)[choice]
+        kernel.timeout(delay).add_callback(
+            lambda _evt, ident=next(ids): fire(ident)
+        )
+
+    for _ in range(rng.randint(1, 6)):
+        schedule_one()
+    samples = []
+    until = 0.0
+    for _ in range(rng.randint(0, 4)):
+        until += grid(0.0, 15.0)
+        kernel.run(until=until)
+        samples.append((kernel.now, kernel.events_processed, kernel.peek()))
+        for _ in range(rng.randint(0, 3)):
+            schedule_one()
+    kernel.run()
+    samples.append((kernel.now, kernel.events_processed, kernel.peek()))
+    return fired, samples
+
+
 class TestCalendarProperties:
     """Property-based: random schedules against the total-order model.
 
     The calendar's contract is a stable total order on ``(when,
     schedule-sequence)`` regardless of how entries split between the
-    sorted near segment and the unsorted overflow, where ``run(until)``
+    sorted near segment, the below-horizon heap and the unsorted
+    overflow, where ``run(until)``
     horizons land, or which events get cancelled.
     """
 
@@ -597,3 +728,12 @@ class TestCalendarProperties:
             )
         sim.run()
         assert fired == model_fired
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_random_interleavings_match_heap_model_kernel(self, seed):
+        # Pop order, the event count (which inline dispatch changes by
+        # skipping callback entries) and peek must all agree with the
+        # single-heap model, whichever tier each entry went through.
+        expected = _drive_random_interleaving(_HeapModelKernel(), seed)
+        assert _drive_random_interleaving(Simulator(), seed) == expected

@@ -132,6 +132,19 @@ class TestSuiteSelection:
             for name in names:
                 assert name in text
 
+    def test_render_marks_parallel_target_unverified_below_workers(self):
+        entry = {
+            "reference_median_s": 2.0, "candidate_median_s": 1.0,
+            "speedup": 2.0, "target_speedup": 3.0, "min_speedup": 2.25,
+            "parallel_workers": 4, "cores": 2,
+        }
+        suites = {"sharded": {"rounds": 1, "benches": {"par": entry}}}
+        assert "target unverified: 2 cores < 4 workers" in render_results(
+            suites
+        )
+        entry["cores"] = 4
+        assert "unverified" not in render_results(suites)
+
 
 class TestWriteAndCheck:
     def test_write_results_paths(self, quick_suites, tmp_path):

@@ -9,6 +9,8 @@ handlers. Where a test needs a job held *in flight* deterministically
 so nothing depends on racing the executor.
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -17,7 +19,8 @@ from repro.client import ServiceClient
 from repro.engine import Registry
 from repro.errors import ServiceError
 from repro.runner import api as runner_api
-from repro.service import serve_in_thread
+from repro.service import SCHEMA_VERSION, serve_in_thread
+from repro.service.wire import MAX_HEADER_LINES
 
 _EXECUTE_JOB = runner_api.execute_job
 
@@ -216,3 +219,72 @@ class TestEndpoints:
         assert excinfo.value.code == "client-cap"
         gate.set()
         assert client.result(first["job_id"]).ok
+
+
+def _raw_exchange(handle, payload: bytes):
+    """Send raw bytes to the service; return (status, decoded body).
+
+    Every malformed request below is sent in full, so the server has
+    read all of it when it answers and closes cleanly.
+    """
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """Bytes the service does not control fail with the error envelope.
+
+    Each case must come back as a 400 ``bad-request`` envelope on the
+    same connection (not a dropped connection), and the service must
+    keep serving afterwards.
+    """
+
+    def _assert_bad_request(self, handle, client, payload):
+        status, body = _raw_exchange(handle, payload)
+        assert status == 400
+        assert body == {
+            "schema_version": SCHEMA_VERSION,
+            "error": {"code": "bad-request",
+                      "message": body["error"]["message"]},
+        }
+        assert client.health()["accepting"] is True
+
+    @pytest.mark.parametrize("value", [b"abc", b"-1", b"+5", b""])
+    def test_invalid_content_length(self, service, value):
+        handle, client, registry = service()
+        self._assert_bad_request(
+            handle, client,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + value + b"\r\n\r\n",
+        )
+        assert registry.counter("service.errors").value == 1
+
+    def test_too_many_header_lines(self, service):
+        handle, client, registry = service()
+        headers = b"".join(
+            b"X-Filler-%d: y\r\n" % i for i in range(MAX_HEADER_LINES + 1)
+        )
+        # No terminating blank line: the server stops reading at the
+        # first line past the cap, so nothing is left unread.
+        self._assert_bad_request(
+            handle, client, b"GET /v1/healthz HTTP/1.1\r\n" + headers
+        )
+
+    def test_overlong_content_length_is_payload_too_large(self, service):
+        handle, client, registry = service()
+        status, body = _raw_exchange(
+            handle,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
+            + b"9" * 5000 + b"\r\n\r\n",
+        )
+        assert status == 413
+        assert body["error"]["code"] == "payload-too-large"

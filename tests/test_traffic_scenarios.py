@@ -372,23 +372,32 @@ class TestCalendarCounters:
         assert counters["engine.calendar.batch_inserted"] == 500.0
         assert counters["engine.calendar.refills"] >= 1.0
 
-    def test_compaction_counter_fires_under_churn(self):
+    def test_below_horizon_pushes_never_grow_sorted_segment(self):
         obs = Observability()
         sim = Simulator(observability=obs)
+        refills = obs.registry.counter("engine.calendar.refills")
+        n = 20_000
+        samples = []
+        fired = []
 
-        # A rolling window: each completion schedules one more event, so
-        # the near array keeps a long consumed prefix -> compaction.
-        budget = [12_000]
+        def follow_up(index):
+            fired.append((sim.now, index))
 
-        def chain(_p):
-            if budget[0] > 0:
-                budget[0] -= 1
-                sim.schedule_batch([sim.now + 1.0], chain)
+        def arrival(index):
+            # The pre-scheduled batch set the horizon to its last
+            # arrival, so this push lands below it.
+            samples.append((refills.value, len(sim._near)))
+            sim.schedule_batch([sim.now + 0.5], follow_up, payloads=[index])
 
-        sim.schedule_batch([float(i) for i in range(8_000)], chain)
+        sim.schedule_batch([float(i) for i in range(n)], arrival)
         sim.run()
         counters = obs.registry.snapshot()["counters"]
-        assert counters.get("engine.calendar.compactions", 0.0) >= 1.0
+        assert counters["engine.calendar.batch_inserted"] == 2.0 * n
+        # One refill absorbs the batch; every follow-up went to the heap
+        # tier, so the sorted segment kept its refill-time length and
+        # the follow-ups fired in order.
+        assert set(samples) == {(1.0, n)}
+        assert fired == [(i + 0.5, i) for i in range(n)]
 
     def test_detached_observability_has_no_counters(self):
         sim = Simulator()
