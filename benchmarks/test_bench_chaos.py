@@ -15,9 +15,11 @@ workloads directly.
 from repro.reporting import render_table
 from repro.runner import run_experiment
 from repro.workloads import (
+    memory_inputs,
     run_memory_chaos,
     run_scheduler_chaos,
     run_search_chaos,
+    search_inputs,
 )
 
 
@@ -73,8 +75,9 @@ def test_bench_chaos_exhibit(benchmark):
 
 def test_bench_chaos_search_policies(benchmark):
     def run():
+        inputs = search_inputs(1_500, seed=0)
         return {
-            policy: run_search_chaos(policy, n_requests=1_500, seed=0)
+            policy: run_search_chaos(policy, seed=0, **inputs)
             for policy in ("off", "hedged")
         }
 
@@ -104,7 +107,9 @@ def test_bench_chaos_search_policies(benchmark):
 def test_bench_chaos_memory_failover(benchmark):
     def run():
         return {
-            policy: run_memory_chaos(policy, n_reads=1_000, seed=0)
+            policy: run_memory_chaos(
+                policy, seed=0, **memory_inputs(1_000, seed=0)
+            )
             for policy in ("off", "resilient")
         }
 

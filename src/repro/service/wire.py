@@ -79,14 +79,15 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
     """Parse one request off ``reader``; None when the peer hung up.
 
     Raises :class:`ServiceError` (``bad-request``/``payload-too-large``)
-    for malformed or oversized requests: a bad request line, more than
+    for malformed or oversized requests: a bad request line, a request
+    or header line longer than the reader's buffer limit, more than
     :data:`MAX_HEADER_LINES` header lines, a ``Content-Length`` that is
     not a plain non-negative decimal integer, or a body over
     :data:`MAX_BODY_BYTES`.
     """
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, LimitOverrunError):
+        request_line = await _read_line(reader)
+    except ConnectionError:
         return None
     if not request_line:
         return None
@@ -99,7 +100,7 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
     headers: Dict[str, str] = {}
     n_lines = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         n_lines += 1
@@ -118,6 +119,32 @@ async def read_http_request(reader: StreamReader) -> Optional[HttpRequest]:
         except IncompleteReadError:
             return None
     return HttpRequest(method.upper(), path, headers, body)
+
+
+async def _read_line(reader: StreamReader) -> bytes:
+    """One ``\\n``-terminated line, or the partial tail at EOF.
+
+    A line longer than the reader's buffer limit is a bad request.
+    ``readline`` would report it as a bare ``ValueError``; here the whole
+    line is skipped through its terminator first, so none of it is left
+    unread when the error response goes out.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except IncompleteReadError as exc:
+            line = exc.partial
+        except LimitOverrunError as exc:
+            overlong = True
+            await reader.readexactly(exc.consumed)
+            continue
+        if overlong:
+            raise ServiceError(
+                "request line or header line too long",
+                code="bad-request", status=400,
+            )
+        return line
 
 
 def _content_length(value: str) -> int:

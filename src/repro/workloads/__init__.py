@@ -13,9 +13,11 @@ traffic (X17).
 from repro.workloads.chaos import (
     chaos_exhibit,
     latency_summary,
+    memory_inputs,
     run_memory_chaos,
     run_scheduler_chaos,
     run_search_chaos,
+    search_inputs,
 )
 from repro.workloads.edge import (
     EdgeScenario,
@@ -43,8 +45,6 @@ from repro.workloads.scenario import (
     TRAFFIC_REGIMES,
     chaos_load_exhibit,
     regime_spec,
-    run_memory_load,
-    run_search_load,
 )
 from repro.workloads.search import (
     SearchRunResult,
@@ -100,19 +100,19 @@ __all__ = [
     "gaussian_blobs",
     "latency_summary",
     "max_qps_within_sla",
+    "memory_inputs",
     "probe_metrics",
     "regime_spec",
     "run_memory_chaos",
-    "run_memory_load",
     "run_scheduler_chaos",
     "run_search_chaos",
-    "run_search_load",
     "run_search_service",
     "run_service_traffic",
     "run_suite",
     "run_trigger_pipeline",
     "sales_table",
     "science_events",
+    "search_inputs",
     "self_chaos_exhibit",
     "sensor_readings",
     "service_exhibit",

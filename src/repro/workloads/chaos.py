@@ -25,6 +25,13 @@ Three parts, all deterministic given the seed:
   stream with and without host outage windows, counting killed task
   executions and wasted executor-seconds.
 
+The search and memory runners are the only simulation bodies for
+both chaos exhibits: they take their arrival times as input and inject
+them with ``Simulator.schedule_batch``. X12 feeds them constant-rate
+Poisson inputs drawn up front (:func:`search_inputs`,
+:func:`memory_inputs`); X17 (:mod:`repro.workloads.scenario`) feeds them
+scenario traces.
+
 Latency percentiles (p50/p99/p999) are computed only over completed
 requests; ``availability`` is the fraction of requests that completed
 within the part's SLA, so a policy cannot hide failures by dropping
@@ -33,7 +40,7 @@ them. Overhead is reported as extra hedge copies and retry attempts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,19 +77,84 @@ def latency_summary(latencies_s: List[float]) -> Dict[str, float]:
     }
 
 
+def _check_inputs(
+    part: str, policy: str, policies: Tuple[str, ...], arrivals_s: Sequence[float]
+) -> int:
+    """Validate one runner's policy and arrivals; returns the arrival count."""
+    if policy not in policies:
+        raise ModelError(
+            f"unknown {part} policy {policy!r}; expected one of {policies}"
+        )
+    if len(arrivals_s) == 0:
+        raise ModelError(f"no {part} arrivals; widen the horizon")
+    return len(arrivals_s)
+
+
+def _poisson_arrivals(
+    stream: RandomStream, n: int, rate_hz: float
+) -> List[float]:
+    """``n`` constant-rate Poisson arrival times, the first at 0.0.
+
+    Gaps are drawn one at a time and accumulated in plain Python, so the
+    times equal those of a source process that spawns a request and then
+    sleeps for one exponential gap.
+    """
+    times: List[float] = []
+    t = 0.0
+    for _ in range(n):
+        times.append(t)
+        t += stream.exponential(1.0 / rate_hz)
+    return times
+
+
 # ---------------------------------------------------------------------------
 # Part A: replicated search backend under stragglers (hedging).
 # ---------------------------------------------------------------------------
 
 
-def run_search_chaos(
-    policy: str,
-    n_requests: int = 4_000,
+def search_inputs(
+    n_requests: int,
+    seed: int,
     qps: float = 900.0,
     n_replicas: int = 6,
-    replica_slots: int = 4,
     service_median_s: float = 2.0e-3,
     service_sigma: float = 0.35,
+) -> Dict[str, Any]:
+    """X12's constant-rate search inputs: keyword arguments for
+    :func:`run_search_chaos`.
+
+    Each input comes from its own named stream
+    (``chaos.search.{arrivals,placement,service}``). The primary is drawn
+    with ``integer(0, n_replicas - 1)``, which is half-open: primaries
+    are uniform over replicas ``0 .. n_replicas - 2``, and the last
+    replica only ever serves hedge copies from its neighbour. Faults
+    stop starting at the nominal end of the stream, ``n_requests / qps``.
+    """
+    placement = RandomStream(seed, "chaos.search.placement")
+    service = RandomStream(seed, "chaos.search.service")
+    return {
+        "arrivals_s": _poisson_arrivals(
+            RandomStream(seed, "chaos.search.arrivals"), n_requests, qps
+        ),
+        "primaries": [
+            placement.integer(0, n_replicas - 1) for _ in range(n_requests)
+        ],
+        "base_service_s": [
+            service.lognormal(service_median_s, service_sigma)
+            for _ in range(n_requests)
+        ],
+        "fault_end_s": n_requests / qps,
+    }
+
+
+def run_search_chaos(
+    policy: str,
+    arrivals_s: Sequence[float],
+    primaries: Sequence[int],
+    base_service_s: Sequence[float],
+    fault_end_s: float,
+    n_replicas: int = 6,
+    replica_slots: int = 4,
     hedge_delay_s: float = 8.0e-3,
     sla_s: float = 0.025,
     straggler_slowdown: float = 12.0,
@@ -92,18 +164,16 @@ def run_search_chaos(
 ) -> Dict[str, Any]:
     """One search run under straggler faults; returns headline metrics.
 
-    Every request picks a primary replica uniformly; with
-    ``policy="hedged"`` a second copy goes to the *next* replica if the
-    primary has not answered within ``hedge_delay_s`` (losers are
-    interrupted and release their slot). Half the replicas carry a
-    straggler fault schedule, so hedging onto the neighbour recovers the
-    tail whenever the neighbour is healthy.
+    Request ``i`` arrives at ``arrivals_s[i]`` (ascending; bulk-injected
+    with ``schedule_batch``) and needs ``base_service_s[i]`` on replica
+    ``primaries[i]``. With ``policy="hedged"`` a second copy goes to the
+    *next* replica if the primary has not answered within
+    ``hedge_delay_s`` (losers are interrupted and release their slot).
+    Half the replicas carry a straggler fault schedule that stops
+    starting new episodes at ``fault_end_s``, so hedging onto the
+    neighbour recovers the tail whenever the neighbour is healthy.
     """
-    if policy not in SEARCH_POLICIES:
-        raise ModelError(
-            f"unknown search policy {policy!r}; expected one of "
-            f"{SEARCH_POLICIES}"
-        )
+    n_requests = _check_inputs("search", policy, SEARCH_POLICIES, arrivals_s)
     sim = Simulator()
     injector = FaultInjector(sim, seed=seed + 101)
     replicas = [f"replica{i}" for i in range(n_replicas)]
@@ -118,15 +188,12 @@ def run_search_chaos(
             mtbf_s=straggler_mtbf_s,
             mttr_s=straggler_mttr_s,
             slowdown=straggler_slowdown,
-            end_s=n_requests / qps,
+            end_s=fault_end_s,
         )
     )
     pools = {
         name: Resource(sim, capacity=replica_slots) for name in replicas
     }
-    arrivals = RandomStream(seed, "chaos.search.arrivals")
-    service = RandomStream(seed, "chaos.search.service")
-    placement = RandomStream(seed, "chaos.search.placement")
     latencies: List[float] = []
     copies_launched = [0]
 
@@ -162,17 +229,13 @@ def run_search_chaos(
             )
         latencies.append(sim.now - arrived_s)
 
-    def source():
-        for index in range(n_requests):
-            primary = placement.integer(0, n_replicas - 1)
-            base_s = service.lognormal(service_median_s, service_sigma)
-            sim.spawn(
-                request(sim.now, primary, base_s),
-                name=f"search.request{index}",
-            )
-            yield sim.timeout(arrivals.exponential(1.0 / qps))
+    def admit(index: int) -> None:
+        sim.spawn(
+            request(sim.now, int(primaries[index]), float(base_service_s[index])),
+            name=f"search.request{index}",
+        )
 
-    sim.spawn(source(), name="search.source")
+    sim.schedule_batch(arrivals_s, admit)
     sim.run()
     if len(latencies) != n_requests:
         raise ModelError("not all search requests completed")
@@ -194,10 +257,30 @@ def run_search_chaos(
 # ---------------------------------------------------------------------------
 
 
+def memory_inputs(
+    n_reads: int, seed: int, read_rate_hz: float = 400.0
+) -> Dict[str, Any]:
+    """X12's constant-rate memory inputs: keyword arguments for
+    :func:`run_memory_chaos`.
+
+    Arrivals come from ``chaos.memory.arrivals`` and the retry backoff
+    from a fresh ``chaos.memory.backoff`` stream, so call this once per
+    run. Flaps stop starting at ``n_reads / read_rate_hz``.
+    """
+    return {
+        "arrivals_s": _poisson_arrivals(
+            RandomStream(seed, "chaos.memory.arrivals"), n_reads, read_rate_hz
+        ),
+        "fault_end_s": n_reads / read_rate_hz,
+        "backoff": RandomStream(seed, "chaos.memory.backoff"),
+    }
+
+
 def run_memory_chaos(
     policy: str,
-    n_reads: int = 2_500,
-    read_rate_hz: float = 400.0,
+    arrivals_s: Sequence[float],
+    fault_end_s: float,
+    backoff: RandomStream,
     read_bytes: float = 1.0e6,
     base_latency_s: float = 1.0e-4,
     deadline_s: float = 1.3e-3,
@@ -209,22 +292,21 @@ def run_memory_chaos(
 ) -> Dict[str, Any]:
     """Reads from remote memory while the primary pool's uplinks flap.
 
-    The fabric is a 4-spine composable rack with two memory pools. Every
-    ``spine--mem-pool0`` uplink carries an independent flap schedule, so
-    the *primary* pool is usually degraded (fewer surviving ECMP paths,
-    modelled as proportionally less effective bandwidth because the
-    pool's aggregate load concentrates on the survivors) and
-    occasionally unreachable. Policy ``"off"`` issues a single read
-    against mem-pool0, rides out the slowdown, and gives up when no path
-    exists; ``"resilient"`` puts a deadline on every transfer and
-    retries with jittered exponential backoff, failing over to the
-    replica ``mem-pool1`` (whose uplinks never flap) on odd attempts.
+    Read ``i`` arrives at ``arrivals_s[i]`` (ascending; bulk-injected
+    with ``schedule_batch``). The fabric is a 4-spine composable rack
+    with two memory pools. Every ``spine--mem-pool0`` uplink carries an
+    independent flap schedule that stops starting new flaps at
+    ``fault_end_s``, so the *primary* pool is usually degraded (fewer
+    surviving ECMP paths, modelled as proportionally less effective
+    bandwidth because the pool's aggregate load concentrates on the
+    survivors) and occasionally unreachable. Policy ``"off"`` issues a
+    single read against mem-pool0, rides out the slowdown, and gives up
+    when no path exists; ``"resilient"`` puts a deadline on every
+    transfer and retries with jittered exponential backoff drawn from
+    ``backoff``, failing over to the replica ``mem-pool1`` (whose
+    uplinks never flap) on odd attempts.
     """
-    if policy not in MEMORY_POLICIES:
-        raise ModelError(
-            f"unknown memory policy {policy!r}; expected one of "
-            f"{MEMORY_POLICIES}"
-        )
+    n_reads = _check_inputs("memory", policy, MEMORY_POLICIES, arrivals_s)
     from repro.network.routing import ecmp_paths, path_bottleneck_gbps
     from repro.network.topology import disaggregated_fabric
 
@@ -244,11 +326,9 @@ def run_memory_chaos(
             ),
             mtbf_s=flap_mtbf_s,
             mttr_s=flap_mttr_s,
-            end_s=n_reads / read_rate_hz,
+            end_s=fault_end_s,
         )
     )
-    arrivals = RandomStream(seed, "chaos.memory.arrivals")
-    backoff = RandomStream(seed, "chaos.memory.backoff")
     retry_policy = RetryPolicy(
         max_attempts=max_attempts, base_delay_s=2.5e-4, multiplier=2.0,
         jitter=0.3,
@@ -275,7 +355,7 @@ def run_memory_chaos(
         effective_gbps = gbps * len(paths) / n_spines
         return base_latency_s + read_bytes * 8.0 / (effective_gbps * 1e9)
 
-    def request(flow_id: int, arrived_s: float):
+    def request(arrived_s: float):
         if policy == "off":
             try:
                 duration = transfer_duration_s("mem-pool0")
@@ -312,12 +392,10 @@ def run_memory_chaos(
             return
         latencies.append(sim.now - arrived_s)
 
-    def source():
-        for flow_id in range(n_reads):
-            sim.spawn(request(flow_id, sim.now), name=f"memory.req{flow_id}")
-            yield sim.timeout(arrivals.exponential(1.0 / read_rate_hz))
+    def admit(index: int) -> None:
+        sim.spawn(request(sim.now), name=f"memory.req{index}")
 
-    sim.spawn(source(), name="memory.source")
+    sim.schedule_batch(arrivals_s, admit)
     sim.run()
     completed = len(latencies)
     if completed + failures[0] != n_reads:
@@ -415,8 +493,6 @@ def chaos_exhibit(
     n_reads: int = 2_500,
     n_jobs: int = 24,
     seed: int = 0,
-    search_overrides: Optional[Dict[str, Any]] = None,
-    memory_overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Run all three chaos parts, policies off and on; returns metrics.
 
@@ -431,14 +507,11 @@ def chaos_exhibit(
     - ``scheduler.tasks_rescheduled`` / ``wasted_executor_s``: the cost
       of host outages the scheduler routed around.
     """
-    search_kw = dict(search_overrides or {})
-    memory_kw = dict(memory_overrides or {})
     metrics: Dict[str, Any] = {}
 
+    search = search_inputs(n_requests, seed)
     for policy in SEARCH_POLICIES:
-        part = run_search_chaos(
-            policy, n_requests=n_requests, seed=seed, **search_kw
-        )
+        part = run_search_chaos(policy, seed=seed, **search)
         for key, value in part.items():
             if key != "policy":
                 metrics[f"search.{policy}.{key}"] = value
@@ -451,7 +524,7 @@ def chaos_exhibit(
 
     for policy in MEMORY_POLICIES:
         part = run_memory_chaos(
-            policy, n_reads=n_reads, seed=seed, **memory_kw
+            policy, seed=seed, **memory_inputs(n_reads, seed)
         )
         for key, value in part.items():
             if key != "policy":

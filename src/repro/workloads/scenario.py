@@ -13,11 +13,14 @@ yardstick, so this module re-measures both claims under the
 - ``heavy_tail`` -- MMPP-correlated bursts plus Pareto service times.
 
 Each regime's full arrival trace is generated up front as a batch draw
-(:func:`~repro.mc.traffic.scenario_trace`) and fed into the simulator
-through :meth:`~repro.engine.sim.Simulator.schedule_batch`, the bulk-
-injection fast path -- the chaos machinery (straggler and link-flap
-schedules from :mod:`repro.engine.faults`, hedging and deadline/retry
-from :mod:`repro.engine.resilience`) is the same as X12's. The exhibit
+(:func:`~repro.mc.traffic.scenario_trace`) and handed to X12's own
+simulation bodies, :func:`~repro.workloads.chaos.run_search_chaos` and
+:func:`~repro.workloads.chaos.run_memory_chaos`, which bulk-inject it
+through :meth:`~repro.engine.sim.Simulator.schedule_batch`. The two
+exhibits share one body per part, so the chaos machinery (straggler and
+link-flap schedules from :mod:`repro.engine.faults`, hedging and
+deadline/retry from :mod:`repro.engine.resilience`) is X12's by
+construction; only the arrival source differs. The exhibit
 reports a winner per regime x claim, so the matrix shows where the
 resilience policies keep paying off and where realistic load erodes
 them. Everything is deterministic given the seed; request counts vary
@@ -26,26 +29,16 @@ by regime because thinning accepts a random number of arrivals.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.engine import (
-    FaultInjector,
-    FaultSpec,
-    RandomStream,
-    Resource,
-    RetryPolicy,
-    Simulator,
-    hedge,
-    retry,
-    with_deadline,
-)
-from repro.engine.faults import LINK_FLAP, STRAGGLER
-from repro.errors import FaultError, ModelError, RetryExhausted, TopologyError
+from repro.engine import RandomStream
+from repro.errors import ModelError
 from repro.mc.traffic import FlashCrowd, ScenarioSpec, scenario_trace
 from repro.workloads.chaos import (
     MEMORY_POLICIES,
     SEARCH_POLICIES,
-    latency_summary,
+    run_memory_chaos,
+    run_search_chaos,
 )
 
 #: Traffic regimes of the chaos x load matrix, in exhibit order.
@@ -113,255 +106,12 @@ def regime_spec(
     return ScenarioSpec(**common)
 
 
-def run_search_load(
-    regime: str,
-    policy: str,
-    base_qps: float = 700.0,
-    horizon_s: float = 4.0,
-    n_replicas: int = 6,
-    replica_slots: int = 4,
-    service_median_s: float = 2.0e-3,
-    service_sigma: float = 0.35,
-    hedge_delay_s: float = 8.0e-3,
-    sla_s: float = 0.025,
-    straggler_slowdown: float = 12.0,
-    straggler_mtbf_s: float = 0.8,
-    straggler_mttr_s: float = 0.25,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """X12's replicated-search-under-stragglers part, scenario-driven.
-
-    The full trace -- arrival times, primary-replica placement, base
-    service times -- comes from one :func:`scenario_trace` batch and is
-    bulk-injected with ``schedule_batch``; the straggler schedule and
-    the hedging policy are X12's. Returns per-policy headline metrics.
-    """
-    if policy not in SEARCH_POLICIES:
-        raise ModelError(
-            f"unknown search policy {policy!r}; expected one of "
-            f"{SEARCH_POLICIES}"
-        )
-    spec = regime_spec(
-        regime, base_qps, horizon_s,
-        session_median_s=service_median_s, session_sigma=service_sigma,
-        n_clients=n_replicas, client_skew=0.6,
-    )
-    trace = scenario_trace(
-        spec, RandomStream(seed, "load").fork("search").seed
-    )
-    times = trace["times_s"]
-    n_requests = len(times)
-    if n_requests == 0:
-        raise ModelError("scenario produced no arrivals; widen the horizon")
-    placement = trace["client_ids"]
-    base_service = trace["session_lengths_s"]
-
-    sim = Simulator()
-    injector = FaultInjector(sim, seed=seed + 101)
-    replicas = [f"replica{i}" for i in range(n_replicas)]
-    injector.install(
-        FaultSpec(
-            kind=STRAGGLER,
-            targets=tuple(replicas[1::2]),
-            mtbf_s=straggler_mtbf_s,
-            mttr_s=straggler_mttr_s,
-            slowdown=straggler_slowdown,
-            end_s=horizon_s,
-        )
-    )
-    pools = {
-        name: Resource(sim, capacity=replica_slots) for name in replicas
-    }
-    latencies: List[float] = []
-    copies_launched = [0]
-
-    def serve_on(replica: str, base_s: float):
-        copies_launched[0] += 1
-        yield pools[replica].acquire()
-        try:
-            yield sim.timeout(base_s * injector.slowdown(replica))
-        finally:
-            pools[replica].release()
-        return replica
-
-    def request(arrived_s: float, primary: int, base_s: float):
-        if policy == "off":
-            yield from serve_on(replicas[primary], base_s)
-        else:
-            copy = [0]
-
-            def attempt():
-                replica = replicas[(primary + copy[0]) % n_replicas]
-                copy[0] += 1
-                return serve_on(replica, base_s)
-
-            yield from hedge(
-                sim, attempt, delay_s=hedge_delay_s, max_copies=2,
-                name="load.hedge",
-            )
-        latencies.append(sim.now - arrived_s)
-
-    def admit(index: int) -> None:
-        sim.spawn(
-            request(sim.now, int(placement[index]), float(base_service[index])),
-            name=f"load.search{index}",
-        )
-
-    sim.schedule_batch(times, admit)
-    sim.run()
-    if len(latencies) != n_requests:
-        raise ModelError("not all scenario search requests completed")
-    summary = latency_summary(latencies)
-    within_sla = sum(1 for latency in latencies if latency <= sla_s)
-    return {
-        "policy": policy,
-        "n_requests": n_requests,
-        "availability": within_sla / n_requests,
-        "copies_per_request": copies_launched[0] / n_requests,
-        "n_faults": len(injector.events),
-        **summary,
-    }
-
-
-def run_memory_load(
-    regime: str,
-    policy: str,
-    base_rate_hz: float = 400.0,
-    horizon_s: float = 5.0,
-    read_bytes: float = 1.0e6,
-    base_latency_s: float = 1.0e-4,
-    deadline_s: float = 1.3e-3,
-    sla_s: float = 3.0e-3,
-    flap_mtbf_s: float = 0.6,
-    flap_mttr_s: float = 0.35,
-    max_attempts: int = 4,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """X12's disaggregated-memory part under scenario-shaped read load.
-
-    Reads arrive on a scenario trace (bulk-injected) while the primary
-    pool's uplinks flap; ``"resilient"`` wraps each read in a deadline
-    plus jittered retries failing over to the replica pool, ``"off"``
-    issues one read and gives up when no path exists -- X12 mechanics,
-    scenario arrivals.
-    """
-    if policy not in MEMORY_POLICIES:
-        raise ModelError(
-            f"unknown memory policy {policy!r}; expected one of "
-            f"{MEMORY_POLICIES}"
-        )
-    from repro.network.routing import ecmp_paths, path_bottleneck_gbps
-    from repro.network.topology import disaggregated_fabric
-
-    spec = regime_spec(regime, base_rate_hz, horizon_s)
-    times = scenario_trace(
-        spec, RandomStream(seed, "load").fork("memory").seed
-    )["times_s"]
-    n_reads = len(times)
-    if n_reads == 0:
-        raise ModelError("scenario produced no arrivals; widen the horizon")
-
-    n_spines = 4
-    fabric = disaggregated_fabric(
-        n_cpu_pools=2, n_mem_pools=2, n_storage_pools=1, n_spines=n_spines,
-        pool_gbps=10.0,
-    )
-    sim = Simulator()
-    injector = FaultInjector(sim, seed=seed + 202, fabric=fabric)
-    injector.install(
-        FaultSpec(
-            kind=LINK_FLAP,
-            targets=tuple(
-                (f"spine{s}", "mem-pool0") for s in range(n_spines)
-            ),
-            mtbf_s=flap_mtbf_s,
-            mttr_s=flap_mttr_s,
-            end_s=horizon_s,
-        )
-    )
-    backoff = RandomStream(seed, "load.memory.backoff")
-    retry_policy = RetryPolicy(
-        max_attempts=max_attempts, base_delay_s=2.5e-4, multiplier=2.0,
-        jitter=0.3,
-    )
-    latencies: List[float] = []
-    failures = [0]
-    attempts_issued = [0]
-
-    def transfer_duration_s(pool: str) -> float:
-        attempts_issued[0] += 1
-        try:
-            paths = ecmp_paths(fabric, "cpu-pool0", pool)
-        except TopologyError as exc:
-            raise FaultError(f"{pool} unreachable: {exc}") from exc
-        gbps = path_bottleneck_gbps(fabric, paths[0])
-        effective_gbps = gbps * len(paths) / n_spines
-        return base_latency_s + read_bytes * 8.0 / (effective_gbps * 1e9)
-
-    def request(arrived_s: float):
-        if policy == "off":
-            try:
-                duration = transfer_duration_s("mem-pool0")
-            except FaultError:
-                failures[0] += 1
-                return
-            yield sim.timeout(duration)
-            latencies.append(sim.now - arrived_s)
-            return
-
-        attempt_no = [0]
-
-        def attempt():
-            pool = "mem-pool0" if attempt_no[0] % 2 == 0 else "mem-pool1"
-            attempt_no[0] += 1
-
-            def bounded():
-                duration = transfer_duration_s(pool)
-                yield with_deadline(sim, sim.timeout(duration), deadline_s)
-                return pool
-
-            return bounded()
-
-        try:
-            yield from retry(
-                sim, attempt, retry_policy, rng=backoff, name="load.retry"
-            )
-        except RetryExhausted:
-            failures[0] += 1
-            return
-        latencies.append(sim.now - arrived_s)
-
-    def admit(index: int) -> None:
-        sim.spawn(request(sim.now), name=f"load.read{index}")
-
-    sim.schedule_batch(times, admit)
-    sim.run()
-    completed = len(latencies)
-    if completed + failures[0] != n_reads:
-        raise ModelError("scenario memory reads lost by the harness")
-    within_sla = sum(1 for latency in latencies if latency <= sla_s)
-    metrics: Dict[str, Any] = {
-        "policy": policy,
-        "n_reads": n_reads,
-        "completed": completed,
-        "failed": failures[0],
-        "availability": within_sla / n_reads,
-        "attempts_per_read": attempts_issued[0] / n_reads,
-        "n_faults": len(injector.events),
-    }
-    if completed:
-        metrics.update(latency_summary(latencies))
-    return metrics
-
-
 def chaos_load_exhibit(
     base_qps: float = 700.0,
     search_horizon_s: float = 4.0,
     base_read_hz: float = 400.0,
     memory_horizon_s: float = 5.0,
     seed: int = 0,
-    search_overrides: Optional[Dict[str, Any]] = None,
-    memory_overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The full chaos x load matrix; returns the X17 metrics.
 
@@ -379,8 +129,6 @@ def chaos_load_exhibit(
     - ``search.regimes_won_by_hedging`` /
       ``memory.regimes_won_by_resilience``: the matrix row sums.
     """
-    search_kw = dict(search_overrides or {})
-    memory_kw = dict(memory_overrides or {})
     metrics: Dict[str, Any] = {}
     recoveries: List[float] = []
     gains: List[float] = []
@@ -388,10 +136,19 @@ def chaos_load_exhibit(
     memory_wins = 0
 
     for regime in TRAFFIC_REGIMES:
+        # One client id per search replica: the client id is the primary.
+        trace = scenario_trace(
+            regime_spec(
+                regime, base_qps, search_horizon_s, n_clients=6,
+                client_skew=0.6,
+            ),
+            RandomStream(seed, "load").fork("search").seed,
+        )
         parts = {
-            policy: run_search_load(
-                regime, policy, base_qps=base_qps, horizon_s=search_horizon_s,
-                seed=seed, **search_kw,
+            policy: run_search_chaos(
+                policy, trace["times_s"], trace["client_ids"],
+                trace["session_lengths_s"], fault_end_s=search_horizon_s,
+                seed=seed,
             )
             for policy in SEARCH_POLICIES
         }
@@ -406,10 +163,14 @@ def chaos_load_exhibit(
         recoveries.append(recovery)
         search_wins += winner == "hedged"
 
+        times = scenario_trace(
+            regime_spec(regime, base_read_hz, memory_horizon_s),
+            RandomStream(seed, "load").fork("memory").seed,
+        )["times_s"]
         parts = {
-            policy: run_memory_load(
-                regime, policy, base_rate_hz=base_read_hz,
-                horizon_s=memory_horizon_s, seed=seed, **memory_kw,
+            policy: run_memory_chaos(
+                policy, times, fault_end_s=memory_horizon_s,
+                backoff=RandomStream(seed, "load.memory.backoff"), seed=seed,
             )
             for policy in MEMORY_POLICIES
         }

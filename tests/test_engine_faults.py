@@ -653,9 +653,25 @@ class TestChaosDeterminism:
 
     def test_policies_rejected_when_unknown(self):
         from repro.errors import ModelError
-        from repro.workloads import run_memory_chaos, run_search_chaos
+        from repro.workloads import (
+            memory_inputs,
+            run_memory_chaos,
+            run_search_chaos,
+            search_inputs,
+        )
 
         with pytest.raises(ModelError):
-            run_search_chaos("bogus", n_requests=10)
+            run_search_chaos("bogus", **search_inputs(10, seed=0))
         with pytest.raises(ModelError):
-            run_memory_chaos("bogus", n_reads=10)
+            run_memory_chaos("bogus", **memory_inputs(10, seed=0))
+
+    def test_empty_arrivals_rejected(self):
+        from repro.errors import ModelError
+        from repro.workloads import run_memory_chaos, run_search_chaos
+
+        with pytest.raises(ModelError, match="no search arrivals"):
+            run_search_chaos("off", [], [], [], fault_end_s=1.0)
+        with pytest.raises(ModelError, match="no memory arrivals"):
+            run_memory_chaos(
+                "off", [], fault_end_s=1.0, backoff=RandomStream(0, "b")
+            )

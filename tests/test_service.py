@@ -279,6 +279,25 @@ class TestMalformedRequests:
             handle, client, b"GET /v1/healthz HTTP/1.1\r\n" + headers
         )
 
+    def test_request_line_over_reader_limit(self, service):
+        # Longer than the 64 KiB StreamReader limit; the server skips
+        # the whole line before answering, so nothing is left unread.
+        handle, client, registry = service()
+        self._assert_bad_request(
+            handle, client,
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n",
+        )
+        assert registry.counter("service.errors").value == 1
+
+    def test_header_line_over_reader_limit(self, service):
+        handle, client, registry = service()
+        self._assert_bad_request(
+            handle, client,
+            b"GET /v1/healthz HTTP/1.1\r\nX-Filler: "
+            + b"y" * (70 * 1024) + b"\r\n",
+        )
+        assert registry.counter("service.errors").value == 1
+
     def test_overlong_content_length_is_payload_too_large(self, service):
         handle, client, registry = service()
         status, body = _raw_exchange(

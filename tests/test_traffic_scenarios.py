@@ -420,6 +420,23 @@ class TestX15RerouteByteIdentity:
         assert path.read_bytes() == golden
 
 
+class TestChaosBodyByteIdentity:
+    # X12 and X17 share one search and one memory simulation body; the
+    # goldens were captured from the earlier per-exhibit copies (X12 fed
+    # by per-event source processes), and the shared bodies must
+    # reproduce both canonical results.json files byte for byte.
+    @pytest.mark.parametrize("experiment", ["X12", "X17"])
+    def test_quick_seed0_results_match_golden(self, experiment, tmp_path):
+        from repro.runner import run_grid
+
+        grid = run_grid(experiment, seeds=[0], quick=True, use_cache=False,
+                        retries=0)
+        assert grid.all_ok, grid.failures
+        path = grid.write_json(tmp_path / "results.json")
+        name = f"{experiment.lower()}_quick_seed0_results.json"
+        assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 #: X17's registered quick problem size (QUICK_CONFIGS["X17"]).
 _X17_QUICK = {"search_horizon_s": 0.8, "memory_horizon_s": 1.0}
 
