@@ -125,21 +125,24 @@ async def _read_line(reader: StreamReader) -> bytes:
     """One ``\\n``-terminated line, or the partial tail at EOF.
 
     A line longer than the reader's buffer limit is a bad request.
-    ``readline`` would report it as a bare ``ValueError``; here the whole
-    line is skipped through its terminator first, so none of it is left
-    unread when the error response goes out.
+    ``readline`` would report it as a bare ``ValueError``; here the line
+    is skipped through its terminator first, so none of it is left
+    unread when the error response goes out. The skip stops after
+    :data:`MAX_BODY_BYTES`, so a peer that never sends a newline still
+    gets the error instead of holding the handler forever.
     """
-    overlong = False
+    skipped = 0
     while True:
         try:
             line = await reader.readuntil(b"\n")
         except IncompleteReadError as exc:
             line = exc.partial
         except LimitOverrunError as exc:
-            overlong = True
             await reader.readexactly(exc.consumed)
-            continue
-        if overlong:
+            skipped += exc.consumed
+            if skipped <= MAX_BODY_BYTES:
+                continue
+        if skipped:
             raise ServiceError(
                 "request line or header line too long",
                 code="bad-request", status=400,

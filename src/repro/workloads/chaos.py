@@ -62,6 +62,8 @@ from repro.errors import FaultError, ModelError, RetryExhausted, TopologyError
 SEARCH_POLICIES = ("off", "hedged")
 #: Policies understood by the disaggregated-memory part.
 MEMORY_POLICIES = ("off", "resilient")
+#: Replicas of the search backend; X17 gives each one a client id.
+N_REPLICAS = 6
 
 
 def latency_summary(latencies_s: List[float]) -> Dict[str, float]:
@@ -116,7 +118,6 @@ def search_inputs(
     n_requests: int,
     seed: int,
     qps: float = 900.0,
-    n_replicas: int = 6,
     service_median_s: float = 2.0e-3,
     service_sigma: float = 0.35,
 ) -> Dict[str, Any]:
@@ -125,8 +126,8 @@ def search_inputs(
 
     Each input comes from its own named stream
     (``chaos.search.{arrivals,placement,service}``). The primary is drawn
-    with ``integer(0, n_replicas - 1)``, which is half-open: primaries
-    are uniform over replicas ``0 .. n_replicas - 2``, and the last
+    with ``integer(0, N_REPLICAS - 1)``, which is half-open: primaries
+    are uniform over replicas ``0 .. N_REPLICAS - 2``, and the last
     replica only ever serves hedge copies from its neighbour. Faults
     stop starting at the nominal end of the stream, ``n_requests / qps``.
     """
@@ -137,7 +138,7 @@ def search_inputs(
             RandomStream(seed, "chaos.search.arrivals"), n_requests, qps
         ),
         "primaries": [
-            placement.integer(0, n_replicas - 1) for _ in range(n_requests)
+            placement.integer(0, N_REPLICAS - 1) for _ in range(n_requests)
         ],
         "base_service_s": [
             service.lognormal(service_median_s, service_sigma)
@@ -153,7 +154,6 @@ def run_search_chaos(
     primaries: Sequence[int],
     base_service_s: Sequence[float],
     fault_end_s: float,
-    n_replicas: int = 6,
     replica_slots: int = 4,
     hedge_delay_s: float = 8.0e-3,
     sla_s: float = 0.025,
@@ -166,9 +166,10 @@ def run_search_chaos(
 
     Request ``i`` arrives at ``arrivals_s[i]`` (ascending; bulk-injected
     with ``schedule_batch``) and needs ``base_service_s[i]`` on replica
-    ``primaries[i]``. With ``policy="hedged"`` a second copy goes to the
-    *next* replica if the primary has not answered within
-    ``hedge_delay_s`` (losers are interrupted and release their slot).
+    ``primaries[i]`` (one of ``0 .. N_REPLICAS - 1``). With
+    ``policy="hedged"`` a second copy goes to the *next* replica if the
+    primary has not answered within ``hedge_delay_s`` (losers are
+    interrupted and release their slot).
     Half the replicas carry a straggler fault schedule that stops
     starting new episodes at ``fault_end_s``, so hedging onto the
     neighbour recovers the tail whenever the neighbour is healthy.
@@ -176,7 +177,7 @@ def run_search_chaos(
     n_requests = _check_inputs("search", policy, SEARCH_POLICIES, arrivals_s)
     sim = Simulator()
     injector = FaultInjector(sim, seed=seed + 101)
-    replicas = [f"replica{i}" for i in range(n_replicas)]
+    replicas = [f"replica{i}" for i in range(N_REPLICAS)]
     # Odd replicas straggle; even replicas stay healthy, so every
     # straggler's hedge neighbour (i + 1 mod n) is clean.
     # Faults stop *starting* once the arrival stream ends, otherwise the
@@ -219,7 +220,7 @@ def run_search_chaos(
             copy = [0]
 
             def attempt():
-                replica = replicas[(primary + copy[0]) % n_replicas]
+                replica = replicas[(primary + copy[0]) % N_REPLICAS]
                 copy[0] += 1
                 return serve_on(replica, base_s)
 
@@ -264,15 +265,15 @@ def memory_inputs(
     :func:`run_memory_chaos`.
 
     Arrivals come from ``chaos.memory.arrivals`` and the retry backoff
-    from a fresh ``chaos.memory.backoff`` stream, so call this once per
-    run. Flaps stop starting at ``n_reads / read_rate_hz``.
+    from ``chaos.memory.backoff``. Flaps stop starting at
+    ``n_reads / read_rate_hz``.
     """
     return {
         "arrivals_s": _poisson_arrivals(
             RandomStream(seed, "chaos.memory.arrivals"), n_reads, read_rate_hz
         ),
         "fault_end_s": n_reads / read_rate_hz,
-        "backoff": RandomStream(seed, "chaos.memory.backoff"),
+        "backoff_stream": "chaos.memory.backoff",
     }
 
 
@@ -280,7 +281,7 @@ def run_memory_chaos(
     policy: str,
     arrivals_s: Sequence[float],
     fault_end_s: float,
-    backoff: RandomStream,
+    backoff_stream: str,
     read_bytes: float = 1.0e6,
     base_latency_s: float = 1.0e-4,
     deadline_s: float = 1.3e-3,
@@ -302,9 +303,9 @@ def run_memory_chaos(
     survivors) and occasionally unreachable. Policy ``"off"`` issues a
     single read against mem-pool0, rides out the slowdown, and gives up
     when no path exists; ``"resilient"`` puts a deadline on every
-    transfer and retries with jittered exponential backoff drawn from
-    ``backoff``, failing over to the replica ``mem-pool1`` (whose
-    uplinks never flap) on odd attempts.
+    transfer and retries with jittered exponential backoff drawn from a
+    fresh ``RandomStream(seed, backoff_stream)``, failing over to the
+    replica ``mem-pool1`` (whose uplinks never flap) on odd attempts.
     """
     n_reads = _check_inputs("memory", policy, MEMORY_POLICIES, arrivals_s)
     from repro.network.routing import ecmp_paths, path_bottleneck_gbps
@@ -329,6 +330,7 @@ def run_memory_chaos(
             end_s=fault_end_s,
         )
     )
+    backoff = RandomStream(seed, backoff_stream)
     retry_policy = RetryPolicy(
         max_attempts=max_attempts, base_delay_s=2.5e-4, multiplier=2.0,
         jitter=0.3,
@@ -522,10 +524,9 @@ def chaos_exhibit(
         metrics["search.hedged.copies_per_request"] - 1.0
     )
 
+    memory = memory_inputs(n_reads, seed)
     for policy in MEMORY_POLICIES:
-        part = run_memory_chaos(
-            policy, seed=seed, **memory_inputs(n_reads, seed)
-        )
+        part = run_memory_chaos(policy, seed=seed, **memory)
         for key, value in part.items():
             if key != "policy":
                 metrics[f"memory.{policy}.{key}"] = value

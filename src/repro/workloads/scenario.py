@@ -36,6 +36,7 @@ from repro.errors import ModelError
 from repro.mc.traffic import FlashCrowd, ScenarioSpec, scenario_trace
 from repro.workloads.chaos import (
     MEMORY_POLICIES,
+    N_REPLICAS,
     SEARCH_POLICIES,
     run_memory_chaos,
     run_search_chaos,
@@ -139,7 +140,7 @@ def chaos_load_exhibit(
         # One client id per search replica: the client id is the primary.
         trace = scenario_trace(
             regime_spec(
-                regime, base_qps, search_horizon_s, n_clients=6,
+                regime, base_qps, search_horizon_s, n_clients=N_REPLICAS,
                 client_skew=0.6,
             ),
             RandomStream(seed, "load").fork("search").seed,
@@ -170,7 +171,7 @@ def chaos_load_exhibit(
         parts = {
             policy: run_memory_chaos(
                 policy, times, fault_end_s=memory_horizon_s,
-                backoff=RandomStream(seed, "load.memory.backoff"), seed=seed,
+                backoff_stream="load.memory.backoff", seed=seed,
             )
             for policy in MEMORY_POLICIES
         }

@@ -672,6 +672,13 @@ class TestChaosDeterminism:
         with pytest.raises(ModelError, match="no search arrivals"):
             run_search_chaos("off", [], [], [], fault_end_s=1.0)
         with pytest.raises(ModelError, match="no memory arrivals"):
-            run_memory_chaos(
-                "off", [], fault_end_s=1.0, backoff=RandomStream(0, "b")
-            )
+            run_memory_chaos("off", [], fault_end_s=1.0, backoff_stream="b")
+
+    def test_memory_inputs_are_reusable(self):
+        from repro.workloads import memory_inputs, run_memory_chaos
+
+        # The inputs are plain data and the runner builds its own backoff
+        # stream, so a second run on the same inputs repeats the first.
+        inputs = memory_inputs(200, seed=3)
+        first = run_memory_chaos("resilient", seed=3, **inputs)
+        assert run_memory_chaos("resilient", seed=3, **inputs) == first

@@ -20,7 +20,7 @@ from repro.engine import Registry
 from repro.errors import ServiceError
 from repro.runner import api as runner_api
 from repro.service import SCHEMA_VERSION, serve_in_thread
-from repro.service.wire import MAX_HEADER_LINES
+from repro.service.wire import MAX_BODY_BYTES, MAX_HEADER_LINES
 
 _EXECUTE_JOB = runner_api.execute_job
 
@@ -240,6 +240,39 @@ def _raw_exchange(handle, payload: bytes):
     return int(head.split()[1]), json.loads(body)
 
 
+def _endless_line_exchange(handle, n_bytes: int):
+    """Stream ``n_bytes`` with no newline; return (status, decoded body).
+
+    The server answers before the stream ends, so the bytes go out from
+    a second thread, and a reset after the response is read is the
+    expected end of the connection, not a failure.
+    """
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30.0) as sock:
+        def send() -> None:
+            chunk = b"a" * 65536
+            try:
+                for _ in range(n_bytes // len(chunk)):
+                    sock.sendall(chunk)
+            except OSError:
+                pass
+
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+        sender.join(timeout=30.0)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestMalformedRequests:
     """Bytes the service does not control fail with the error envelope.
 
@@ -296,6 +329,16 @@ class TestMalformedRequests:
             b"GET /v1/healthz HTTP/1.1\r\nX-Filler: "
             + b"y" * (70 * 1024) + b"\r\n",
         )
+        assert registry.counter("service.errors").value == 1
+
+    def test_endless_request_line_stops_at_cap(self, service):
+        # A peer that never sends a newline: the skip gives up after
+        # MAX_BODY_BYTES and answers while the stream is still coming.
+        handle, client, registry = service()
+        status, body = _endless_line_exchange(handle, 2 * MAX_BODY_BYTES)
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert client.health()["accepting"] is True
         assert registry.counter("service.errors").value == 1
 
     def test_overlong_content_length_is_payload_too_large(self, service):
