@@ -109,7 +109,5 @@ def canonical_trace_lines(records: Iterable[TraceRecord]) -> List[str]:
 
 def trace_digest(records: Iterable[TraceRecord]) -> str:
     """SHA-256 over the canonical serialization of ``records``."""
-    digest = hashlib.sha256()
-    for line in canonical_trace_lines(records):
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+    text = "".join(canonical_trace_lines(records))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -565,7 +565,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < {self._now}"
             )
-        self._push((when, self._seq_next(), _KIND_CALL, call, None))
+        entry = (when, self._seq_next(), _KIND_CALL, call, None)
+        # Inline ``_push``: every workload callback reschedules here.
+        if when >= self._horizon:
+            self._far.append(entry)
+            if when < self._far_min:
+                self._far_min = when
+        else:
+            _heappush(self._low, entry)
 
     def _schedule_call(self, call: Callable[[], None]) -> None:
         """Schedule a zero-argument callable at the current time."""

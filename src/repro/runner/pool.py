@@ -206,8 +206,11 @@ def _run_pooled(
 
     def launch(spec: ShardSpec, attempt: int) -> None:
         parent_conn, child_conn = context.Pipe(duplex=False)
+        # Not daemonic: a shard may start its own workers (X14's sharded
+        # engine, X16's runner), which daemonic processes cannot. The
+        # ``finally`` below still terminates any worker left in flight.
         process = context.Process(
-            target=_child_main, args=(child_conn, spec), daemon=True
+            target=_child_main, args=(child_conn, spec), daemon=False
         )
         if on_start is not None:
             on_start(spec, attempt)

@@ -35,6 +35,7 @@ possible (and that any other sharded workload must respect):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -150,13 +151,36 @@ class FabricRunResult:
     diagnostics: Dict[str, Any]
 
 
+def _shape(workload: FabricWorkload) -> tuple:
+    """The workload fields that fix the fabric's structure."""
+    if workload.fabric == "fat-tree":
+        return (workload.fabric, workload.k)
+    return (workload.fabric, workload.n_spines, workload.n_leaves,
+            workload.hosts_per_leaf)
+
+
+def _build(shape: tuple) -> Fabric:
+    if shape[0] == "fat-tree":
+        return fat_tree(shape[1])
+    return leaf_spine(*shape[1:])
+
+
 def build_fabric(workload: FabricWorkload) -> Fabric:
     """The workload's fabric, freshly built with all elements up."""
-    if workload.fabric == "fat-tree":
-        return fat_tree(workload.k)
-    return leaf_spine(
-        workload.n_spines, workload.n_leaves, workload.hosts_per_leaf
-    )
+    return _build(_shape(workload))
+
+
+@functools.lru_cache(maxsize=1)
+def _structure(shape: tuple) -> Tuple[Fabric, "_Tables"]:
+    """The immutable graph and routing tables of one fabric shape.
+
+    Built once and shared by every run and every shard of that shape
+    (forked shard workers inherit it copy-on-write). Nothing may change
+    the returned fabric's up/down state: each simulator routes over its
+    own :func:`_fabric_view`. One slot is kept, so a process holds at
+    most one shape's graph beyond the runs that use it.
+    """
+    return _build(shape), _Tables(shape)
 
 
 def _fabric_view(fabric: Fabric) -> Fabric:
@@ -164,8 +188,7 @@ def _fabric_view(fabric: Fabric) -> Fabric:
 
     Every simulator gets its own view so fault mutations at one shard's
     virtual time never leak into another shard mid-window; the
-    structural graph itself is immutable during a run and safely shared
-    (copy-on-write across forked workers).
+    structural graph itself is immutable and safely shared.
     """
     return Fabric(name=fabric.name, graph=fabric.graph)
 
@@ -178,12 +201,12 @@ class _Tables:
         "leaves", "spines",
     )
 
-    def __init__(self, workload: FabricWorkload) -> None:
-        self.kind = workload.fabric
+    def __init__(self, shape: tuple) -> None:
+        self.kind = shape[0]
         coords: Dict[str, tuple] = {}
         hosts: List[str] = []
-        if workload.fabric == "fat-tree":
-            k = workload.k
+        if self.kind == "fat-tree":
+            k = shape[1]
             half = k // 2
             self.cores_row = [
                 [f"core{i}-{j}" for j in range(half)] for i in range(half)
@@ -206,13 +229,14 @@ class _Tables:
                         hosts.append(host)
             self.leaves = self.spines = ()
         else:
-            self.spines = [f"spine{s}" for s in range(workload.n_spines)]
-            self.leaves = [f"leaf{l}" for l in range(workload.n_leaves)]
-            for s in range(workload.n_spines):
+            _kind, n_spines, n_leaves, hosts_per_leaf = shape
+            self.spines = [f"spine{s}" for s in range(n_spines)]
+            self.leaves = [f"leaf{l}" for l in range(n_leaves)]
+            for s in range(n_spines):
                 coords[f"spine{s}"] = (3, s)
-            for l in range(workload.n_leaves):
+            for l in range(n_leaves):
                 coords[f"leaf{l}"] = (1, l)
-                for h in range(workload.hosts_per_leaf):
+                for h in range(hosts_per_leaf):
                     host = f"host{l}-{h}"
                     coords[host] = (0, l, h)
                     hosts.append(host)
@@ -234,10 +258,10 @@ class _ShardContext:
     """Per-simulator mutable state shared by every in-flight transit."""
 
     __slots__ = (
-        "sim", "fabric", "tables", "coords", "dst_names", "records",
+        "sim", "fabric", "tables", "coords", "records",
         "outbox", "owner", "shard_id", "record_hops", "jitter",
         "max_hops", "edge_latency_s", "agg_latency_s", "core_latency_s",
-        "next_hop",
+        "next_hop", "live_ups", "live_version",
     )
 
     def __init__(
@@ -246,7 +270,6 @@ class _ShardContext:
         fabric: Fabric,
         tables: _Tables,
         workload: FabricWorkload,
-        dst_names: List[str],
         owner: Optional[Dict[str, int]],
         shard_id: int,
         record_hops: bool,
@@ -255,7 +278,6 @@ class _ShardContext:
         self.fabric = fabric
         self.tables = tables
         self.coords = tables.coords
-        self.dst_names = dst_names
         self.records: List[TraceRecord] = []
         self.outbox: List[BoundaryEvent] = []
         self.owner = owner
@@ -271,6 +293,11 @@ class _ShardContext:
             if workload.fabric == "fat-tree"
             else self._next_hop_leaf_spine
         )
+        # Surviving uplinks per node, valid for one fault epoch: the
+        # fabric's up/down state changes a handful of times per run,
+        # while every upward ECMP hop under faults needs the filter.
+        self.live_ups: Dict[str, list] = {}
+        self.live_version = fabric.state_version
 
     def _up(self, a: str, b: str) -> bool:
         fabric = self.fabric
@@ -280,6 +307,22 @@ class _ShardContext:
             and a not in fabric._down_nodes
             and b not in fabric._down_nodes
         )
+
+    def _surviving(self, node: str, ups) -> list:
+        """``node``'s up links to ``ups``, in order, cached per fault epoch.
+
+        The cache is keyed on :attr:`Fabric.state_version` and dropped
+        as soon as it moves (DESIGN.md "State-version protocol").
+        """
+        version = self.fabric._state_version
+        if version != self.live_version:
+            self.live_ups.clear()
+            self.live_version = version
+        live = self.live_ups.get(node)
+        if live is None:
+            live = [up for up in ups if self._up(node, up)]
+            self.live_ups[node] = live
+        return live
 
     def _next_hop_fat_tree(self, node, dst, rid, hop):
         coords = self.coords
@@ -317,7 +360,7 @@ class _ShardContext:
                 return None
             return nxt, self.core_latency_s
         if faulty:
-            ups = [up for up in ups if self._up(node, up)]
+            ups = self._surviving(node, ups)
             if not ups:
                 return None
         return ups[_mix(rid, hop << 1) % len(ups)], latency
@@ -342,7 +385,7 @@ class _ShardContext:
                 return dst, self.edge_latency_s
             ups = tables.spines
             if faulty:
-                ups = [up for up in ups if self._up(node, up)]
+                ups = self._surviving(node, ups)
                 if not ups:
                     return None
             return ups[_mix(rid, hop << 1) % len(ups)], self.core_latency_s
@@ -355,14 +398,15 @@ class _ShardContext:
 class _Transit:
     """One packet's journey, hop by hop, as a reschedulable callable."""
 
-    __slots__ = ("ctx", "rid", "node", "hop")
+    __slots__ = ("ctx", "rid", "node", "hop", "dst")
 
     def __init__(self, ctx: _ShardContext, rid: int, node: str,
-                 hop: int) -> None:
+                 hop: int, dst: str) -> None:
         self.ctx = ctx
         self.rid = rid
         self.node = node
         self.hop = hop
+        self.dst = dst
 
     def __call__(self) -> None:
         ctx = self.ctx
@@ -370,7 +414,7 @@ class _Transit:
         node = self.node
         hop = self.hop
         now = ctx.sim._now
-        dst = ctx.dst_names[rid]
+        dst = self.dst
         if node == dst:
             ctx.records.append(
                 (now, rid * _SEQ_STRIDE + hop, KIND_DELIVER, node)
@@ -437,12 +481,14 @@ def _install_faults(
     return injector
 
 
-def _schedule_requests(ctx, tables, src, start, rids) -> None:
-    hosts = tables.hosts
-    sim = ctx.sim
-    schedule = sim._schedule_at
+def _schedule_requests(ctx, src, dst_names, start, rids) -> None:
+    hosts = ctx.tables.hosts
+    schedule = ctx.sim._schedule_at
+    src = src.tolist()
+    start = start.tolist()
     for rid in rids:
-        schedule(float(start[rid]), _Transit(ctx, rid, hosts[src[rid]], 0))
+        schedule(start[rid],
+                 _Transit(ctx, rid, hosts[src[rid]], 0, dst_names[rid]))
 
 
 def summarize(
@@ -460,11 +506,12 @@ def summarize(
     dropped = 0
     hops_total = 0
     latencies: List[float] = []
+    start_of = starts.tolist()
     for when, seq, kind, _node in records:
         if kind == KIND_DELIVER:
             delivered += 1
             hops_total += seq & (_SEQ_STRIDE - 1)
-            latencies.append(float(when - starts[seq // _SEQ_STRIDE]))
+            latencies.append(when - start_of[seq // _SEQ_STRIDE])
         elif kind == KIND_DROP:
             dropped += 1
     latencies.sort()
@@ -499,17 +546,18 @@ def simulate_fabric(
     terminal deliver/drop events -- the high-detail mode the equivalence
     tests compare hop-for-hop.
     """
-    fabric = build_fabric(workload)
-    tables = _Tables(workload)
+    shared, tables = _structure(_shape(workload))
+    fabric = _fabric_view(shared)
     src, dst, start = _generate_requests(workload, len(tables.hosts))
     sim = Simulator()
     dst_names = [tables.hosts[i] for i in dst.tolist()]
     ctx = _ShardContext(
-        sim, fabric, tables, workload, dst_names,
+        sim, fabric, tables, workload,
         owner=None, shard_id=0, record_hops=record_hops,
     )
     injector = _install_faults(workload, sim, fabric)
-    _schedule_requests(ctx, tables, src, start, range(workload.n_requests))
+    _schedule_requests(ctx, src, dst_names, start,
+                       range(workload.n_requests))
     sim.run()
     records = ctx.records
     records.sort()
@@ -532,7 +580,6 @@ class _FabricShardAdapter:
 
     workload: FabricWorkload
     plan: ShardPlan
-    fabric: Fabric
     record_hops: bool
 
     def build_runtime(self, shard_id: int) -> "_FabricShardRuntime":
@@ -545,13 +592,13 @@ class _FabricShardRuntime:
 
     def __init__(self, adapter: _FabricShardAdapter, shard_id: int) -> None:
         workload = adapter.workload
-        tables = _Tables(workload)
-        fabric = _fabric_view(adapter.fabric)
+        shared, tables = _structure(_shape(workload))
+        fabric = _fabric_view(shared)
         src, dst, start = _generate_requests(workload, len(tables.hosts))
         self.sim = Simulator()
-        dst_names = [tables.hosts[i] for i in dst.tolist()]
+        self.dst_names = [tables.hosts[i] for i in dst.tolist()]
         self.ctx = _ShardContext(
-            self.sim, fabric, tables, workload, dst_names,
+            self.sim, fabric, tables, workload,
             owner=adapter.plan.owner, shard_id=shard_id,
             record_hops=adapter.record_hops,
         )
@@ -561,7 +608,7 @@ class _FabricShardRuntime:
             [owner[host] for host in tables.hosts], dtype=np.int64
         )
         rids = np.nonzero(host_owner[src] == shard_id)[0].tolist()
-        _schedule_requests(self.ctx, tables, src, start, rids)
+        _schedule_requests(self.ctx, src, self.dst_names, start, rids)
 
     def next_time(self) -> Optional[float]:
         """Earliest pending event time in this shard's calendar."""
@@ -570,10 +617,12 @@ class _FabricShardRuntime:
     def schedule_incoming(self, events: List[BoundaryEvent]) -> None:
         """Admit boundary arrivals delivered at the window barrier."""
         ctx = self.ctx
+        dst_names = self.dst_names
         schedule = self.sim._schedule_at
         for event in events:
             rid, node, hop = event.payload
-            schedule(event.when, _Transit(ctx, rid, node, hop))
+            schedule(event.when,
+                     _Transit(ctx, rid, node, hop, dst_names[rid]))
 
     def advance(self, window_end: float) -> List[BoundaryEvent]:
         """Process everything strictly before ``window_end``."""
@@ -612,14 +661,13 @@ def simulate_fabric_sharded(
     worker process per shard, exchanging boundary events over pipes in
     the :mod:`repro.runner.pool` style.
     """
-    fabric = build_fabric(workload)
-    tables = _Tables(workload)
+    fabric, tables = _structure(_shape(workload))
 
     def latency_fn(a: str, b: str) -> float:
         return tables.base_latency(workload, a, b)
 
     plan = partition_fabric(fabric, shards, latency_fn)
-    adapter = _FabricShardAdapter(workload, plan, fabric, record_hops)
+    adapter = _FabricShardAdapter(workload, plan, record_hops)
     outcome = ShardedSimulation(adapter, plan, inline=inline).run()
     _src, _dst, start = _generate_requests(workload, len(tables.hosts))
     metrics = summarize(outcome.records, start, workload.n_requests)

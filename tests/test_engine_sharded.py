@@ -15,6 +15,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.faults import LINK_FLAP, SWITCH_CRASH, FaultSpec
 from repro.engine.sharded import (
@@ -28,6 +30,10 @@ from repro.errors import SimulationError
 from repro.network.topology import Fabric, fat_tree, leaf_spine
 from repro.workloads.fabricsim import (
     FabricWorkload,
+    _fabric_view,
+    _shape,
+    _ShardContext,
+    _structure,
     simulate_fabric,
     simulate_fabric_sharded,
 )
@@ -53,6 +59,40 @@ GOLDEN_WORKLOAD = FabricWorkload(
         FaultSpec(SWITCH_CRASH, ("agg1-0",),
                   mtbf_s=5e-4, mttr_s=3e-4, end_s=1e-3),
     ),
+)
+
+
+
+def _x14_faults(duration_s):
+    """X14's link-flap and switch-crash schedule (any even k >= 4)."""
+    return (
+        FaultSpec(LINK_FLAP, (("agg0-0", "core0-0"), ("agg1-1", "core1-0")),
+                  mtbf_s=duration_s / 3.0, mttr_s=duration_s / 4.0,
+                  end_s=duration_s),
+        FaultSpec(SWITCH_CRASH, ("agg2-0",),
+                  mtbf_s=duration_s / 2.0, mttr_s=duration_s / 3.0,
+                  end_s=duration_s),
+    )
+
+
+# A k=8 fat-tree has 4 uplinks per switch, so under X14's faults ECMP
+# picks among the surviving ones; every forwarding decision is recorded.
+# Recompute only for a deliberate trace-format change:
+#   PYTHONPATH=src python -c "from tests.test_engine_sharded import \
+#       K8_HOPS_WORKLOAD; from repro.workloads import simulate_fabric; \
+#       print(simulate_fabric(K8_HOPS_WORKLOAD, record_hops=True)\
+#       .metrics['trace_sha256'])"
+K8_HOPS_SHA256 = (
+    "41a7ca03187176356dc0d7532cb3c13dfcd2a088ba712fb7a1e6829674eae117"
+)
+
+K8_HOPS_WORKLOAD = FabricWorkload(
+    fabric="fat-tree",
+    k=8,
+    n_requests=1500,
+    duration_s=2e-3,
+    seed=7,
+    fault_specs=_x14_faults(2e-3),
 )
 
 
@@ -172,11 +212,23 @@ def test_equivalence_healthy_fabric_all_shard_counts():
 
 
 def test_equivalence_leaf_spine():
-    workload = FabricWorkload(fabric="leaf-spine", n_spines=4, n_leaves=8,
-                              hosts_per_leaf=4, n_requests=600,
-                              duration_s=1e-3, seed=5)
-    for shards in (2, 4):
-        _assert_equivalent(workload, shards)
+    healthy = FabricWorkload(fabric="leaf-spine", n_spines=4, n_leaves=8,
+                             hosts_per_leaf=4, n_requests=600,
+                             duration_s=1e-3, seed=5)
+    faulted = FabricWorkload(
+        fabric="leaf-spine", n_spines=4, n_leaves=8, hosts_per_leaf=4,
+        n_requests=600, duration_s=1e-3, seed=6,
+        fault_specs=(
+            FaultSpec(LINK_FLAP, (("leaf0", "spine0"), ("leaf5", "spine2")),
+                      mtbf_s=3e-4, mttr_s=2e-4, end_s=1e-3),
+            FaultSpec(SWITCH_CRASH, ("spine1",),
+                      mtbf_s=4e-4, mttr_s=3e-4, end_s=1e-3),
+        ),
+    )
+    for workload in (healthy, faulted):
+        for shards in (2, 4):
+            single, _ = _assert_equivalent(workload, shards)
+    assert single.metrics["fault_events"] > 0
 
 
 def _random_fault_specs(rng, fabric, boundary_links, duration_s):
@@ -256,6 +308,79 @@ def test_equivalence_with_hop_records():
     )
     assert sharded.records == single.records
     assert any(kind == "hop" for _, _, kind, _ in single.records)
+
+
+def test_k8_fault_hop_trace_pinned():
+    single = simulate_fabric(K8_HOPS_WORKLOAD, record_hops=True)
+    assert single.metrics["trace_sha256"] == K8_HOPS_SHA256
+    assert single.metrics["fault_events"] > 0
+    sharded = simulate_fabric_sharded(
+        K8_HOPS_WORKLOAD, shards=4, inline=True, record_hops=True
+    )
+    assert sharded.records == single.records
+
+
+# -- the per-epoch surviving-uplink cache -----------------------------------
+
+
+class _UncachedContext(_ShardContext):
+    """Filters uplinks afresh on every hop through the public API."""
+
+    __slots__ = ()
+
+    def _up(self, a, b):
+        return self.fabric.link_is_up(a, b)
+
+    def _surviving(self, node, ups):
+        return [up for up in ups if self.fabric.link_is_up(node, up)]
+
+
+_CACHE_WORKLOADS = {
+    "fat-tree": FabricWorkload(fabric="fat-tree", k=4),
+    "leaf-spine": FabricWorkload(fabric="leaf-spine", n_spines=4,
+                                 n_leaves=3, hosts_per_leaf=2),
+}
+
+
+@st.composite
+def _state_changes(draw):
+    """A fabric kind plus a random fail/restore sequence on its switches."""
+    kind = draw(st.sampled_from(sorted(_CACHE_WORKLOADS)))
+    fabric, _tables = _structure(_shape(_CACHE_WORKLOADS[kind]))
+    links = sorted(
+        fabric.link_key(a, b) for a, b in fabric.graph.edges
+        if "host" not in a and "host" not in b
+    )
+    switches = fabric.switches
+    op = st.one_of(
+        st.tuples(st.sampled_from(("fail_link", "restore_link")),
+                  st.sampled_from(links)),
+        st.tuples(st.sampled_from(("fail_node", "restore_node")),
+                  st.sampled_from(switches).map(lambda node: (node,))),
+    )
+    return kind, draw(st.lists(op, min_size=1, max_size=12))
+
+
+@given(changes=_state_changes(), rid=st.integers(0, 2**20),
+       hop=st.integers(0, 11))
+@settings(max_examples=60, deadline=None)
+def test_next_hop_matches_uncached_filter(changes, rid, hop):
+    kind, ops = changes
+    workload = _CACHE_WORKLOADS[kind]
+    shared, tables = _structure(_shape(workload))
+    fabric = _fabric_view(shared)
+    cached = _ShardContext(None, fabric, tables, workload, owner=None,
+                           shard_id=0, record_hops=False)
+    uncached = _UncachedContext(None, fabric, tables, workload, owner=None,
+                                shard_id=0, record_hops=False)
+    nodes = sorted(tables.coords)
+    for name, args in ops:
+        getattr(fabric, name)(*args)
+        for node in nodes:
+            for dst in tables.hosts:
+                if dst != node:
+                    assert (cached.next_hop(node, dst, rid, hop)
+                            == uncached.next_hop(node, dst, rid, hop))
 
 
 # -- workload validation ----------------------------------------------------

@@ -155,6 +155,19 @@ class TestDeterminism:
         pooled = self._results_json(tmp_path, "j4", jobs=4)
         assert serial == pooled
 
+    def test_pool_workers_may_start_their_own_workers(self, tmp_path):
+        # X14's quick config runs its sharded engine with shards=2, which
+        # forks shard workers from inside the pool worker.
+        def results_json(name, jobs):
+            grid = run_grid("X14", seeds=2, jobs=jobs, use_cache=False,
+                            quick=True)
+            assert grid.all_ok, [r.error for r in grid.failures]
+            return grid.write_json(
+                tmp_path / name / "results.json"
+            ).read_bytes()
+
+        assert results_json("j2", 2) == results_json("j1", 1)
+
     def test_results_ordered_by_grid_not_completion(self):
         grid = run_grid(self.GRID, seeds=2, jobs=4, use_cache=False)
         order = [(r.experiment_id, r.seed) for r in grid.results]
