@@ -98,7 +98,10 @@ class Resource:
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
-            evt.succeed(self)
+            # Immediate grant: the event is brand new, so no callback is
+            # registered and ``succeed``'s flush would have nothing to do.
+            evt._triggered = True
+            evt._value = self
         else:
             self._waiters.append(evt)
         if self.name is not None:

@@ -27,6 +27,25 @@ per-event closures entirely:
   spills into a list when a second callback registers (callbacks are
   callables, never lists, so ``type(c) is list`` discriminates).
 
+Two rules skip a calendar entry that would pop straight back off. Both
+apply only when no other entry is due at or before ``now``, so the
+skipped entry would have been the very next one popped and the
+``(when, seq)`` order of everything else is unchanged:
+
+- *Lone timeout waiter.* When a :class:`Timeout` with a single waiter
+  fires, the run loop calls the waiter directly instead of pushing a
+  callback entry at the same time.
+- *Inline resume.* When a process yields an event that has already
+  fired (a free :class:`~repro.engine.resources.Resource` grant, a
+  pre-succeeded event, a finished child's handle),
+  :meth:`ProcessHandle._step` resumes the generator in a loop instead
+  of pushing its resume entry. This rule is off while an ``on_event``
+  hook is set, so the hook still sees every entry, and on the
+  observability path.
+
+Both rules make :attr:`Simulator.events_processed` count fewer entries
+than a kernel without them; no simulated time, value or order moves.
+
 Pending events live in a *three-tier calendar*, split by ``_horizon``
 (the largest timestamp of the last sorted batch):
 
@@ -246,11 +265,18 @@ class ProcessHandle(Event):
                  "finished_at", "steps", "_bound_step")
 
     def __init__(self, sim: "Simulator", generator: Process, name: str = "") -> None:
-        super().__init__(sim)
+        # Slots set directly (no Event.__init__ frame): one handle per
+        # spawned process.
+        self.sim = sim
+        self._callback = None
+        self._triggered = False
+        self._value = None
+        self._exception = None
+        self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        self.spawned_at = sim.now
+        self.spawned_at = sim._now
         self.finished_at: Optional[float] = None
         self.steps = 0
         # One bound method for the process's whole lifetime instead of a
@@ -274,11 +300,14 @@ class ProcessHandle(Event):
         return super().fail(exception)
 
     def _step(self, fired: Optional[Event]) -> None:
-        """Advance the generator by one yield.
+        """Advance the generator to its next wait.
 
         The uninstrumented path is kept branch-identical to a bare
         kernel -- one attribute load and ``is None`` test -- so disabled
-        observability stays within the X10 overhead budget.
+        observability stays within the X10 overhead budget. On that path
+        a yield of an event that has already fired resumes the generator
+        in place whenever its resume entry would be the next one popped
+        anyway (the inline-resume rule in the module docstring).
         """
         if self._triggered:
             return  # process already finished (e.g. via interrupt)
@@ -288,19 +317,32 @@ class ProcessHandle(Event):
         sim = self.sim
         observability = sim.observability
         if observability is None:
-            try:
-                if fired is not None and fired._exception is not None:
-                    target = self.generator.throw(fired._exception)
-                else:
-                    send_value = fired._value if fired is not None else None
-                    target = self.generator.send(send_value)
-            except StopIteration as stop:
-                self.finished_at = sim._now
-                Event.succeed(self, stop.value)
-                return
-            except Exception as exc:
-                self._crash(exc)
-                return
+            generator = self.generator
+            while True:
+                try:
+                    if fired is not None and fired._exception is not None:
+                        target = generator.throw(fired._exception)
+                    else:
+                        send_value = fired._value if fired is not None else None
+                        target = generator.send(send_value)
+                except StopIteration as stop:
+                    self.finished_at = sim._now
+                    Event.succeed(self, stop.value)
+                    return
+                except Exception as exc:
+                    self._crash(exc)
+                    return
+                if (not isinstance(target, Event) or not target._triggered
+                        or sim.on_event is not None):
+                    break  # a wait (or a non-event, rejected below)
+                # Already fired: the resume entry add_callback would push
+                # at `now` pops straight back unless another entry is due
+                # at or before `now` (same test as the run loop's lone
+                # timeout waiter), so resume here instead.
+                due = sim.peek()
+                if due is not None and due <= sim._now:
+                    break
+                fired = target
         else:
             observability._note_step(self)
             sim._active_process = self
@@ -697,10 +739,15 @@ class Simulator:
     def spawn(self, generator: Process, name: str = "") -> ProcessHandle:
         """Start a new process and return its handle."""
         handle = ProcessHandle(self, generator, name)
-        self._push(
-            (self._now, self._seq_next(), _KIND_CALLBACK,
-             handle._bound_step, None)
-        )
+        now = self._now
+        entry = (now, self._seq_next(), _KIND_CALLBACK, handle._bound_step, None)
+        # Inline ``_push``: one spawn per request in the chaos workloads.
+        if now >= self._horizon:
+            self._far.append(entry)
+            if now < self._far_min:
+                self._far_min = now
+        else:
+            _heappush(self._low, entry)
         return handle
 
     def span(self, name: str, **tags: Any):

@@ -23,9 +23,7 @@ def without_links(fabric: Fabric, links: List[Tuple[str, str]]) -> Fabric:
     """A copy of ``fabric`` with ``links`` removed."""
     degraded = Fabric(name=f"{fabric.name}-degraded", graph=fabric.graph.copy())
     for a, b in links:
-        if not degraded.graph.has_edge(a, b):
-            raise TopologyError(f"no link {a}--{b} to fail")
-        degraded.graph.remove_edge(a, b)
+        degraded.remove_link(a, b)
     return degraded
 
 
@@ -33,11 +31,9 @@ def without_switches(fabric: Fabric, switches: List[str]) -> Fabric:
     """A copy of ``fabric`` with ``switches`` (and their links) removed."""
     degraded = Fabric(name=f"{fabric.name}-degraded", graph=fabric.graph.copy())
     for switch in switches:
-        if switch not in degraded.graph:
-            raise TopologyError(f"no node {switch} to fail")
         if degraded.role(switch) == "host":
             raise TopologyError(f"{switch} is a host, not a switch")
-        degraded.graph.remove_node(switch)
+        degraded.remove_node(switch)
     return degraded
 
 
@@ -135,8 +131,7 @@ def progressive_link_failures(
         if len(batch) < links_per_step:
             exhausted = True
         for a, b in batch:
-            if current.graph.has_edge(a, b):
-                current.graph.remove_edge(a, b)
+            current.remove_link(a, b)
         failed += len(batch)
         alive = hosts_connected(current)
         bisection = (

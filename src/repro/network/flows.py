@@ -39,37 +39,34 @@ from repro.network.topology import Fabric
 def _fabric_link_capacities(fabric: Fabric) -> Dict[Tuple[str, str], float]:
     """Capacity in bytes/s per canonical *up* link key, cached on the fabric.
 
-    The cache is stashed on the fabric instance and fingerprinted by the
-    edge count plus the fabric's dynamic link-state version, so adding
-    or removing links invalidates it, and so does failing or restoring
-    one (``Fabric.fail_link`` both bumps the version and drops the
-    cache). Links that are currently down carry no entry, so a flow
+    The cache is stashed on the fabric instance and keyed on
+    :attr:`Fabric.state_version`, which every structural edit
+    (``add_link`` / ``remove_link`` / ``remove_node``) and every up/down
+    change bumps. Links that are currently down carry no entry, so a flow
     whose pre-assigned path crosses one fails loudly instead of
-    transferring over a dead link. Editing a link *rate* in place (same
-    edge count, same state version) is invisible; call
+    transferring over a dead link. Editing a link *rate* in place moves
+    no version and is invisible; call
     :func:`invalidate_link_capacity_cache` after such a mutation.
     """
-    fingerprint = (fabric.graph.number_of_edges(), fabric.state_version)
+    version = fabric.state_version
     cache = getattr(fabric, "_repro_capacity_cache", None)
-    if cache is not None and cache[0] == fingerprint:
+    if cache is not None and cache[0] == version:
         return cache[1]
     caps = {
         (a, b) if a <= b else (b, a): data["rate_gbps"] * 1e9 / 8.0
         for a, b, data in fabric.active_graph().edges(data=True)
     }
-    fabric._repro_capacity_cache = (fingerprint, caps)
+    fabric._repro_capacity_cache = (version, caps)
     return caps
 
 
 def invalidate_link_capacity_cache(fabric: Fabric) -> None:
     """Drop capacity-derived caches after an in-place rate edit.
 
-    An in-place ``rate_gbps`` edit changes neither the edge count nor
-    the state version, so both the capacity table *and* the cached
-    active-graph survivor copy (whose edge data was copied at build
-    time) would silently keep the old rate. Both must go: rebuilding
-    the capacity table from a stale ``active_graph()`` copy would
-    reproduce exactly the stale-read window this call exists to close.
+    An in-place ``rate_gbps`` edit does not move the state version, so
+    the capacity table would silently keep the old rate. The cached
+    active-graph view goes too, so the next lookup rebuilds both from
+    the live graph.
     """
     if hasattr(fabric, "_repro_capacity_cache"):
         del fabric._repro_capacity_cache

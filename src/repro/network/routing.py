@@ -32,29 +32,30 @@ def ecmp_paths(fabric: Fabric, src: str, dst: str) -> List[List[str]]:
     *active* topology, so a link failure reroutes flows across the
     surviving equal-cost paths.
 
-    Path sets are memoized on the fabric, fingerprinted by the edge
-    count plus :attr:`~repro.network.topology.Fabric.state_version`
-    (the same protocol as the flow solver's capacity cache), so
-    repeated routing between faults -- the chaos-run hot path -- costs
-    one dict lookup instead of a shortest-path enumeration. Treat the
-    returned paths as immutable; they are shared across callers.
+    Path sets are memoized on the fabric per
+    :attr:`~repro.network.topology.Fabric.state_version` (the same
+    protocol as the flow solver's capacity cache), so repeated routing
+    between faults -- the chaos-run hot path -- costs one version
+    compare and one dict lookup instead of a shortest-path enumeration.
+    A hit skips the endpoint checks: the pair was valid when its paths
+    were cached, and any edit since would have moved the version. Treat
+    the returned paths as immutable; they are shared across callers.
     """
-    _check_endpoints(fabric, src, dst)
-    fingerprint = (fabric.graph.number_of_edges(), fabric.state_version)
+    version = fabric.state_version
     cache = getattr(fabric, "_repro_ecmp_cache", None)
-    if cache is None or cache[0] != fingerprint:
-        cache = (fingerprint, {})
+    if cache is not None and cache[0] == version:
+        paths = cache[1].get((src, dst))
+        if paths is not None:
+            return paths
+    else:
+        cache = (version, {})
         fabric._repro_ecmp_cache = cache
-    table = cache[1]
-    paths = table.get((src, dst))
-    if paths is None:
-        try:
-            paths = sorted(
-                nx.all_shortest_paths(fabric.active_graph(), src, dst)
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise TopologyError(f"no path {src} -> {dst}") from exc
-        table[(src, dst)] = paths
+    _check_endpoints(fabric, src, dst)
+    try:
+        paths = sorted(nx.all_shortest_paths(fabric.active_graph(), src, dst))
+    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        raise TopologyError(f"no path {src} -> {dst}") from exc
+    cache[1][(src, dst)] = paths
     return paths
 
 

@@ -34,10 +34,19 @@ class Fabric:
     Links and nodes also carry *dynamic* up/down state for runtime fault
     injection (:mod:`repro.engine.faults`): :meth:`fail_link` /
     :meth:`fail_node` mark elements down without structurally editing the
-    graph, :meth:`active_graph` exposes the surviving topology for
-    routing, and every state change bumps :attr:`state_version`, which
-    invalidates the flow solver's capacity cache. A fabric with nothing
-    failed behaves (and routes) exactly as before this state existed.
+    graph, and :meth:`active_graph` exposes the surviving topology for
+    routing. A fabric with nothing failed behaves (and routes) exactly
+    as before this state existed.
+
+    Every change a route or a capacity can depend on bumps the single
+    :attr:`state_version` counter: structural edits (:meth:`add_link`,
+    :meth:`remove_link`, :meth:`remove_node`) and up/down changes alike.
+    Caches keyed on the fabric (ECMP path sets, the flow solver's
+    capacity table) key on that counter alone, so every structural edit
+    after construction must go through these methods; mutating
+    :attr:`graph` directly is unsupported and leaves those caches stale.
+    Fabric views that share one ``graph`` (each with private up/down
+    state) treat it as immutable.
     """
 
     name: str
@@ -68,6 +77,25 @@ class Fabric:
         if self.graph.has_edge(a, b):
             raise TopologyError(f"duplicate link {a}--{b}")
         self.graph.add_edge(a, b, rate_gbps=rate_gbps)
+        self._bump_state()
+
+    def remove_link(self, a: str, b: str) -> None:
+        """Remove the ``a``--``b`` link, forgetting any down mark on it."""
+        if not self.graph.has_edge(a, b):
+            raise TopologyError(f"no link {a}--{b} to remove")
+        self.graph.remove_edge(a, b)
+        self._down_links.discard(self.link_key(a, b))
+        self._bump_state()
+
+    def remove_node(self, node: str) -> None:
+        """Remove ``node`` and its links, forgetting their down marks."""
+        if node not in self.graph:
+            raise TopologyError(f"no node {node} to remove")
+        for neighbor in self.graph.neighbors(node):
+            self._down_links.discard(self.link_key(node, neighbor))
+        self.graph.remove_node(node)
+        self._down_nodes.discard(node)
+        self._bump_state()
 
     # -- dynamic link/node state (fault injection) -------------------------
 
@@ -78,11 +106,11 @@ class Fabric:
 
     @property
     def state_version(self) -> int:
-        """Monotonic counter bumped on every up/down state change.
+        """Monotonic counter bumped on every structural or up/down change.
 
-        Caches keyed on the fabric (e.g. the flow solver's link-capacity
-        table) include this in their fingerprint so a link failure
-        invalidates them even though the edge count is unchanged.
+        Caches keyed on the fabric (ECMP path sets, the flow solver's
+        link-capacity table) key on this alone: equal versions mean the
+        same links exist with the same up/down state.
         """
         return self._state_version
 
@@ -169,13 +197,8 @@ class Fabric:
         return survivor
 
     def _bump_state(self) -> None:
-        """Advance the state version and drop state-derived caches."""
+        """Advance the state version; every version-keyed cache misses."""
         self._state_version += 1
-        # The flow solver stashes its capacity table on the instance;
-        # a state change must drop it even though the edge count is
-        # unchanged (see repro.network.flows._fabric_link_capacities).
-        if hasattr(self, "_repro_capacity_cache"):
-            del self._repro_capacity_cache
 
     # -- queries -----------------------------------------------------------
 

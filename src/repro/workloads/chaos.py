@@ -338,6 +338,7 @@ def run_memory_chaos(
     latencies: List[float] = []
     failures = [0]
     attempts_issued = [0]
+    durations: Dict[Tuple[str, int], float] = {}
 
     def transfer_duration_s(pool: str) -> float:
         """Duration of one read, sampled when the transfer starts.
@@ -346,16 +347,24 @@ def run_memory_chaos(
         fraction of ECMP paths still alive; a flap landing mid-transfer
         does not retroactively slow a read (the deadline in the
         resilient policy is what bounds the damage). Raises
-        :class:`FaultError` when the pool is unreachable.
+        :class:`FaultError` when the pool is unreachable. The duration
+        depends only on the pool and the fabric's state version, so it
+        is computed once per ``(pool, version)``; every call still
+        counts as an attempt.
         """
         attempts_issued[0] += 1
-        try:
-            paths = ecmp_paths(fabric, "cpu-pool0", pool)
-        except TopologyError as exc:
-            raise FaultError(f"{pool} unreachable: {exc}") from exc
-        gbps = path_bottleneck_gbps(fabric, paths[0])
-        effective_gbps = gbps * len(paths) / n_spines
-        return base_latency_s + read_bytes * 8.0 / (effective_gbps * 1e9)
+        key = (pool, fabric.state_version)
+        duration = durations.get(key)
+        if duration is None:
+            try:
+                paths = ecmp_paths(fabric, "cpu-pool0", pool)
+            except TopologyError as exc:
+                raise FaultError(f"{pool} unreachable: {exc}") from exc
+            gbps = path_bottleneck_gbps(fabric, paths[0])
+            effective_gbps = gbps * len(paths) / n_spines
+            duration = base_latency_s + read_bytes * 8.0 / (effective_gbps * 1e9)
+            durations[key] = duration
+        return duration
 
     def request(arrived_s: float):
         if policy == "off":

@@ -10,9 +10,17 @@ output. These tests pin that down three ways:
   kernel (:mod:`repro._perfref`) event for event on E2's search
   workload -- a golden-trace comparison, exact to the last bit;
 - a mixed workload (processes, resources, timeouts, ties) yields an
-  identical event trace across kernels and across repeated runs.
+  identical event trace across kernels and across repeated runs;
+- randomized processes that yield events which have already fired
+  (free resource grants, pre-fired events, finished children) -- the
+  case the kernel resumes inline -- trace identically to the reference
+  kernel, and an ``on_event`` hook still sees every reference entry.
 """
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import _perfref
 from repro.engine import Observability, Resource, Simulator
@@ -121,3 +129,123 @@ class TestTieBreaking:
             return sim.run()
 
         assert drive(Simulator) == drive(_perfref.Simulator)
+
+
+#: Hold times drawn for the resume workload; the zero and the repeats
+#: make exact-time ties common.
+_DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5)
+_STEPS = ("grant", "fired", "failed", "child", "sleep")
+
+
+def _resume_plan(seed):
+    """Per-worker step lists, drawn up front so both kernels replay them."""
+    rng = random.Random(seed)
+    return [
+        [(rng.choice(_STEPS), rng.choice(_DELAYS), rng.choice(_DELAYS))
+         for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(2, 6))
+    ], rng.randint(1, 3)
+
+
+def _resume_trace(sim_cls, resource_cls, seed, count_entries=False):
+    """(time, label) trace of processes that often yield fired events.
+
+    Returns ``(trace, hook_entries)``; ``hook_entries`` is ``None``
+    unless an ``on_event`` hook counted the popped entries.
+    """
+    plans, capacity = _resume_plan(seed)
+    sim = sim_cls()
+    pool = resource_cls(sim, capacity=capacity)
+    trace = []
+    entries = [0]
+    if count_entries:
+        def hook(_when, _entry):
+            entries[0] += 1
+
+        sim.on_event = hook
+
+    def child(label, delay):
+        yield sim.timeout(delay)
+        trace.append((sim.now, f"{label}-child"))
+        return label
+
+    def worker(k, plan):
+        for j, (step, first, second) in enumerate(plan):
+            label = f"w{k}.{j}-{step}"
+            if step == "grant":
+                yield pool.acquire()  # often free: already granted
+                trace.append((sim.now, f"{label}-held"))
+                yield sim.timeout(first)
+                pool.release()
+            elif step == "fired":
+                evt = sim.event()
+                evt.succeed(label)
+                value = yield evt
+                trace.append((sim.now, f"{value}-value"))
+            elif step == "failed":
+                evt = sim.event()
+                evt.fail(ValueError(label))
+                try:
+                    yield evt
+                except ValueError as exc:
+                    trace.append((sim.now, f"{exc}-raised"))
+            elif step == "child":
+                handle = sim.spawn(child(label, first))
+                # Waiting at least as long as the child runs means the
+                # handle has usually finished by the time it is yielded.
+                yield sim.timeout(second)
+                value = yield handle
+                trace.append((sim.now, f"{value}-joined"))
+            else:
+                yield sim.timeout(first)
+            trace.append((sim.now, label))
+        # A late spawn: new processes enter mid-run, at tied times.
+        if k % 2 == 0 and plan:
+            sim.spawn(child(f"w{k}-late", plan[0][1]))
+
+    for k, plan in enumerate(plans):
+        sim.spawn(worker(k, plan), name=f"w{k}")
+    sim.run()
+    return trace, entries[0] if count_entries else None
+
+
+class TestInlineResume:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fired_event_yields_trace_like_reference(self, seed):
+        production, _ = _resume_trace(Simulator, Resource, seed)
+        reference, _ = _resume_trace(_perfref.Simulator, _perfref.Resource,
+                                     seed)
+        assert production == reference
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_on_event_hook_sees_every_reference_entry(self, seed):
+        # With a hook set the kernel resumes nothing inline, so the hook
+        # sees exactly the entries the reference kernel pops.
+        production = _resume_trace(Simulator, Resource, seed,
+                                   count_entries=True)
+        reference = _resume_trace(_perfref.Simulator, _perfref.Resource,
+                                  seed, count_entries=True)
+        assert production == reference
+
+    def test_fired_yields_resume_without_a_calendar_entry(self):
+        # Guards against the equivalence tests passing vacuously: a
+        # process that yields only already-fired events runs to the end
+        # inside its first step.
+        sim = Simulator()
+        pool = Resource(sim, capacity=1)
+        done = sim.event()
+        done.succeed()
+
+        def proc():
+            for _ in range(10):
+                yield pool.acquire()
+                pool.release()
+                yield done
+            return "end"
+
+        handle = sim.spawn(proc())
+        sim.run()
+        assert handle.value == "end"
+        assert sim.events_processed == 1  # the spawn entry alone

@@ -1,6 +1,9 @@
 """Tests for fabrics, link generations and routing."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError, TopologyError
 from repro.network import (
@@ -20,6 +23,7 @@ from repro.network import (
     path_links,
     shortest_path,
 )
+from repro.network.flows import _fabric_link_capacities
 
 
 class TestLinkGenerations:
@@ -222,3 +226,105 @@ class TestRoutingHelpers:
         matrix = hop_count_matrix(fabric)
         assert matrix[("host0-0", "host0-1")] == 2
         assert matrix[("host0-0", "host1-0")] == 4
+
+
+class TestStateVersionCaches:
+    def test_remove_then_add_link_refreshes_both_caches(self):
+        # One link out, one in: the edge count is unchanged, so only the
+        # state version can tell the caches the topology moved.
+        fabric = leaf_spine(2, 2, 1)
+        assert len(ecmp_paths(fabric, "host0-0", "host1-0")) == 2
+        assert ("leaf1", "spine1") in _fabric_link_capacities(fabric)
+        edges = fabric.graph.number_of_edges()
+        fabric.remove_link("leaf1", "spine1")
+        fabric.add_link("leaf0", "leaf1", 40.0)
+        assert fabric.graph.number_of_edges() == edges
+        assert ecmp_paths(fabric, "host0-0", "host1-0") == [
+            ["host0-0", "leaf0", "leaf1", "host1-0"]
+        ]
+        caps = _fabric_link_capacities(fabric)
+        assert ("leaf0", "leaf1") in caps
+        assert ("leaf1", "spine1") not in caps
+
+    def test_structural_edits_bump_the_state_version(self):
+        fabric = leaf_spine(2, 2, 1)
+        version = fabric.state_version
+        fabric.remove_link("leaf0", "spine0")
+        fabric.add_link("leaf0", "spine0", 40.0)
+        fabric.remove_node("spine1")
+        assert fabric.state_version == version + 3
+
+    def test_removal_forgets_down_marks(self):
+        fabric = leaf_spine(2, 2, 1)
+        fabric.fail_link("leaf0", "spine0")
+        fabric.remove_link("leaf0", "spine0")
+        assert fabric.failed_links == []
+        fabric.fail_node("spine1")
+        fabric.fail_link("leaf1", "spine1")
+        fabric.remove_node("spine1")
+        assert fabric.failed_nodes == []
+        assert fabric.failed_links == []
+
+    def test_removing_a_missing_element_rejected(self):
+        fabric = leaf_spine(2, 2, 1)
+        with pytest.raises(TopologyError):
+            fabric.remove_link("leaf0", "leaf1")
+        with pytest.raises(TopologyError):
+            fabric.remove_node("ghost")
+
+    def test_unknown_endpoint_rejected_after_a_cached_lookup(self):
+        fabric = leaf_spine(2, 2, 1)
+        ecmp_paths(fabric, "host0-0", "host1-0")
+        with pytest.raises(TopologyError):
+            ecmp_paths(fabric, "host0-0", "ghost")
+
+
+_OPS = ("fail_link", "restore_link", "remove_link",
+        "fail_node", "restore_node", "remove_node")
+
+
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(_OPS), st.integers(0, 2**16)),
+    min_size=1, max_size=12,
+))
+@settings(max_examples=40, deadline=None)
+def test_cached_ecmp_matches_uncached_after_random_edits(ops):
+    """Cached path sets equal a fresh enumeration after every edit."""
+    fabric = fat_tree(4)
+    hosts = fabric.hosts
+    pairs = [(hosts[0], hosts[1]), (hosts[0], hosts[-1]),
+             (hosts[5], hosts[10])]
+
+    def check():
+        survivor = nx.restricted_view(
+            fabric.graph, fabric.failed_nodes, fabric.failed_links
+        )
+        for src, dst in pairs:
+            try:
+                expected = sorted(nx.all_shortest_paths(survivor, src, dst))
+            except nx.NetworkXNoPath:
+                expected = None
+            try:
+                cached = ecmp_paths(fabric, src, dst)
+            except TopologyError:
+                cached = None
+            assert cached == expected
+        assert _fabric_link_capacities(fabric) == {
+            Fabric.link_key(a, b): data["rate_gbps"] * 1e9 / 8.0
+            for a, b, data in survivor.edges(data=True)
+        }
+
+    check()
+    for name, pick in ops:
+        if name.endswith("_link"):
+            links = sorted(
+                Fabric.link_key(a, b) for a, b in fabric.graph.edges
+                if "host" not in a and "host" not in b
+            )
+            if links:
+                getattr(fabric, name)(*links[pick % len(links)])
+        else:
+            switches = fabric.switches
+            if switches:
+                getattr(fabric, name)(switches[pick % len(switches)])
+        check()
