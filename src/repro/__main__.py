@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port (default: 0, ephemeral; the "
                                    "ready line prints the bound port)")
     serve_parser.add_argument("--jobs", type=int, default=1,
-                              help="fork-pool width per grid (default: 1)")
+                              help="worker-pool width per grid (default: 1)")
     serve_parser.add_argument("--cache-dir", default=".repro-cache",
                               help="result cache directory "
                                    "(default: .repro-cache)")

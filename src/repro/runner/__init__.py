@@ -3,9 +3,10 @@
 Turns the experiment registry into an execution API: every E-series
 exhibit has a registered ``entrypoint(config, seed) -> RunResult``, and
 this package fans ``(experiment x seed x config-override)`` grids out
-over a process pool with deterministic per-shard seeding, an on-disk
-content-hash result cache, per-run timeouts, bounded retries, and
-progress heartbeats through the engine's metrics registry.
+over a pool of reusable worker processes with deterministic per-shard
+seeding, an on-disk content-hash result cache, per-run timeouts,
+bounded retries, and progress heartbeats through the engine's metrics
+registry.
 
 The package is crash-safe end to end: a write-ahead job journal
 (:mod:`repro.runner.journal`) records every grid transition with
@@ -45,6 +46,7 @@ from repro.runner.journal import (
 )
 from repro.runner.pool import (
     ShardSpec,
+    WorkerPool,
     execute_shard,
     resolve_entrypoint,
     run_shards,
@@ -61,6 +63,7 @@ __all__ = [
     "ResultCache",
     "RunResult",
     "ShardSpec",
+    "WorkerPool",
     "build_shards",
     "cache_key",
     "code_fingerprint",

@@ -6,15 +6,16 @@ running experiments: the library calls (:func:`run_experiment`,
 service (:mod:`repro.service`) all build a typed
 :class:`~repro.service.schema.SubmitRequest` and hand it here. The core
 sweeps the ``(experiment x seed x config-override)`` grid through the
-fork process pool with the on-disk result cache in front: shards whose
-content-hash key (config + code fingerprint) is already cached are
-served without recompute, everything else fans out over ``jobs``
-workers with per-run timeouts and bounded retries. Progress heartbeats
-are published through a
-:class:`~repro.engine.observability.Registry`; each shard actually
-handed to the pool increments the ``runner.pool_spawns`` counter, which
-is how the service proves a repeat submission was served entirely from
-cache.
+worker pool (:class:`~repro.runner.pool.WorkerPool`) with the on-disk
+result cache in front: shards whose content-hash key (config + code
+fingerprint) is already cached are served without recompute,
+everything else fans out over ``jobs`` workers with per-run timeouts
+and bounded retries. Progress heartbeats are published through a
+:class:`~repro.engine.observability.Registry`; each shard attempt
+handed to the pool increments the ``runner.pool_spawns`` counter --
+shards handed over, not processes forked (pool workers are reused) --
+which is how the service proves a repeat submission was served
+entirely from cache.
 
 When a ``cache_dir`` is configured the core also keeps a write-ahead
 job journal (:mod:`repro.runner.journal`) next to the cache: grid
@@ -48,7 +49,7 @@ from repro.runner.journal import (
     journal_path,
     replay_grid,
 )
-from repro.runner.pool import ShardSpec, run_shards
+from repro.runner.pool import ShardSpec, WorkerPool, run_shards
 from repro.runner.results import GridResult, RunResult
 
 #: Default per-shard wall-clock budget for pooled sweeps.
@@ -153,6 +154,7 @@ def execute_job(
     registry: Optional[Registry] = None,
     progress: Optional[Callable[[str], None]] = None,
     resume: bool = False,
+    pool: Optional[WorkerPool] = None,
 ) -> "Any":
     """Execute one :class:`~repro.service.schema.SubmitRequest` to its
     :class:`~repro.service.schema.JobResult`.
@@ -163,8 +165,12 @@ def execute_job(
     and where shard results persist, never what the canonical results
     document contains. ``registry`` receives heartbeat metrics
     (``runner.*`` counters, an in-flight gauge, a per-run wall-time
-    histogram, and the ``runner.pool_spawns`` shard-execution counter);
-    ``progress`` receives human-readable one-liners.
+    histogram, and the ``runner.pool_spawns`` counter of shard attempts
+    handed to the pool -- not of processes forked); ``progress``
+    receives human-readable one-liners. ``pool`` runs the fresh shards
+    on a caller-owned, already-warm :class:`~repro.runner.pool.WorkerPool`
+    (its size replaces ``jobs``); without it a pool of ``jobs``
+    workers lives for this call only (none when ``jobs == 1``: inline).
 
     With ``cache_dir`` set (and the request not opting out of the cache
     via ``use_cache=False`` -- "store nothing" covers the journal too),
@@ -282,6 +288,10 @@ def execute_job(
         elif result.status == "crashed":
             registry.counter("runner.quarantined").inc()
         registry.histogram("runner.run_wall_s").observe(result.wall_s)
+        if cache is not None:
+            # Stored as each shard lands, not when the grid ends, so a
+            # grid killed mid-run keeps its finished shards.
+            cache.put(keys[spec_.index], result)
         if journal is not None:
             journal.append(
                 "shard-done", index=spec_.index, result=result.to_dict()
@@ -301,20 +311,24 @@ def execute_job(
                 f"(attempt {attempt}); respawning"
             )
 
-    fresh = run_shards(
-        to_run,
-        jobs=jobs,
-        timeout_s=spec.timeout_s,
-        retries=spec.retries,
-        on_complete=on_complete,
-        on_start=on_start,
-        on_crash=on_crash,
-    )
-    # run_shards returns grid order, matching to_run's ascending indexes.
+    if pool is not None:
+        fresh = pool.run(
+            to_run, spec.timeout_s, spec.retries,
+            on_complete, on_start, on_crash,
+        )
+    else:
+        fresh = run_shards(
+            to_run,
+            jobs=jobs,
+            timeout_s=spec.timeout_s,
+            retries=spec.retries,
+            on_complete=on_complete,
+            on_start=on_start,
+            on_crash=on_crash,
+        )
+    # Results come back in grid order, matching to_run's ascending indexes.
     for shard, result in zip(sorted(to_run, key=lambda s: s.index), fresh):
         results[shard.index] = result
-        if cache is not None and result.ok:
-            cache.put(keys[shard.index], result)
 
     merged = [results[index] for index in sorted(results)]
     grid = GridResult(results=merged, stats={

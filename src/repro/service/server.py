@@ -3,8 +3,11 @@
 :class:`ExperimentService` owns a single-threaded asyncio event loop
 that accepts HTTP requests, plus one worker thread pool on which
 :func:`repro.runner.execute_job` grids actually run (the grid itself
-fans out over fork pool workers, so the loop thread never blocks on
-experiment compute). The moving parts:
+fans out over pool worker processes, so the loop thread never blocks on
+experiment compute). Each of the ``max_active`` grid slots owns one
+:class:`~repro.runner.pool.WorkerPool` of ``jobs`` workers for the
+service's lifetime, so fresh shards run on warm processes instead of
+forking one per shard. The moving parts:
 
 - **Admission control** -- a bounded queue (``max_pending`` queued
   jobs, excess submissions are shed with a ``429 shed`` envelope), a
@@ -29,9 +32,9 @@ experiment compute). The moving parts:
   out) and journaled again on completion. A restarted service replays
   the journal and re-admits every job that was accepted but never
   finished, in the wire-visible ``recovered`` state; shards those jobs
-  completed before the crash resolve from the result cache and the
-  grid journal, so recovery re-spawns zero pool workers for finished
-  work. Recovered jobs count into ``service.jobs_recovered``.
+  completed before the crash were cached as they finished, so recovery
+  hands the pool no finished work. Recovered jobs count into
+  ``service.jobs_recovered``.
 
 Endpoints (all responses are ``schema_version``-stamped JSON):
 
@@ -54,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +67,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine.observability import Registry
 from repro.errors import ReproError, ServiceError
 from repro.runner.journal import JournalWriter, read_journal
+from repro.runner.pool import WorkerPool
 from repro.service import wire
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -136,8 +141,10 @@ class Job:
 class ExperimentService:
     """The service: one event loop, one grid-executor pool, a job table.
 
-    ``jobs`` is the fork-pool width each grid executes with;
-    ``max_active`` bounds how many grids execute concurrently;
+    ``jobs`` is the worker-pool width each grid executes with (``1``:
+    inline on the grid thread); ``max_active`` bounds how many grids
+    execute concurrently, each on its own long-lived pool, so at most
+    ``max_active * jobs`` worker processes exist;
     ``max_pending`` bounds the queued backlog; ``per_client`` bounds one
     client's queued+running jobs. ``cache_dir`` enables the on-disk
     result cache (strongly recommended: it is what makes repeat
@@ -178,6 +185,10 @@ class ExperimentService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._active_sem: Optional[asyncio.Semaphore] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._pools: List[WorkerPool] = []
+        self._free_pools: "queue.SimpleQueue[WorkerPool]" = (
+            queue.SimpleQueue()
+        )
         self._stopping: Optional[asyncio.Event] = None
         self._journal: Optional[JournalWriter] = None
         self._killed = False
@@ -204,6 +215,13 @@ class ExperimentService:
             max_workers=self.max_active,
             thread_name_prefix="repro-service-grid",
         )
+        if self.jobs > 1:
+            # Workers fork lazily, on the first grid that needs them.
+            self._pools = [
+                WorkerPool(self.jobs) for _ in range(self.max_active)
+            ]
+            for pool in self._pools:
+                self._free_pools.put(pool)
         self._stopping = asyncio.Event()
         target = self.journal_path()
         if target is not None:
@@ -228,8 +246,8 @@ class ExperimentService:
         re-created in the ``recovered`` state -- bypassing admission
         caps, which it already passed once -- and handed straight back
         to the executor. Shards it completed before the crash resolve
-        from the result cache, so recovery never re-spawns pool workers
-        for finished work. Undecodable requests are skipped (counted as
+        from the result cache, so recovery never hands the pool
+        finished work. Undecodable requests are skipped (counted as
         ``service.recover_skipped``), and a corrupt journal interior
         surfaces as :class:`~repro.errors.JournalError`.
         """
@@ -280,6 +298,11 @@ class ExperimentService:
         await self._server.wait_closed()
         assert self._executor is not None
         self._executor.shutdown(wait=not self._killed, cancel_futures=self._killed)
+        for pool in self._pools:
+            if self._killed:
+                pool.terminate()
+            else:
+                pool.close()
         if self._journal is not None:
             self._journal.close()
 
@@ -291,6 +314,8 @@ class ExperimentService:
 
     def request_kill(self) -> None:
         """Hard-stop: abandon in-flight jobs without draining.
+
+        Worker pools are terminated, shards in flight included.
 
         The journal keeps their ``job-accepted`` records un-terminated,
         which is exactly what :meth:`recover_jobs` re-admits on the next
@@ -510,20 +535,15 @@ class ExperimentService:
             run_started = time.perf_counter() - job.started
             job.publish({"type": "status", "state": "running"})
             try:
-                from repro.runner.api import execute_job
-
                 result = await loop.run_in_executor(
                     self._executor,
-                    functools.partial(
-                        execute_job,
-                        job.request,
-                        jobs=self.jobs,
-                        cache_dir=self.cache_dir,
-                        registry=self.registry,
-                        progress=heartbeat,
-                    ),
+                    functools.partial(self._execute, job.request, heartbeat),
                 )
             except Exception as exc:  # any escape marks the job failed
+                if self._killed:
+                    # Its pool was terminated under it: abandoned, not
+                    # failed, so the journal keeps it for recovery.
+                    return
                 job.state = "failed"
                 job.error = str(exc) or exc.__class__.__name__
                 self.registry.counter("service.failed").inc()
@@ -551,6 +571,24 @@ class ExperimentService:
             })
             job.finish_streams()
             job.done_event.set()
+
+    def _execute(self, request: SubmitRequest, heartbeat: Any) -> JobResult:
+        """Run one grid on a free worker pool (grid-executor thread)."""
+        from repro.runner.api import execute_job
+
+        pool = self._free_pools.get() if self._pools else None
+        try:
+            return execute_job(
+                request,
+                jobs=self.jobs,
+                cache_dir=self.cache_dir,
+                registry=self.registry,
+                progress=heartbeat,
+                pool=pool,
+            )
+        finally:
+            if pool is not None:
+                self._free_pools.put(pool)
 
     # -- websocket event streaming -----------------------------------------
 

@@ -11,6 +11,11 @@ module through ``sys.modules``).
 """
 
 import json
+import multiprocessing
+import os
+import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +30,7 @@ from repro.runner import (
     ResultCache,
     RunResult,
     ShardSpec,
+    WorkerPool,
     cache_key,
     resolve_entrypoint,
     resolve_experiments,
@@ -70,6 +76,17 @@ def flaky_entrypoint(config, seed):
         seed=seed,
         config=dict(config),
         metrics={"recovered": True},
+    )
+
+
+def pid_entrypoint(config, seed):
+    """Reports the pid of the process that ran it, after ``sleep_s``."""
+    time.sleep(float(config.get("sleep_s", 0.0)))
+    return RunResult(
+        experiment_id="T-PID",
+        seed=seed,
+        config=dict(config),
+        metrics={"pid": os.getpid()},
     )
 
 
@@ -382,6 +399,157 @@ class TestFailurePaths:
         results = run_shards(shards, jobs=2, retries=0)
         assert results[0].status == "error"
         assert results[1].ok and results[1].metrics["value"] == 40
+
+
+# ---------------------------------------------------------------------------
+# reusable worker pool
+
+
+def _canonical(results):
+    return json.dumps([r.to_dict() for r in results], sort_keys=True)
+
+
+def _exited(pid):
+    """Gone, or a zombie nobody reaped yet (an orphan's reaper may not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="needs /proc"
+)
+
+
+class TestWorkerPool:
+    def test_reused_pool_matches_inline_on_shuffled_repeats(self):
+        pairs = [("E4", 0), ("E9", 1), ("X12", 0), ("X12", 1), ("E4", 1)]
+        with WorkerPool(2) as pool:
+            pids = None
+            for order_seed in (1, 2):
+                # Every pair twice, in a different order per pass: warm
+                # workers see experiments and seeds they already ran.
+                grid = pairs * 2
+                random.Random(order_seed).shuffle(grid)
+                shards = [
+                    ShardSpec(
+                        index=index,
+                        experiment_id=experiment,
+                        entrypoint=get_experiment(experiment).entrypoint,
+                        seed=seed,
+                        config=dict(QUICK_CONFIGS.get(experiment, {})),
+                    )
+                    for index, (experiment, seed) in enumerate(grid)
+                ]
+                pooled = pool.run(shards, retries=0)
+                assert all(r.ok for r in pooled), [r.error for r in pooled]
+                inline = run_shards(shards, jobs=1, retries=0)
+                assert _canonical(pooled) == _canonical(inline)
+                if pids is None:
+                    pids = set(pool.worker_pids())
+                assert set(pool.worker_pids()) == pids  # reused, not forked
+            assert len(pids) == 2 and os.getpid() not in pids
+
+    @needs_proc
+    def test_timeout_replaces_only_the_stuck_worker(self):
+        with WorkerPool(2) as pool:
+            warm = pool.run([
+                _shard("pid_entrypoint", "T-PID", index=i,
+                       config={"sleep_s": 0.2})
+                for i in range(2)
+            ])
+            warm_pids = {r.metrics["pid"] for r in warm}
+            assert len(warm_pids) == 2
+            # One worker is stuck on the sleeper; the other keeps
+            # draining 0.25 s shards, and after the 1 s timeout a
+            # replacement takes its share of the rest.
+            shards = [_shard("sleepy_entrypoint", "T-SLEEPY", index=0)] + [
+                _shard("pid_entrypoint", "T-PID", index=i,
+                       config={"sleep_s": 0.25})
+                for i in range(1, 9)
+            ]
+            results = pool.run(shards, timeout_s=1.0, retries=0)
+            assert results[0].status == "timeout"
+            assert results[0].attempts == 1
+            assert all(r.ok for r in results[1:])
+            used = {r.metrics["pid"] for r in results[1:]}
+            survivor = used & warm_pids
+            replacement = used - warm_pids
+            assert len(survivor) == 1 and len(replacement) == 1
+            [stuck] = warm_pids - survivor
+            assert _exited(stuck)
+            assert set(pool.worker_pids()) == survivor | replacement
+
+    def test_no_children_after_return(self):
+        results = run_shards(
+            [_shard("pid_entrypoint", "T-PID", index=i) for i in range(3)],
+            jobs=2,
+        )
+        assert all(r.ok for r in results)
+        assert multiprocessing.active_children() == []
+
+    def test_no_children_after_a_hook_raises(self):
+        def explode(spec, result):
+            raise RuntimeError("progress hook failure")
+
+        shards = [
+            _shard("pid_entrypoint", "T-PID", index=0),
+            _shard("pid_entrypoint", "T-PID", index=1,
+                   config={"sleep_s": 30.0}),
+        ]
+        with pytest.raises(RuntimeError, match="progress hook"):
+            run_shards(shards, jobs=2, on_complete=explode)
+        assert multiprocessing.active_children() == []
+
+    def test_no_children_after_interrupt(self):
+        def interrupt(spec, attempt):
+            if spec.index == 2:
+                raise KeyboardInterrupt
+
+        shards = [
+            _shard("pid_entrypoint", "T-PID", index=i,
+                   config={"sleep_s": 0.1 if i == 0 else 30.0})
+            for i in range(3)
+        ]
+        with pytest.raises(KeyboardInterrupt):
+            run_shards(shards, jobs=2, on_start=interrupt)
+        assert multiprocessing.active_children() == []
+
+    @needs_proc
+    def test_unclosed_pool_does_not_block_interpreter_exit(self):
+        # Idle workers wait on their pipes; an owner that never closes
+        # its pool must still exit, taking them with it.
+        code = (
+            "from repro.runner import ShardSpec, WorkerPool\n"
+            "pool = WorkerPool(2)\n"
+            "[r] = pool.run([ShardSpec(index=0, experiment_id='X16', "
+            "entrypoint='repro.runner.entrypoints:run_x16', seed=0, "
+            "config={'probe': True})])\n"
+            "assert r.ok, r.error\n"
+            "print(*pool.worker_pids())\n"
+        )
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert all(_exited(int(pid)) for pid in done.stdout.split())
+
+    def test_closed_pool_refuses_runs(self):
+        pool = WorkerPool(2)
+        pool.run([_shard("ok_entrypoint", "T-OK")])
+        pool.close()
+        assert pool.worker_pids() == []
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.run([_shard("ok_entrypoint", "T-OK")])
+        with pytest.raises(ValueError):
+            WorkerPool(0)
 
 
 # ---------------------------------------------------------------------------

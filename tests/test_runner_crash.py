@@ -11,14 +11,16 @@ can resolve them by dotted path.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
 from repro.runner.api import run_grid
 from repro.runner.journal import journal_path, read_journal
-from repro.runner.pool import ShardSpec, run_shards
+from repro.runner.pool import ShardSpec, WorkerPool, run_shards
 from repro.runner.results import RunResult
 
 
@@ -42,6 +44,30 @@ def steady_entrypoint(config, seed):
     """A well-behaved sibling shard."""
     return RunResult(experiment_id="T-CRASH", seed=seed,
                      config=dict(config), metrics={"steady": 1})
+
+
+def pid_entrypoint(config, seed):
+    """Reports the pid of the worker that ran it."""
+    time.sleep(0.1)
+    return RunResult(experiment_id="T-CRASH", seed=seed,
+                     config=dict(config), metrics={"pid": os.getpid()})
+
+
+def _vanishing_owner(conn):
+    """Warm a pool, report its worker pids, then die without cleanup."""
+    pool = WorkerPool(2)
+    results = pool.run([_shard("pid_entrypoint", i) for i in range(2)])
+    conn.send([r.metrics["pid"] for r in results])
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exited(pid):
+    """Gone, or a zombie nobody reaped yet (our orphans' reaper may not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _shard(entrypoint, index, seed=0, config=None):
@@ -95,6 +121,66 @@ class TestWorkerCrashContainment:
         )
         assert [r.status for r in results] == ["ok", "crashed", "ok"]
         assert results[2].metrics == {"steady": 1}
+
+    def test_warm_pool_keeps_crash_accounting(self, tmp_path):
+        # X16's crash-once / crash-always pair on workers that already
+        # ran shards: the same quarantine-after-2 and ``attempts`` as on
+        # fresh workers, and the pool stays usable afterwards.
+        crashes = []
+        with WorkerPool(2) as pool:
+            pool.run([_shard("steady_entrypoint", i) for i in range(2)])
+            results = pool.run(
+                [
+                    _shard("crash_once_entrypoint", 0, seed=0,
+                           config={"marker_dir": str(tmp_path)}),
+                    _shard("suicidal_entrypoint", 1, seed=1),
+                    _shard("steady_entrypoint", 2, seed=2),
+                ],
+                retries=3,
+                on_crash=lambda spec, attempt: crashes.append(spec.index),
+            )
+            [after] = pool.run([_shard("steady_entrypoint", 0)])
+            assert len(pool.worker_pids()) <= 2
+        assert [r.status for r in results] == ["ok", "crashed", "ok"]
+        assert [r.attempts for r in results] == [1, 2, 1]
+        assert sorted(crashes) == [0, 1, 1]
+        assert after.ok
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_idle_worker_death_is_not_charged_to_the_next_shard(self):
+        crashes = []
+        with WorkerPool(2) as pool:
+            warm = pool.run([_shard("pid_entrypoint", i) for i in range(2)])
+            victim = warm[0].metrics["pid"]
+            os.kill(victim, signal.SIGKILL)
+            while not _exited(victim):
+                time.sleep(0.01)
+            results = pool.run(
+                [_shard("pid_entrypoint", i) for i in range(2)],
+                on_crash=lambda spec, attempt: crashes.append(spec.index),
+            )
+        assert crashes == []
+        assert [(r.status, r.attempts) for r in results] == [("ok", 1)] * 2
+        assert victim not in {r.metrics["pid"] for r in results}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_when_their_owner_dies(self):
+        # An idle worker blocks on its pipe; only EOF can end it when
+        # the owner is SIGKILLed, so no other process may hold that
+        # pipe's parent end -- a sibling worker or the worker itself.
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        owner = context.Process(target=_vanishing_owner, args=(writer,))
+        owner.start()
+        writer.close()
+        pids = reader.recv()
+        owner.join()
+        assert owner.exitcode == -signal.SIGKILL
+        assert len(set(pids)) == 2
+        deadline = time.monotonic() + 10.0
+        while not all(_exited(pid) for pid in pids):
+            assert time.monotonic() < deadline, "orphaned workers linger"
+            time.sleep(0.05)
 
     def test_inline_execution_has_no_crash_hook(self):
         # jobs=1 runs in-process: a hard crash there takes the caller

@@ -10,6 +10,8 @@ the byte offset.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JournalError
 from repro.runner.journal import (
@@ -158,6 +160,66 @@ class TestTornTail:
             read_journal(path)
         assert excinfo.value.offset == first_len
         assert str(first_len) in str(excinfo.value)
+
+
+def _fuzz_journal(path):
+    """A realistic grid journal; returns its bytes and records."""
+    result = RunResult(
+        experiment_id="X12", seed=3,
+        config={"n": 2, "rate": 1.5e-05, "name": "caf\u00e9"},
+        metrics={"p99": 0.123456789, "ok": True, "tail": [1, 2.5, None]},
+    )
+    _write_records(path, [
+        {"kind": "grid-start", "schema": JOURNAL_SCHEMA, "job_id": "abc",
+         "total": 2, "spec": {"experiments": ["X12"], "seeds": [3, 4]}},
+        {"kind": "shard-start", "index": 0, "experiment": "X12", "seed": 3,
+         "attempt": 1},
+        {"kind": "shard-done", "index": 0, "result": result.to_dict()},
+        {"kind": "grid-done", "job_id": "abc", "n_ok": 1},
+    ])
+    return path.read_bytes(), read_journal(path).records
+
+
+class TestInteriorMutations:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["flip", "delete", "insert"]),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        value=st.integers(min_value=1, max_value=255),
+    )
+    def test_only_journal_error_escapes(self, tmp_path, kind, where, value):
+        """A byte flipped, deleted or inserted before the final record.
+
+        ``read_journal`` raises :class:`JournalError` at or before the
+        mutation -- never another exception type, never a torn-tail
+        shrug. The one silent outcome is a mutation that leaves every
+        record's value intact (whitespace between JSON tokens, ``1e-05``
+        as ``1e-5``): the checksum covers the canonical payload, so the
+        same records read back.
+        """
+        blob, records = _fuzz_journal(tmp_path / "j.jsonl")
+        # Interior: inside the records before the last one, short of
+        # the newline that ends the last-but-one (breaking that merges
+        # two lines into one torn tail, which is a crash shape).
+        last_start = blob.rstrip(b"\n").rfind(b"\n") + 1
+        position = int(where * (last_start - 1))
+        mutated = bytearray(blob)
+        if kind == "flip":
+            mutated[position] ^= value
+        elif kind == "delete":
+            del mutated[position]
+        else:
+            mutated.insert(position, value)
+        target = tmp_path / "mutated.jsonl"
+        target.write_bytes(bytes(mutated))
+        try:
+            replay = read_journal(target)
+        except JournalError as exc:
+            assert exc.offset <= position
+        else:
+            assert replay.records == records
+            assert replay.torn_tail_offset is None
 
 
 class TestReplayGrid:

@@ -10,15 +10,21 @@ so nothing depends on racing the executor.
 """
 
 import json
+import multiprocessing
+import os
 import socket
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.client import ServiceClient
 from repro.engine import Registry
 from repro.errors import ServiceError
+from repro.runner import RunResult
 from repro.runner import api as runner_api
+from repro.runner import entrypoints
 from repro.service import SCHEMA_VERSION, serve_in_thread
 from repro.service.wire import MAX_BODY_BYTES, MAX_HEADER_LINES
 
@@ -130,6 +136,79 @@ class TestShutdown:
         assert job.state == "done"
         assert job.result is not None and job.result.ok
         assert registry.counter("service.completed").value == 1
+
+
+def pid_entrypoint(config, seed):
+    """Stands in for X16: reports (and files) the pid that ran it."""
+    pid_dir = config.get("pid_dir")
+    if pid_dir:
+        Path(pid_dir, str(os.getpid())).touch()
+    time.sleep(float(config.get("sleep_s", 0.0)))
+    return RunResult(experiment_id="X16", seed=seed, config=dict(config),
+                     metrics={"pid": os.getpid()})
+
+
+def _pids(job_result):
+    return {row["metrics"]["pid"] for row in job_result.document["results"]}
+
+
+def _wait_for(condition, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.05)
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)  # succeeds for a live or unreaped process
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestWarmWorkers:
+    @pytest.fixture(autouse=True)
+    def pid_shards(self, monkeypatch):
+        # Workers fork from this process, so they resolve the patch.
+        monkeypatch.setattr(entrypoints, "run_x16", pid_entrypoint)
+
+    def test_fresh_grids_reuse_the_same_workers(self, service):
+        handle, client, registry = service(jobs=2)
+        first = client.submit_and_wait("X16", seeds=[0, 1])
+        second = client.submit_and_wait("X16", seeds=[2, 3])
+        assert first.ok and second.ok
+        assert first.stats["pool_spawns"] == second.stats["pool_spawns"] == 2
+        pids = _pids(first)
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert _pids(second) == pids
+        # Graceful shutdown closes the pool: no worker outlives it.
+        assert client.shutdown()["status"] == "draining"
+        handle.stop(timeout_s=30.0)
+        assert all(_gone(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
+
+    def test_kill_terminates_workers_mid_shard(self, service, tmp_path):
+        handle, client, registry = service(jobs=2)
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        client.submit("X16", seeds=[0, 1], overrides=[
+            {"pid_dir": str(pid_dir), "sleep_s": 60.0}
+        ])
+        _wait_for(lambda: len(list(pid_dir.iterdir())) == 2)
+        pids = [int(path.name) for path in pid_dir.iterdir()]
+        handle.kill(timeout_s=30.0)
+        # The grid thread terminates its workers on its next poll.
+        _wait_for(lambda: all(_gone(pid) for pid in pids), timeout_s=10.0)
+        assert multiprocessing.active_children() == []
+
+    def test_kill_between_grids_terminates_idle_workers(self, service):
+        handle, client, registry = service(jobs=2)
+        pids = _pids(client.submit_and_wait("X16", seeds=[0, 1]))
+        assert not any(_gone(pid) for pid in pids)  # warm, idle
+        handle.kill(timeout_s=30.0)
+        assert all(_gone(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
 
 
 class TestEventStreaming:

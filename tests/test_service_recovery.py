@@ -8,11 +8,12 @@ jobs resolve from the cache without any pool work.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.client import ServiceClient
-from repro.runner.journal import JournalWriter, read_journal
+from repro.runner.journal import JournalWriter, journal_path, read_journal
 from repro.service.server import ExperimentService, serve_in_thread
 
 #: A fast, deterministic inner workload (the X16 probe shard).
@@ -113,6 +114,41 @@ class TestKillAndRecover:
             stats = final["result"]["stats"]
             assert stats["pool_spawns"] == 0
             assert stats["recomputed"] == 0
+        finally:
+            second.stop()
+
+
+    def test_warm_pool_kill_keeps_finished_shards(self, tmp_path):
+        # On pool workers the kill terminates the slow shard mid-run;
+        # the fast one already landed in the cache, so the recovered
+        # job recomputes only the slow one.
+        first = serve_in_thread(cache_dir=str(tmp_path), jobs=2)
+        client = _client(first)
+        job_id = client.submit(
+            "X16", seeds=1, overrides=[PROBE, SLOW_PROBE]
+        )["job_id"]
+        grid_journal = journal_path(str(tmp_path), job_id)
+        deadline = time.monotonic() + 30.0
+        while not (grid_journal.exists()
+                   and read_journal(grid_journal).of_kind("shard-done")):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        first.kill()
+
+        second = serve_in_thread(cache_dir=str(tmp_path), jobs=2)
+        try:
+            client = _client(second)
+            final = client.wait(job_id, timeout_s=60.0)
+            assert final["state"] == "done"
+            stats = final["result"]["stats"]
+            assert stats["cache_hits"] == 1
+            assert stats["pool_spawns"] == 1
+            assert stats["recomputed"] == 1
+            repeat = client.submit_and_wait(
+                "X16", seeds=1, overrides=[PROBE, SLOW_PROBE]
+            )
+            assert repeat.stats["pool_spawns"] == 0
+            assert repeat.document == final["result"]["document"]
         finally:
             second.stop()
 
