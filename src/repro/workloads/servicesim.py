@@ -32,10 +32,26 @@ the policies differ only in what happens to cache-missing arrivals when
 the pool is saturated. Headline metrics per policy: served P50/P99/P999
 latency, shed rate, coalesce rate, cache-hit rate and the number of
 executions actually run.
+
+A request is a process only where it waits on something shared: an
+execution queues on the worker :class:`~repro.engine.Resource`, so it
+is a generator. Everything else is a calendar entry. A cache hit is a
+:class:`~repro.engine.sim.Timeout` whose callback records the latency,
+a coalesced request is a callback on the in-flight execution's
+completion event, and the arrivals are bulk-injected with one
+:meth:`~repro.engine.Simulator.schedule_batch`. Each fires at the
+virtual time of the process step it replaces; only tie-break sequence
+numbers are drawn at different moments, so the metrics equal the
+all-process formulation's wherever no two calendar entries share a
+timestamp (``tests/test_workloads_servicesim.py`` pins them).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from functools import partial
+from itertools import accumulate
 from typing import Any, Dict, List, Optional
 
 from repro.engine import FaultInjector, FaultSpec, RandomStream, Resource, Simulator
@@ -51,6 +67,45 @@ ADMISSION_POLICIES = ("open", "bounded", "fair")
 
 #: Latency of serving a completed job straight from the result cache.
 CACHE_SERVE_S = 2.0e-4
+
+
+def _is_count(value: Any) -> bool:
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 1)
+
+
+def _is_spread(value: Any) -> bool:
+    # A clear sign bit: >= 0 but not -0.0, which numpy's lognormal
+    # rejects as a negative sigma.
+    return (isinstance(value, numbers.Real) and math.isfinite(value)
+            and math.copysign(1.0, value) > 0)
+
+
+def _is_positive(value: Any) -> bool:
+    return _is_spread(value) and value > 0
+
+
+def _is_cap(value: Any) -> bool:
+    # NaN fails the comparison; an infinite cap means "no cap".
+    return isinstance(value, numbers.Real) and value >= 0
+
+
+#: What each :func:`run_service_traffic` input must be: (rule, test).
+_INPUT_RULES = {
+    "n_requests": ("an integer >= 1", _is_count),
+    "arrival_rate_hz": ("finite and > 0", _is_positive),
+    "n_workers": ("an integer >= 1", _is_count),
+    "queue_cap": (">= 0", _is_cap),
+    "per_client_cap": (">= 0", _is_cap),
+    "n_clients": ("an integer >= 1", _is_count),
+    "client_skew": ("finite and >= 0", _is_spread),
+    "n_job_kinds": ("an integer >= 1", _is_count),
+    "popularity_skew": ("finite and >= 0", _is_spread),
+    "service_median_s": ("finite and > 0", _is_positive),
+    "service_sigma": ("finite and >= 0", _is_spread),
+    "spine_mtbf_s": ("finite and > 0", _is_positive),
+    "spine_mttr_s": ("finite and > 0", _is_positive),
+}
 
 
 def run_service_traffic(
@@ -85,7 +140,13 @@ def run_service_traffic(
     admission pressure interact the way they would in production.
 
     Returns the policy's metrics dict; deterministic in ``seed`` alone.
+    An invalid input raises :class:`~repro.errors.ModelError` before the
+    simulation is built.
     """
+    params = locals()  # the arguments: no other local is bound yet
+    for name, (rule, holds) in _INPUT_RULES.items():
+        if not holds(params[name]):
+            raise ModelError(f"{name} must be {rule}, got {params[name]!r}")
     if policy not in ADMISSION_POLICIES:
         raise ModelError(
             f"unknown admission policy {policy!r}; expected one of "
@@ -121,10 +182,10 @@ def run_service_traffic(
     service = RandomStream(seed, "service.exec")
     clients = RandomStream(seed, "service.clients").zipf_indices(
         n_clients, client_skew, size=n_requests
-    )
+    ).tolist()
     kinds = RandomStream(seed, "service.kinds").zipf_indices(
         n_job_kinds, popularity_skew, size=n_requests
-    )
+    ).tolist()
 
     pool = Resource(sim, capacity=n_workers)
     completed: set = set()
@@ -173,24 +234,24 @@ def run_service_traffic(
         client_load[client] -= 1
         served_latencies.append(sim.now - arrived_s)
 
-    def coalesce(kind: int, arrived_s: float):
-        yield in_flight[kind]
-        served_latencies.append(sim.now - arrived_s)
+    def served(evt) -> None:
+        """A cache hit's serve timeout fired; its value is the arrival."""
+        served_latencies.append(sim.now - evt.value)
 
-    def cache_serve(arrived_s: float):
-        yield sim.timeout(CACHE_SERVE_S)
+    def joined(arrived_s: float, _done) -> None:
+        """The execution a coalesced request joined has completed."""
         served_latencies.append(sim.now - arrived_s)
 
     def admit(index: int) -> None:
-        kind = int(kinds[index])
-        client = int(clients[index])
+        kind = kinds[index]
+        client = clients[index]
         if kind in completed:
             counts["cache_hits"] += 1
-            sim.spawn(cache_serve(sim.now), name=f"svc.cached{index}")
+            sim.timeout(CACHE_SERVE_S, sim.now).add_callback(served)
             return
         if kind in in_flight:
             counts["coalesced"] += 1
-            sim.spawn(coalesce(kind, sim.now), name=f"svc.join{index}")
+            in_flight[kind].add_callback(partial(joined, sim.now))
             return
         if policy in ("bounded", "fair") and waiting[0] >= queue_cap:
             counts["shed"] += 1
@@ -203,12 +264,11 @@ def run_service_traffic(
         client_load[client] = client_load.get(client, 0) + 1
         sim.spawn(execute(kind, client, sim.now), name=f"svc.exec{index}")
 
-    def source():
-        for index in range(n_requests):
-            admit(index)
-            yield sim.timeout(inter_arrivals[index])
-
-    sim.spawn(source(), name="svc.source")
+    # Arrival i lands at the running sum of the first i gaps, the same
+    # floats a chain of per-arrival timeouts would reach.
+    sim.schedule_batch(
+        list(accumulate(inter_arrivals[:-1], initial=0.0)), admit
+    )
     sim.run()
 
     n_served = len(served_latencies)

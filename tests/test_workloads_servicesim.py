@@ -1,6 +1,6 @@
 """X15 (``repro.workloads.servicesim``): pinned outputs and checked docs.
 
-Two guarantees:
+Three guarantees:
 
 1. **Pinned metrics.** SHA-256 digests of the X15 metrics (sorted-key
    JSON, full float precision) for quick seeds 0-7, for three
@@ -11,6 +11,9 @@ Two guarantees:
    on the exact order in which same-time calendar entries run.
 2. **Documented numbers are checked data.** The EXPERIMENTS.md X15
    figures for full-size seed 0, at their printed precision.
+3. **Named errors.** Service jobs carry config overrides over the wire,
+   so every invalid ``run_service_traffic`` input must fail with
+   :class:`~repro.errors.ModelError` before the simulation starts.
 
 Recompute a digest only for a deliberate model change:
     PYTHONPATH=src python -c "from tests.test_workloads_servicesim \
@@ -22,9 +25,16 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ModelError
 from repro.runner import run_experiment
-from repro.workloads.servicesim import service_exhibit
+from repro.workloads.servicesim import (
+    ADMISSION_POLICIES,
+    run_service_traffic,
+    service_exhibit,
+)
 
 #: X15's registered quick problem size (QUICK_CONFIGS["X15"]).
 _X15_QUICK = {"n_requests": 3_000}
@@ -115,3 +125,68 @@ class TestDocumentedNumbers:
         assert m["open.executed"] == 4_604
         assert m["open.n_requests"] == 50_000
         assert m["open.n_faults"] == 21
+
+
+#: Every numeric run_service_traffic input the validation covers.
+_NUMERIC_INPUTS = (
+    "n_requests", "arrival_rate_hz", "n_workers", "queue_cap",
+    "per_client_cap", "n_clients", "client_skew", "n_job_kinds",
+    "popularity_skew", "service_median_s", "service_sigma",
+    "spine_mtbf_s", "spine_mttr_s",
+)
+
+#: The drawn edge values that are valid inputs, per parameter.
+_LEGAL_EDGE_VALUES = {
+    "queue_cap": (0, float("inf")),
+    "per_client_cap": (0, float("inf")),
+    "client_skew": (0,),
+    "popularity_skew": (0,),
+    "service_sigma": (0,),
+}
+
+#: A run small enough that the valid draws (a zero or infinite cap, a
+#: zero skew or sigma) finish in milliseconds.
+_SMALL = {"n_requests": 40, "n_job_kinds": 30}
+
+
+class TestInputValidation:
+    # Each of these escaped as a bare or misleading error before the
+    # inputs were validated up front (ZeroDivisionError, a ProcessFailure
+    # wrapping KeyError, ValueError, "fault window must end after it
+    # starts").
+    @pytest.mark.parametrize("name,value", [
+        ("arrival_rate_hz", 0.0),
+        ("arrival_rate_hz", float("nan")),
+        ("arrival_rate_hz", -2_000.0),
+        ("arrival_rate_hz", float("inf")),
+        ("n_clients", 0),
+        ("n_requests", 0),
+        ("n_workers", 2.5),
+        ("queue_cap", float("nan")),
+        ("service_median_s", float("inf")),
+        ("spine_mttr_s", 0.0),
+    ])
+    def test_invalid_input_is_named(self, name, value):
+        with pytest.raises(ModelError, match=name):
+            run_service_traffic("bounded", **{**_SMALL, name: value})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(ADMISSION_POLICIES),
+        name=st.sampled_from(_NUMERIC_INPUTS),
+        value=st.one_of(
+            st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                             0, 0.0, -0.0]),
+            st.integers(max_value=-1),
+            st.floats(max_value=-1e-300, allow_nan=False),
+        ),
+    )
+    def test_only_model_error_escapes(self, policy, name, value):
+        try:
+            metrics = run_service_traffic(policy, **{**_SMALL, name: value})
+        except ModelError:
+            return
+        # Accepted only where the value is legal: a zero or infinite
+        # cap, or a zero skew or sigma.
+        assert value in _LEGAL_EDGE_VALUES.get(name, ())
+        assert metrics["policy"] == policy
