@@ -88,8 +88,6 @@ def test_bench_flow_vs_packet_ablation(benchmark):
     exists in the packet model. This justifies using the cheap flow
     model for shuffles (E11) and the packet model for tails (E2).
     """
-    import numpy as np
-
     from repro.engine import Simulator
     from repro.network import PacketNetwork, transfer_time_s
 

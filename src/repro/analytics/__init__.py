@@ -1,8 +1,8 @@
-"""Analytics building blocks: ML, NLP, relational and graph kernels,
-plus the accelerated-building-block registry of Recommendation 10."""
+"""Analytics building blocks: k-means and naive Bayes, tokenization,
+relational operators, PageRank and connected components, plus the
+accelerated-building-block registry of Recommendation 10."""
 
 from repro.analytics.bayes import (
-    GaussianNaiveBayes,
     MultinomialNaiveBayes,
 )
 from repro.analytics.blocks import (
@@ -13,37 +13,19 @@ from repro.analytics.blocks import (
     default_blocks,
 )
 from repro.analytics.graph import (
-    bfs_distances,
     connected_components,
-    degree_distribution,
     pagerank,
-    triangle_count,
 )
 from repro.analytics.metrics import (
     accuracy,
     confusion_matrix,
-    f1_score,
-    precision_recall,
-    train_test_split,
 )
 from repro.analytics.ml import (
     KMeansResult,
     kmeans,
-    knn_classify,
-    linear_regression,
-    logistic_predict,
-    logistic_regression,
 )
 from repro.analytics.nlp import (
-    cosine_similarity,
-    extract_pattern,
-    inverse_document_frequencies,
-    ngrams,
-    term_frequencies,
-    tfidf_vectors,
     tokenize,
-    top_terms,
-    word_counts,
 )
 from repro.analytics.relational import (
     AGGREGATES,
@@ -60,39 +42,20 @@ __all__ = [
     "BlockCost",
     "BlockRegistry",
     "BuildingBlock",
-    "GaussianNaiveBayes",
     "KMeansResult",
     "MultinomialNaiveBayes",
     "accuracy",
     "best_device_for_block",
-    "bfs_distances",
     "confusion_matrix",
     "connected_components",
-    "cosine_similarity",
     "default_blocks",
-    "degree_distribution",
-    "extract_pattern",
-    "f1_score",
     "group_aggregate",
     "hash_join",
-    "inverse_document_frequencies",
     "kmeans",
-    "knn_classify",
     "limit",
-    "linear_regression",
-    "logistic_predict",
-    "logistic_regression",
-    "ngrams",
     "order_by",
     "pagerank",
-    "precision_recall",
     "project",
     "select",
-    "term_frequencies",
-    "tfidf_vectors",
     "tokenize",
-    "top_terms",
-    "train_test_split",
-    "triangle_count",
-    "word_counts",
 ]

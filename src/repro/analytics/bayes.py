@@ -1,8 +1,7 @@
-"""Gaussian and multinomial naive Bayes classifiers.
+"""Multinomial naive Bayes classifier.
 
 Rounding out the ML building blocks: the text-classification workhorse
-(multinomial NB over token counts, the NLP side of §IV.C.1) and the
-continuous-feature variant (Gaussian NB).
+(multinomial NB over token counts, the NLP side of §IV.C.1).
 """
 
 from __future__ import annotations
@@ -12,64 +11,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence
 
-import numpy as np
-
 from repro.analytics.nlp import tokenize
 from repro.errors import ModelError
-
-
-@dataclass
-class GaussianNaiveBayes:
-    """Per-class Gaussian likelihoods over continuous features."""
-
-    class_priors: Dict[Hashable, float] = field(default_factory=dict)
-    means: Dict[Hashable, np.ndarray] = field(default_factory=dict)
-    variances: Dict[Hashable, np.ndarray] = field(default_factory=dict)
-    _epsilon: float = 1e-9
-
-    def fit(self, features: np.ndarray, labels: Sequence) -> "GaussianNaiveBayes":
-        """Estimate priors, per-class means and variances."""
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
-        if features.ndim != 2:
-            raise ModelError("features must be 2-D")
-        if len(features) != len(labels):
-            raise ModelError("features and labels length mismatch")
-        classes = np.unique(labels)
-        if len(classes) < 2:
-            raise ModelError("need at least two classes")
-        n = len(labels)
-        global_var = features.var(axis=0).mean() or 1.0
-        for cls in classes:
-            members = features[labels == cls]
-            self.class_priors[cls] = len(members) / n
-            self.means[cls] = members.mean(axis=0)
-            self.variances[cls] = (
-                members.var(axis=0) + self._epsilon * global_var
-            )
-        return self
-
-    def predict(self, features: np.ndarray) -> List[Hashable]:
-        """Maximum-posterior class per row."""
-        if not self.class_priors:
-            raise ModelError("classifier not fitted")
-        features = np.asarray(features, dtype=float)
-        out = []
-        for row in features:
-            best_cls, best_score = None, -math.inf
-            for cls, prior in sorted(self.class_priors.items(),
-                                     key=lambda kv: repr(kv[0])):
-                mean, var = self.means[cls], self.variances[cls]
-                log_likelihood = float(
-                    -0.5 * np.sum(
-                        np.log(2 * np.pi * var) + (row - mean) ** 2 / var
-                    )
-                )
-                score = math.log(prior) + log_likelihood
-                if score > best_score:
-                    best_cls, best_score = cls, score
-            out.append(best_cls)
-        return out
 
 
 @dataclass

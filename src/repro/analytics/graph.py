@@ -1,4 +1,4 @@
-"""Graph-analytics kernels: PageRank, BFS, connected components.
+"""Graph-analytics kernels: PageRank and connected components.
 
 Implemented directly on adjacency dictionaries (not via networkx) so the
 kernels themselves are library code the benchmark suite measures; tests
@@ -62,22 +62,6 @@ def pagerank(
     return rank
 
 
-def bfs_distances(graph: Adjacency, source: Hashable) -> Dict[Hashable, int]:
-    """Hop distances from ``source`` (unreachable nodes omitted)."""
-    _check_graph(graph)
-    if source not in graph:
-        raise ModelError(f"unknown source: {source!r}")
-    distances = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for succ in graph[node]:
-            if succ not in distances:
-                distances[succ] = distances[node] + 1
-                frontier.append(succ)
-    return distances
-
-
 def connected_components(graph: Adjacency) -> List[Set[Hashable]]:
     """Weakly-connected components, largest first."""
     _check_graph(graph)
@@ -102,35 +86,3 @@ def connected_components(graph: Adjacency) -> List[Set[Hashable]]:
         seen |= component
         components.append(component)
     return sorted(components, key=len, reverse=True)
-
-
-def degree_distribution(graph: Adjacency) -> Dict[int, int]:
-    """Out-degree histogram: degree -> node count."""
-    _check_graph(graph)
-    histogram: Dict[int, int] = {}
-    for successors in graph.values():
-        degree = len(successors)
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return histogram
-
-
-def triangle_count(graph: Adjacency) -> int:
-    """Number of undirected triangles."""
-    _check_graph(graph)
-    neighbors: Dict[Hashable, Set[Hashable]] = {node: set() for node in graph}
-    for node, successors in graph.items():
-        for succ in successors:
-            if succ != node:
-                neighbors[node].add(succ)
-                neighbors[succ].add(node)
-    count = 0
-    for node in graph:
-        for a in neighbors[node]:
-            if repr(a) <= repr(node):
-                continue
-            count += sum(
-                1
-                for b in neighbors[node] & neighbors[a]
-                if repr(b) > repr(a)
-            )
-    return count

@@ -1,4 +1,4 @@
-"""Model-evaluation metrics and data-splitting utilities.
+"""Model-evaluation metrics.
 
 Recommendation 9's benchmark suite needs more than wall-clock numbers:
 comparing analytics quality across architectures requires the standard
@@ -10,36 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ModelError
-
-
-def train_test_split(
-    features: np.ndarray,
-    labels: np.ndarray,
-    test_fraction: float = 0.25,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffled split into (train_x, train_y, test_x, test_y)."""
-    features = np.asarray(features)
-    labels = np.asarray(labels)
-    if len(features) != len(labels):
-        raise ModelError("features and labels length mismatch")
-    if not 0.0 < test_fraction < 1.0:
-        raise ModelError("test fraction must be in (0, 1)")
-    n = len(features)
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ModelError("not enough rows to split")
-    order = np.random.default_rng(seed).permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return (
-        features[train_idx],
-        labels[train_idx],
-        features[test_idx],
-        labels[test_idx],
-    )
 
 
 def confusion_matrix(
@@ -63,34 +34,3 @@ def accuracy(truth: Sequence, predicted: Sequence) -> float:
     table = confusion_matrix(truth, predicted)
     correct = sum(count for (t, p), count in table.items() if t == p)
     return correct / sum(table.values())
-
-
-def precision_recall(
-    truth: Sequence, predicted: Sequence, positive
-) -> Tuple[float, float]:
-    """(precision, recall) for the ``positive`` class.
-
-    Degenerate denominators (no predicted / no actual positives) yield
-    0.0 rather than raising, matching common library behaviour.
-    """
-    table = confusion_matrix(truth, predicted)
-    tp = table.get((positive, positive), 0)
-    fp = sum(
-        count for (t, p), count in table.items()
-        if p == positive and t != positive
-    )
-    fn = sum(
-        count for (t, p), count in table.items()
-        if t == positive and p != positive
-    )
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall
-
-
-def f1_score(truth: Sequence, predicted: Sequence, positive) -> float:
-    """Harmonic mean of precision and recall for one class."""
-    precision, recall = precision_recall(truth, predicted, positive)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)

@@ -1,9 +1,8 @@
-"""Machine-learning kernels (numpy implementations).
+"""Machine-learning kernel: k-means (numpy implementation).
 
-These are real, working algorithms -- k-means, logistic regression,
-linear regression, k-nearest-neighbours -- used both as library
-functionality and as the computational payload of the benchmark suite
-(R9) and the accelerated-building-block experiments (R10).
+A real, working algorithm used both as library functionality and as the
+computational payload of the benchmark suite (R9) and the
+accelerated-building-block experiments (R10).
 """
 
 from __future__ import annotations
@@ -74,71 +73,3 @@ def kmeans(
         ((points - centroids[labels]) ** 2).sum()
     )
     return KMeansResult(centroids, labels, inertia, iteration)
-
-
-def logistic_regression(
-    features: np.ndarray,
-    labels: np.ndarray,
-    learning_rate: float = 0.1,
-    epochs: int = 200,
-    l2: float = 0.0,
-) -> np.ndarray:
-    """Batch gradient-descent logistic regression; returns weights (d+1,).
-
-    The last weight is the intercept. Labels must be 0/1.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if features.ndim != 2 or labels.ndim != 1:
-        raise ModelError("features must be 2-D and labels 1-D")
-    if len(features) != len(labels):
-        raise ModelError("features and labels length mismatch")
-    if not set(np.unique(labels)) <= {0.0, 1.0}:
-        raise ModelError("labels must be 0/1")
-    x = np.hstack([features, np.ones((len(features), 1))])
-    weights = np.zeros(x.shape[1])
-    n = len(x)
-    for _ in range(epochs):
-        preds = 1.0 / (1.0 + np.exp(-np.clip(x @ weights, -30, 30)))
-        gradient = x.T @ (preds - labels) / n + l2 * weights
-        weights -= learning_rate * gradient
-    return weights
-
-
-def logistic_predict(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """0/1 predictions from :func:`logistic_regression` weights."""
-    features = np.asarray(features, dtype=float)
-    x = np.hstack([features, np.ones((len(features), 1))])
-    return (x @ weights > 0).astype(int)
-
-
-def linear_regression(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares fit; returns weights (d+1,) with intercept last."""
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if len(features) != len(targets):
-        raise ModelError("features and targets length mismatch")
-    x = np.hstack([features, np.ones((len(features), 1))])
-    weights, *_ = np.linalg.lstsq(x, targets, rcond=None)
-    return weights
-
-
-def knn_classify(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    query_x: np.ndarray,
-    k: int = 5,
-) -> np.ndarray:
-    """k-nearest-neighbour majority-vote classification."""
-    train_x = np.asarray(train_x, dtype=float)
-    query_x = np.asarray(query_x, dtype=float)
-    train_y = np.asarray(train_y)
-    if k < 1 or k > len(train_x):
-        raise ModelError(f"k must be in [1, {len(train_x)}], got {k}")
-    out = np.empty(len(query_x), dtype=train_y.dtype)
-    for i, q in enumerate(query_x):
-        d2 = ((train_x - q) ** 2).sum(axis=1)
-        nearest = train_y[np.argsort(d2, kind="stable")[:k]]
-        values, counts = np.unique(nearest, return_counts=True)
-        out[i] = values[counts.argmax()]
-    return out

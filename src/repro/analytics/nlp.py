@@ -1,20 +1,15 @@
-"""Natural-language-processing kernels.
+"""Natural-language-processing kernel: tokenization.
 
 §IV.C.1 notes the "shift away from query languages towards data analysis
 libraries and APIs targeting Machine Learning and Natural Language
-Processing". These working kernels (tokenization, tf-idf, regex
-extraction, n-grams) are the NLP building blocks used by the frameworks
-and benchmark layers.
+Processing". The naive Bayes classifier and the benchmark suite's word
+count share this tokenizer.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
-
-from repro.errors import ModelError
+from typing import List
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -22,88 +17,3 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 def tokenize(text: str) -> List[str]:
     """Lowercase word tokenization."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def word_counts(texts: Sequence[str]) -> Dict[str, int]:
-    """Corpus-wide token counts (the canonical MapReduce example)."""
-    counter: Counter = Counter()
-    for text in texts:
-        counter.update(tokenize(text))
-    return dict(counter)
-
-
-def term_frequencies(text: str) -> Dict[str, float]:
-    """Normalized term frequencies of one document."""
-    tokens = tokenize(text)
-    if not tokens:
-        return {}
-    counts = Counter(tokens)
-    total = len(tokens)
-    return {term: count / total for term, count in counts.items()}
-
-
-def inverse_document_frequencies(documents: Sequence[str]) -> Dict[str, float]:
-    """Smoothed IDF over a corpus."""
-    if not documents:
-        raise ModelError("need at least one document")
-    n = len(documents)
-    doc_freq: Counter = Counter()
-    for doc in documents:
-        doc_freq.update(set(tokenize(doc)))
-    return {
-        term: math.log((1 + n) / (1 + freq)) + 1.0
-        for term, freq in doc_freq.items()
-    }
-
-
-def tfidf_vectors(documents: Sequence[str]) -> List[Dict[str, float]]:
-    """Per-document tf-idf sparse vectors."""
-    idf = inverse_document_frequencies(documents)
-    vectors = []
-    for doc in documents:
-        tf = term_frequencies(doc)
-        vectors.append({term: freq * idf[term] for term, freq in tf.items()})
-    return vectors
-
-
-def cosine_similarity(a: Dict[str, float], b: Dict[str, float]) -> float:
-    """Cosine similarity of two sparse vectors (0 for empty inputs)."""
-    if not a or not b:
-        return 0.0
-    dot = sum(value * b.get(term, 0.0) for term, value in a.items())
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
-def extract_pattern(texts: Sequence[str], pattern: str) -> List[Tuple[int, str]]:
-    """Regex information extraction: (document index, match) pairs.
-
-    This is the SystemT-style extraction primitive -- and the classic
-    FPGA-acceleratable streaming kernel.
-    """
-    try:
-        compiled = re.compile(pattern)
-    except re.error as exc:
-        raise ModelError(f"bad pattern: {exc}") from exc
-    out = []
-    for index, text in enumerate(texts):
-        for match in compiled.finditer(text):
-            out.append((index, match.group(0)))
-    return out
-
-
-def ngrams(tokens: Sequence[str], n: int) -> List[Tuple[str, ...]]:
-    """All n-grams of a token sequence."""
-    if n < 1:
-        raise ModelError(f"n must be >= 1, got {n}")
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def top_terms(counts: Dict[str, int], k: int) -> List[Tuple[str, int]]:
-    """The ``k`` most frequent terms, count-descending then lexicographic."""
-    if k < 0:
-        raise ModelError("k cannot be negative")
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]

@@ -6,7 +6,6 @@ from repro.core.adoption import (
     BassModel,
     LogisticModel,
     TrlSchedule,
-    adoption_curve,
     commodity_year_forecast,
 )
 from repro.core.atomicio import (
@@ -60,7 +59,6 @@ from repro.core.technology import (
     TECHNOLOGY_CATALOG,
     Technology,
     get_technology,
-    technologies_in_layer,
 )
 
 __all__ = [
@@ -84,7 +82,6 @@ __all__ = [
     "TrlSchedule",
     "WaitingGameConfig",
     "WaitingGameResult",
-    "adoption_curve",
     "atomic_open",
     "atomic_write_bytes",
     "atomic_write_json",
@@ -105,5 +102,4 @@ __all__ = [
     "score_all",
     "score_recommendation",
     "simulate_waiting_game",
-    "technologies_in_layer",
 ]

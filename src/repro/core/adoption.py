@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ModelError
 
@@ -135,17 +135,3 @@ def commodity_year_forecast(
     intro = schedule.maturity_year(trl_2016, start_year)
     model = adoption or BassModel()
     return intro + model.years_to_fraction(commodity_fraction)
-
-
-def adoption_curve(
-    model, horizon_years: int, step_years: float = 1.0
-) -> List[tuple]:
-    """Sampled (year-offset, fraction) points for plotting/tables."""
-    if horizon_years < 1:
-        raise ModelError("horizon must be at least one year")
-    points = []
-    t = 0.0
-    while t <= horizon_years + 1e-9:
-        points.append((t, model.cumulative_fraction(t)))
-        t += step_years
-    return points

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ModelError
 
@@ -134,14 +134,6 @@ TECHNOLOGY_CATALOG: Dict[str, Technology] = {
         ),
     )
 }
-
-
-def technologies_in_layer(layer: StackLayer) -> List[Technology]:
-    """Catalog entries in one stack layer, name-sorted."""
-    return sorted(
-        (t for t in TECHNOLOGY_CATALOG.values() if t.layer == layer),
-        key=lambda t: t.name,
-    )
 
 
 def get_technology(name: str) -> Technology:

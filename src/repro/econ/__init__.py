@@ -12,12 +12,6 @@ from repro.econ.cost import (
     learning_curve_price,
     server_tco,
 )
-from repro.econ.datacenter import (
-    FacilityModel,
-    cost_per_server_hour,
-    datacenter_tco,
-    design_comparison,
-)
 from repro.econ.nre import ChipProject, EngineeringRates, vendor_switch_nre_usd
 from repro.econ.roi import (
     AcceleratorInvestment,
@@ -56,7 +50,6 @@ __all__ = [
     "CostItem",
     "EnergyPrice",
     "EngineeringRates",
-    "FacilityModel",
     "PROCESS_CATALOG",
     "PackagingModel",
     "ProcessNode",
@@ -66,11 +59,8 @@ __all__ = [
     "TornadoBar",
     "breakeven_speedup",
     "breakeven_utilization",
-    "cost_per_server_hour",
-    "datacenter_tco",
     "decision_flips",
     "default_accelerator_ranges",
-    "design_comparison",
     "die_cost_usd",
     "dies_per_wafer",
     "euroserver_reference_design",

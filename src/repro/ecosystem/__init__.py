@@ -13,7 +13,6 @@ from repro.ecosystem.collaboration import (
     REQUIRED_CAPABILITIES,
     consortium_balance,
     consortium_coverage,
-    coordination_neighbours,
     coverage_matrix,
     exclusive_scopes,
     landscape_graph,
@@ -48,7 +47,6 @@ __all__ = [
     "concentration_scenarios",
     "consortium_balance",
     "consortium_coverage",
-    "coordination_neighbours",
     "coverage_matrix",
     "eu_fpga_entrant",
     "exclusive_scopes",

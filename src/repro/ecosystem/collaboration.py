@@ -3,8 +3,7 @@
 Makes Figure 1 computable: a bipartite initiative-scope graph whose
 structure answers the questions §III settles in prose -- which areas are
 covered, which initiative owns Big Data hardware/networking (RETHINK big,
-uniquely), and which neighbouring initiatives a roadmap must coordinate
-with.
+uniquely), and which initiatives overlap.
 """
 
 from __future__ import annotations
@@ -87,26 +86,6 @@ def overlap_pairs(
             if shared:
                 out.append((a, b, len(shared)))
     return out
-
-
-def coordination_neighbours(
-    name: str, initiatives: Optional[Dict[str, Initiative]] = None,
-) -> List[str]:
-    """Initiatives within two hops in the landscape graph.
-
-    These are the bodies a roadmap must coordinate with (the ETP/PPP
-    collaboration arrows in Figure 1).
-    """
-    catalog = initiatives or INITIATIVE_CATALOG
-    if name not in catalog:
-        raise ModelError(f"unknown initiative: {name!r}")
-    graph = landscape_graph(catalog)
-    reachable = nx.single_source_shortest_path_length(graph, name, cutoff=2)
-    return sorted(
-        node
-        for node, distance in reachable.items()
-        if node != name and node in catalog
-    )
 
 
 # -- Table 1: consortium expertise coverage -------------------------------

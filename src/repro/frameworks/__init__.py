@@ -39,17 +39,14 @@ from repro.frameworks.query import (
 )
 from repro.frameworks.shuffle import (
     ShuffleSpec,
-    shuffle_time_on_fabric,
     shuffle_time_s,
 )
 from repro.frameworks.streaming import (
-    SlidingWindow,
     StreamRecord,
     StreamingExecutor,
     StreamingJobReport,
     TumblingWindow,
     WindowResult,
-    max_sustainable_rate_records_per_s,
 )
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "Predicate",
     "Query",
     "ShuffleSpec",
-    "SlidingWindow",
     "StageOutcome",
     "StageReport",
     "StreamRecord",
@@ -80,10 +76,8 @@ __all__ = [
     "cpu_only",
     "greedy_energy",
     "greedy_time",
-    "max_sustainable_rate_records_per_s",
     "run_iterative",
     "run_query",
-    "shuffle_time_on_fabric",
     "shuffle_time_s",
     "speculation_benefit",
     "task_time_with_faults",

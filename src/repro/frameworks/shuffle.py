@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ModelError
-from repro.network.topology import Fabric
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,3 @@ def shuffle_time_s(
     core_rate = bisection_gbps * 1e9 / 8.0
     core_time = moved / (2.0 * core_rate)  # half the traffic crosses the cut
     return max(nic_time, core_time)
-
-
-def shuffle_time_on_fabric(
-    fabric: Fabric, total_bytes: float, host_nic_gbps: float
-) -> float:
-    """Shuffle time over all hosts of ``fabric`` using its real bisection."""
-    n_hosts = len(fabric.hosts)
-    spec = ShuffleSpec(total_bytes, n_hosts, host_nic_gbps)
-    return shuffle_time_s(
-        spec, bisection_gbps=fabric.bisection_bandwidth_gbps()
-    )

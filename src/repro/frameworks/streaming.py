@@ -1,7 +1,7 @@
 """Streaming dataflow executor (the Flink-style half of §IV.C).
 
-Processes timestamped records through event-time tumbling or sliding
-windows with watermark-based lateness handling, and charges simulated
+Processes timestamped records through event-time tumbling windows
+with watermark-based lateness handling, and charges simulated
 per-record processing cost the same way the batch executor does -- giving
 the sustained-throughput numbers the convergence experiment (E14, R2)
 reports for LHC/SKA-like science streams.
@@ -55,32 +55,6 @@ class TumblingWindow:
         """Window(s) an event belongs to."""
         start = (event_time_s // self.width_s) * self.width_s
         return [(start, start + self.width_s)]
-
-
-@dataclass
-class SlidingWindow:
-    """Overlapping windows of ``width_s`` sliding every ``slide_s``."""
-
-    width_s: float
-    slide_s: float
-
-    def __post_init__(self) -> None:
-        if self.width_s <= 0 or self.slide_s <= 0:
-            raise PlanError("window width and slide must be positive")
-        if self.slide_s > self.width_s:
-            raise PlanError("slide larger than width leaves gaps")
-
-    def assign(self, event_time_s: float) -> List[Tuple[float, float]]:
-        """All windows containing the event."""
-        windows = []
-        first = (
-            (event_time_s - self.width_s) // self.slide_s + 1
-        ) * self.slide_s
-        start = max(0.0, first)
-        while start <= event_time_s:
-            windows.append((start, start + self.width_s))
-            start += self.slide_s
-        return windows
 
 
 @dataclass
@@ -174,14 +148,3 @@ class StreamingExecutor:
             sim_time_s=sim_time,
             energy_j=energy,
         )
-
-
-def max_sustainable_rate_records_per_s(
-    device: ComputeDevice,
-    block_name: str = "hash-aggregate",
-    blocks: Optional[BlockRegistry] = None,
-    batch: int = 1_000_000,
-) -> float:
-    """The ingest rate at which the device saturates on ``block_name``."""
-    block = (blocks or default_blocks()).get(block_name)
-    return block.throughput_records_per_s(device, batch)

@@ -10,11 +10,8 @@ from repro.network.failures import (
     DegradationPoint,
     DegradationProfile,
     hosts_connected,
-    min_cut_links_between,
     progressive_link_failures,
     single_switch_failure_impact,
-    without_links,
-    without_switches,
 )
 from repro.network.flows import (
     Flow,
@@ -29,7 +26,6 @@ from repro.network.link import (
     Link,
     LinkGeneration,
     commodity_generation,
-    cost_per_gbps_trend,
     generations_by_year,
 )
 from repro.network.loadbalance import (
@@ -50,22 +46,18 @@ from repro.network.nfv import (
 from repro.network.packet import (
     PacketNetwork,
     PacketRecord,
-    poisson_traffic_latencies,
 )
 from repro.network.routing import (
     ecmp_path_for_flow,
     ecmp_paths,
-    hop_count_matrix,
     path_bottleneck_gbps,
     path_links,
-    shortest_path,
 )
 from repro.network.sdn import (
     FlowRule,
     FlowTable,
     LegacyManagement,
     SdnController,
-    management_speedup,
 )
 from repro.network.switch import (
     NOS_CATALOG,
@@ -125,31 +117,23 @@ __all__ = [
     "branded_switch",
     "commodity_generation",
     "compare_assignment_policies",
-    "cost_per_gbps_trend",
     "disaggregated_fabric",
     "ecmp_path_for_flow",
     "ecmp_paths",
     "fat_tree",
     "fleet_tco_usd",
     "generations_by_year",
-    "hop_count_matrix",
     "hosts_connected",
     "invalidate_link_capacity_cache",
     "leaf_spine",
     "link_load_bytes",
     "load_imbalance",
-    "management_speedup",
     "max_min_fair_rates",
-    "min_cut_links_between",
     "path_bottleneck_gbps",
     "path_links",
-    "poisson_traffic_latencies",
     "progressive_link_failures",
-    "shortest_path",
     "single_switch_failure_impact",
     "standard_dmz_chain",
     "transfer_time_s",
     "white_box_switch",
-    "without_links",
-    "without_switches",
 ]

@@ -79,11 +79,6 @@ def commodity_generation(year: int) -> LinkGeneration:
     return max(available, key=lambda g: g.rate_gbps)
 
 
-def cost_per_gbps_trend() -> List[tuple]:
-    """(volume_year, usd_per_gbps) per generation -- strictly improving."""
-    return [(g.volume_year, g.usd_per_gbps) for g in generations_by_year()]
-
-
 @dataclass(frozen=True)
 class Link:
     """A physical link instance in a topology."""

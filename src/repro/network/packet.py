@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import RandomStream, Resource, Simulator
+from repro.engine import Resource, Simulator
 from repro.errors import TopologyError
 from repro.network.routing import ecmp_path_for_flow
 from repro.network.topology import Fabric
@@ -90,32 +90,3 @@ class PacketNetwork:
             yield self.sim.timeout(self.hop_delay_s)
         record.received_s = self.sim.now
         self.delivered.append(record)
-
-
-def poisson_traffic_latencies(
-    fabric: Fabric,
-    src: str,
-    dst: str,
-    rate_pps: float,
-    n_packets: int,
-    packet_bytes: float = 1_500.0,
-    seed: int = 7,
-    hop_delay_s: float = 0.5e-6,
-) -> List[float]:
-    """Latency samples for a Poisson packet stream between two hosts."""
-    if rate_pps <= 0 or n_packets < 1:
-        raise TopologyError("need positive rate and at least one packet")
-    sim = Simulator()
-    net = PacketNetwork(sim, fabric, hop_delay_s=hop_delay_s)
-    rng = RandomStream(seed, "arrivals")
-
-    def source(sim):
-        for pid in range(n_packets):
-            net.send(pid, src, dst, packet_bytes)
-            yield sim.timeout(rng.exponential(1.0 / rate_pps))
-
-    sim.spawn(source(sim))
-    sim.run()
-    if len(net.delivered) != n_packets:
-        raise TopologyError("not all packets were delivered")
-    return [p.latency_s for p in net.delivered]

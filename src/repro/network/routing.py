@@ -1,27 +1,13 @@
-"""Routing over fabrics: shortest path and ECMP path sets."""
+"""Routing over fabrics: ECMP shortest-path sets."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 
 from repro.errors import TopologyError
 from repro.network.topology import Fabric
-
-
-def shortest_path(fabric: Fabric, src: str, dst: str) -> List[str]:
-    """One hop-count shortest path from ``src`` to ``dst``.
-
-    Routes over the fabric's *active* topology, so paths avoid links
-    and nodes currently marked down by fault injection; with nothing
-    failed this is the full graph.
-    """
-    _check_endpoints(fabric, src, dst)
-    try:
-        return nx.shortest_path(fabric.active_graph(), src, dst)
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise TopologyError(f"no path {src} -> {dst}") from exc
 
 
 def ecmp_paths(fabric: Fabric, src: str, dst: str) -> List[List[str]]:
@@ -77,18 +63,6 @@ def path_links(path: List[str]) -> List[Tuple[str, str]]:
 def path_bottleneck_gbps(fabric: Fabric, path: List[str]) -> float:
     """The minimum link rate along a path."""
     return min(fabric.link_rate_gbps(a, b) for a, b in zip(path, path[1:]))
-
-
-def hop_count_matrix(fabric: Fabric) -> Dict[Tuple[str, str], int]:
-    """Hop counts between every pair of hosts."""
-    hosts = fabric.hosts
-    lengths = dict(nx.all_pairs_shortest_path_length(fabric.graph))
-    return {
-        (a, b): lengths[a][b]
-        for a in hosts
-        for b in hosts
-        if a < b
-    }
 
 
 def _check_endpoints(fabric: Fabric, src: str, dst: str) -> None:

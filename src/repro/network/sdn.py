@@ -166,16 +166,3 @@ class LegacyManagement:
             while rng.uniform() < self.error_probability:
                 visits += 1
         return visits * self.config_time_per_switch_s / self.n_admins
-
-
-def management_speedup(
-    fabric: Fabric,
-    rules_per_switch: int = 10,
-    legacy: Optional[LegacyManagement] = None,
-) -> float:
-    """How much faster SDN rolls out a policy than legacy CLI management."""
-    controller = SdnController(fabric)
-    legacy = legacy or LegacyManagement()
-    sdn_time = controller.policy_rollout_s(rules_per_switch)
-    legacy_time = legacy.policy_rollout_s(len(fabric.switches))
-    return legacy_time / sdn_time

@@ -44,8 +44,6 @@ from repro.node.roofline import (
     attainable_ops_per_s,
     energy_j,
     execution_time_s,
-    is_compute_bound,
-    min_profitable_ops,
     speedup,
 )
 from repro.node.server import (
@@ -84,9 +82,7 @@ __all__ = [
     "hdd",
     "hls_uplift_scenario",
     "inference_asic",
-    "is_compute_bound",
     "keystone_dsp",
-    "min_profitable_ops",
     "nvidia_k80",
     "nvidia_p100",
     "nvm",

@@ -119,40 +119,3 @@ def speedup(
     return execution_time_s(kernel, baseline) / execution_time_s(
         kernel, accelerator, model
     )
-
-
-def is_compute_bound(kernel: Kernel, device: ComputeDevice) -> bool:
-    """Whether the kernel sits right of the device's roofline ridge."""
-    return kernel.intensity >= device.ridge_intensity
-
-
-def min_profitable_ops(
-    kernel_shape: Kernel,
-    accelerator: ComputeDevice,
-    baseline: ComputeDevice,
-) -> float:
-    """Smallest kernel size (in ops) where offloading wins.
-
-    Scales ``kernel_shape`` keeping its intensity fixed and solves for the
-    size at which accelerator time (with launch overhead) matches baseline
-    time. Returns ``inf`` if the accelerator's steady-state rate does not
-    beat the baseline at this intensity.
-    """
-    base_rate = _net_rate(kernel_shape, baseline)
-    accel_rate = _net_rate(kernel_shape, accelerator)
-    if accel_rate <= base_rate:
-        return float("inf")
-    overhead = accelerator.launch_overhead_s - baseline.launch_overhead_s
-    if overhead <= 0:
-        return 0.0
-    # ops/base_rate = ops/accel_rate + overhead  =>  solve for ops.
-    return overhead / (1.0 / base_rate - 1.0 / accel_rate)
-
-
-def _net_rate(kernel: Kernel, device: ComputeDevice) -> float:
-    """Effective ops/s including the serial fraction, excluding overhead."""
-    time_per_op = (
-        (1.0 - kernel.serial_fraction) / attainable_ops_per_s(kernel, device)
-        + kernel.serial_fraction / kernel.serial_ops_per_s
-    )
-    return 1.0 / time_per_op

@@ -5,7 +5,6 @@ from repro.scheduler.hetero import (
     Executor,
     HeterogeneousScheduler,
     Schedule,
-    executors_from_cluster,
 )
 from repro.scheduler.online import (
     HostOutage,
@@ -28,7 +27,6 @@ __all__ = [
     "Schedule",
     "Task",
     "chain_job",
-    "executors_from_cluster",
     "fork_join_job",
     "poisson_job_stream",
 ]

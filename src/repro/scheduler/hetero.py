@@ -94,18 +94,6 @@ class Schedule:
                     raise SchedulingError(f"overlap on executor {name}")
 
 
-def executors_from_cluster(cluster) -> List[Executor]:
-    """One executor per (host, device) in a cluster."""
-    out = []
-    for host in cluster.hosts:
-        server = cluster.server_at(host)
-        for index, device in enumerate(server.devices):
-            out.append(Executor(f"{host}/{device.name}#{index}", host, device))
-    if not out:
-        raise SchedulingError("cluster yields no executors")
-    return out
-
-
 def _task_time(
     task: Task, executor: Executor, blocks: BlockRegistry
 ) -> Optional[float]:

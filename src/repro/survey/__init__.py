@@ -18,12 +18,6 @@ from repro.survey.analysis import (
     theme_fraction,
 )
 from repro.survey.corpus import SECTOR_WEIGHTS, generate_corpus
-from repro.survey.io import (
-    corpus_from_dict,
-    corpus_to_dict,
-    load_corpus,
-    save_corpus,
-)
 from repro.survey.stakeholder import (
     ALL_THEMES,
     Company,
@@ -64,9 +58,7 @@ __all__ = [
     "THEME_VALUE_FOCUS",
     "THEME_WAIT_FOR_COMMODITY",
     "THEME_WANTS_BENCHMARKS",
-    "corpus_from_dict",
     "corpus_theme_statistics",
-    "corpus_to_dict",
     "cross_tab",
     "finding_1_value_focus",
     "finding_2_roi_skepticism",
@@ -75,8 +67,6 @@ __all__ = [
     "generate_corpus",
     "headline_counts",
     "key_findings",
-    "load_corpus",
-    "save_corpus",
     "sector_mix",
     "theme_fraction",
 ]

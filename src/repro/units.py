@@ -10,30 +10,17 @@ from __future__ import annotations
 
 # --- data sizes ---------------------------------------------------------
 
-KB = 1_000
 MB = 1_000_000
 GB = 1_000_000_000
-TB = 1_000_000_000_000
-
-KIB = 1 << 10
-MIB = 1 << 20
-GIB = 1 << 30
-TIB = 1 << 40
 
 # --- rates --------------------------------------------------------------
 
 GBPS = 1e9  # bits per second in one gigabit/s
-KFLOPS = 1e3
-MFLOPS = 1e6
-GFLOPS = 1e9
 TFLOPS = 1e12
 
 # --- time ---------------------------------------------------------------
 
 US = 1e-6
-MS = 1e-3
-MINUTE = 60.0
-HOUR = 3_600.0
 DAY = 86_400.0
 YEAR = 365.0 * DAY
 
@@ -47,24 +34,9 @@ def bits(n_bytes: float) -> float:
     return n_bytes * 8.0
 
 
-def gbps_to_bytes_per_s(rate_gbps: float) -> float:
-    """Convert a link rate in Gbit/s to bytes/s."""
-    return rate_gbps * GBPS / 8.0
-
-
-def bytes_per_s_to_gbps(rate_bps: float) -> float:
-    """Convert a rate in bytes/s to Gbit/s."""
-    return rate_bps * 8.0 / GBPS
-
-
 def joules_to_kwh(energy_j: float) -> float:
     """Convert joules to kilowatt-hours."""
     return energy_j / KWH_J
-
-
-def kwh_to_joules(energy_kwh: float) -> float:
-    """Convert kilowatt-hours to joules."""
-    return energy_kwh * KWH_J
 
 
 def transfer_time_s(size_bytes: float, rate_gbps: float) -> float:
@@ -72,28 +44,3 @@ def transfer_time_s(size_bytes: float, rate_gbps: float) -> float:
     if rate_gbps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_gbps}")
     return bits(size_bytes) / (rate_gbps * GBPS)
-
-
-def pretty_bytes(n_bytes: float) -> str:
-    """Human-readable byte count, e.g. ``pretty_bytes(2.5e9) == '2.50 GB'``."""
-    magnitude = abs(n_bytes)
-    for unit, name in ((TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")):
-        if magnitude >= unit:
-            return f"{n_bytes / unit:.2f} {name}"
-    return f"{n_bytes:.0f} B"
-
-
-def pretty_duration(seconds: float) -> str:
-    """Human-readable duration, e.g. ``pretty_duration(90) == '1.50 min'``."""
-    magnitude = abs(seconds)
-    if magnitude >= DAY:
-        return f"{seconds / DAY:.2f} d"
-    if magnitude >= HOUR:
-        return f"{seconds / HOUR:.2f} h"
-    if magnitude >= MINUTE:
-        return f"{seconds / MINUTE:.2f} min"
-    if magnitude >= 1.0:
-        return f"{seconds:.2f} s"
-    if magnitude >= MS:
-        return f"{seconds / MS:.2f} ms"
-    return f"{seconds / US:.2f} us"

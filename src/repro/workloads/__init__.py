@@ -1,7 +1,7 @@
 """Workload generators and the benchmark suite (Recommendation 9).
 
-Seeded synthetic data (Zipf text, clickstreams, relational tables,
-sensor/science streams, web graphs), the five-workload standard suite,
+Seeded synthetic data (Zipf text, relational tables, sensor/science
+streams, web graphs), the five-workload standard suite,
 the Catapult-style search service (E2), the HPC/Big Data convergence
 trigger pipeline (E14), the experiment-service admission model under
 planetary traffic (X15), the self-chaos crash-recovery harness that
@@ -33,7 +33,6 @@ from repro.workloads.fabricsim import (
     simulate_fabric_sharded,
 )
 from repro.workloads.generator import (
-    clickstream,
     gaussian_blobs,
     sales_table,
     science_events,
@@ -93,7 +92,6 @@ __all__ = [
     "best_placement",
     "chaos_exhibit",
     "chaos_load_exhibit",
-    "clickstream",
     "compare_architectures",
     "convergence_comparison",
     "evaluate_placements",

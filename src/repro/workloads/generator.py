@@ -2,8 +2,8 @@
 
 Recommendation 8 notes the difficulty of accessing training data in
 Europe; every workload in this library therefore ships with a seeded
-synthetic generator: Zipf-distributed text, clickstreams, relational
-tables, IoT sensor readings and web-like graphs.
+synthetic generator: Zipf-distributed text, relational tables, IoT
+sensor readings and web-like graphs.
 """
 
 from __future__ import annotations
@@ -45,33 +45,6 @@ def zipf_documents(
         " ".join(words[i * words_per_document : (i + 1) * words_per_document])
         for i in range(n_documents)
     ]
-
-
-def clickstream(
-    n_events: int,
-    n_users: int = 1000,
-    n_pages: int = 200,
-    seed: int = 0,
-) -> List[Dict[str, Any]]:
-    """Web clickstream events: user, page, dwell time, timestamp."""
-    if n_events < 1:
-        raise ModelError("need at least one event")
-    rng = RandomStream(seed, "clicks")
-    users = rng.zipf_indices(n_users, 1.2, n_events)
-    pages = rng.zipf_indices(n_pages, 1.4, n_events)
-    events = []
-    t = 0.0
-    for i in range(n_events):
-        t += rng.exponential(0.05)
-        events.append(
-            {
-                "time_s": t,
-                "user": f"u{users[i]}",
-                "page": f"p{pages[i]}",
-                "dwell_s": rng.lognormal(8.0, 1.0),
-            }
-        )
-    return events
 
 
 def sales_table(

@@ -1,49 +1,13 @@
 """Tests for naive Bayes classifiers and evaluation metrics."""
 
-import numpy as np
 import pytest
 
 from repro.analytics import (
-    GaussianNaiveBayes,
     MultinomialNaiveBayes,
     accuracy,
     confusion_matrix,
-    f1_score,
-    precision_recall,
-    train_test_split,
 )
 from repro.errors import ModelError
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        x = np.arange(100).reshape(-1, 1)
-        y = np.arange(100)
-        tx, ty, sx, sy = train_test_split(x, y, test_fraction=0.25, seed=1)
-        assert len(sx) == 25
-        assert len(tx) == 75
-        assert len(tx) == len(ty) and len(sx) == len(sy)
-
-    def test_partition_is_exact(self):
-        x = np.arange(40).reshape(-1, 1)
-        y = np.arange(40)
-        tx, ty, sx, sy = train_test_split(x, y, seed=2)
-        combined = sorted(list(ty) + list(sy))
-        assert combined == list(range(40))
-
-    def test_deterministic(self):
-        x = np.arange(30).reshape(-1, 1)
-        y = np.arange(30)
-        a = train_test_split(x, y, seed=3)
-        b = train_test_split(x, y, seed=3)
-        assert np.array_equal(a[3], b[3])
-
-    def test_validation(self):
-        x = np.arange(10).reshape(-1, 1)
-        with pytest.raises(ModelError):
-            train_test_split(x, np.arange(9))
-        with pytest.raises(ModelError):
-            train_test_split(x, np.arange(10), test_fraction=0.0)
 
 
 class TestMetrics:
@@ -55,63 +19,11 @@ class TestMetrics:
         assert accuracy([1, 1, 0, 0], [1, 0, 0, 0]) == 0.75
         assert accuracy([1], [1]) == 1.0
 
-    def test_precision_recall_hand_computed(self):
-        truth = [1, 1, 1, 0, 0]
-        pred = [1, 1, 0, 1, 0]
-        precision, recall = precision_recall(truth, pred, positive=1)
-        assert precision == pytest.approx(2 / 3)
-        assert recall == pytest.approx(2 / 3)
-
-    def test_degenerate_cases_return_zero(self):
-        precision, recall = precision_recall([0, 0], [0, 0], positive=1)
-        assert precision == 0.0 and recall == 0.0
-        assert f1_score([0, 0], [0, 0], positive=1) == 0.0
-
-    def test_f1_perfect(self):
-        assert f1_score([1, 0, 1], [1, 0, 1], positive=1) == 1.0
-
     def test_validation(self):
         with pytest.raises(ModelError):
             confusion_matrix([1], [1, 2])
         with pytest.raises(ModelError):
             confusion_matrix([], [])
-
-
-class TestGaussianNaiveBayes:
-    def _blobs(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal([0, 0], 0.5, size=(80, 2))
-        b = rng.normal([4, 4], 0.5, size=(80, 2))
-        x = np.vstack([a, b])
-        y = np.array([0] * 80 + [1] * 80)
-        return x, y
-
-    def test_separates_blobs(self):
-        x, y = self._blobs()
-        tx, ty, sx, sy = train_test_split(x, y, seed=5)
-        model = GaussianNaiveBayes().fit(tx, ty)
-        predictions = model.predict(sx)
-        assert accuracy(list(sy), predictions) > 0.95
-
-    def test_priors_reflect_imbalance(self):
-        x, y = self._blobs()
-        x, y = x[:100], y[:100]  # 80 of class 0, 20 of class 1
-        model = GaussianNaiveBayes().fit(x, y)
-        assert model.class_priors[0] == pytest.approx(0.8)
-
-    def test_unfitted_predict_rejected(self):
-        with pytest.raises(ModelError):
-            GaussianNaiveBayes().predict(np.zeros((1, 2)))
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ModelError):
-            GaussianNaiveBayes().fit(np.zeros((5, 2)), np.zeros(5))
-
-    def test_constant_feature_does_not_crash(self):
-        x = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 10.0], [0.0, 11.0]])
-        y = np.array([0, 0, 1, 1])
-        model = GaussianNaiveBayes().fit(x, y)
-        assert model.predict([[0.0, 1.5]]) == [0]
 
 
 class TestMultinomialNaiveBayes:

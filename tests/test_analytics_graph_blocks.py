@@ -8,12 +8,9 @@ from repro.analytics import (
     BlockRegistry,
     BuildingBlock,
     best_device_for_block,
-    bfs_distances,
     connected_components,
     default_blocks,
-    degree_distribution,
     pagerank,
-    triangle_count,
 )
 from repro.errors import ModelError, RegistryError
 from repro.node import (
@@ -56,32 +53,11 @@ class TestPagerank:
 
 
 class TestBfsAndComponents:
-    def test_bfs_distances(self):
-        dists = bfs_distances(_diamond(), "a")
-        assert dists == {"a": 0, "b": 1, "c": 1, "d": 2}
-
-    def test_bfs_unreachable_omitted(self):
-        graph = {"a": ["b"], "b": [], "z": []}
-        assert "z" not in bfs_distances(graph, "a")
-
-    def test_bfs_unknown_source(self):
-        with pytest.raises(ModelError):
-            bfs_distances(_diamond(), "ghost")
-
     def test_components(self):
         graph = {"a": ["b"], "b": [], "x": ["y"], "y": [], "lone": []}
         comps = connected_components(graph)
         assert sorted(len(c) for c in comps) == [1, 2, 2]
         assert comps[0] in ({"a", "b"}, {"x", "y"})
-
-    def test_degree_distribution(self):
-        assert degree_distribution(_diamond()) == {2: 1, 1: 2, 0: 1}
-
-    def test_triangles(self):
-        triangle = {"a": ["b", "c"], "b": ["c"], "c": []}
-        assert triangle_count(triangle) == 1
-        assert triangle_count(_diamond()) == 0
-
 
 class TestBlockRegistry:
     def test_default_blocks_present(self):

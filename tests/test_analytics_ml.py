@@ -5,10 +5,6 @@ import pytest
 
 from repro.analytics import (
     kmeans,
-    knn_classify,
-    linear_regression,
-    logistic_predict,
-    logistic_regression,
 )
 from repro.errors import ModelError
 
@@ -58,66 +54,3 @@ class TestKMeans:
             kmeans(np.zeros((5, 2)), k=0)
         with pytest.raises(ModelError):
             kmeans(np.zeros((5, 2)), k=6)
-
-
-class TestLogisticRegression:
-    def test_separates_linearly_separable_data(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, size=(200, 2))
-        y = (x[:, 0] + x[:, 1] > 0).astype(float)
-        weights = logistic_regression(x, y, learning_rate=0.5, epochs=500)
-        preds = logistic_predict(x, weights)
-        accuracy = (preds == y).mean()
-        assert accuracy > 0.95
-
-    def test_l2_shrinks_weights(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(0, 1, size=(100, 3))
-        y = (x[:, 0] > 0).astype(float)
-        plain = logistic_regression(x, y, epochs=300)
-        ridged = logistic_regression(x, y, epochs=300, l2=1.0)
-        assert np.linalg.norm(ridged[:-1]) < np.linalg.norm(plain[:-1])
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ModelError):
-            logistic_regression(np.zeros((3, 1)), np.array([0.0, 1.0, 2.0]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ModelError):
-            logistic_regression(np.zeros((3, 1)), np.array([0.0, 1.0]))
-
-
-class TestLinearRegression:
-    def test_exact_fit(self):
-        x = np.arange(10, dtype=float).reshape(-1, 1)
-        y = 3.0 * x[:, 0] + 2.0
-        weights = linear_regression(x, y)
-        assert weights[0] == pytest.approx(3.0)
-        assert weights[1] == pytest.approx(2.0)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            linear_regression(np.zeros((3, 1)), np.zeros(4))
-
-
-class TestKnn:
-    def test_classifies_blobs(self):
-        rng = np.random.default_rng(2)
-        train = np.vstack(
-            [rng.normal([0, 0], 0.2, (30, 2)), rng.normal([4, 4], 0.2, (30, 2))]
-        )
-        labels = np.array([0] * 30 + [1] * 30)
-        queries = np.array([[0.1, -0.1], [3.9, 4.2]])
-        assert knn_classify(train, labels, queries, k=5).tolist() == [0, 1]
-
-    def test_k_one_memorizes(self):
-        train = np.array([[0.0], [1.0], [2.0]])
-        labels = np.array(["a", "b", "c"])
-        out = knn_classify(train, labels, train, k=1)
-        assert out.tolist() == ["a", "b", "c"]
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ModelError):
-            knn_classify(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 1)), k=0)
-        with pytest.raises(ModelError):
-            knn_classify(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 1)), k=4)

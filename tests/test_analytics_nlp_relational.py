@@ -3,21 +3,13 @@
 import pytest
 
 from repro.analytics import (
-    cosine_similarity,
-    extract_pattern,
     group_aggregate,
     hash_join,
-    inverse_document_frequencies,
     limit,
-    ngrams,
     order_by,
     project,
     select,
-    term_frequencies,
-    tfidf_vectors,
     tokenize,
-    top_terms,
-    word_counts,
 )
 from repro.errors import ModelError
 
@@ -31,60 +23,6 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
-
-
-class TestWordCounts:
-    def test_counts_across_documents(self):
-        counts = word_counts(["a b a", "b c"])
-        assert counts == {"a": 2, "b": 2, "c": 1}
-
-    def test_top_terms_ordering(self):
-        counts = {"x": 3, "a": 3, "z": 1}
-        assert top_terms(counts, 2) == [("a", 3), ("x", 3)]
-
-    def test_top_terms_negative_k(self):
-        with pytest.raises(ModelError):
-            top_terms({}, -1)
-
-
-class TestTfIdf:
-    def test_term_frequencies_normalized(self):
-        tf = term_frequencies("a a b")
-        assert tf == {"a": pytest.approx(2 / 3), "b": pytest.approx(1 / 3)}
-
-    def test_rare_terms_get_higher_idf(self):
-        idf = inverse_document_frequencies(["a b", "a c", "a d"])
-        assert idf["b"] > idf["a"]
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ModelError):
-            inverse_document_frequencies([])
-
-    def test_tfidf_distinguishes_topics(self):
-        docs = ["gpu gpu cuda", "fpga hdl verilog", "gpu fpga"]
-        vectors = tfidf_vectors(docs)
-        assert cosine_similarity(vectors[0], vectors[1]) < 0.1
-        assert cosine_similarity(vectors[0], vectors[2]) > 0.1
-
-    def test_cosine_empty_is_zero(self):
-        assert cosine_similarity({}, {"a": 1.0}) == 0.0
-
-
-class TestExtraction:
-    def test_extracts_matches_with_doc_index(self):
-        texts = ["order #123 ok", "nothing", "orders #7 #8"]
-        out = extract_pattern(texts, r"#\d+")
-        assert out == [(0, "#123"), (2, "#7"), (2, "#8")]
-
-    def test_bad_pattern_rejected(self):
-        with pytest.raises(ModelError):
-            extract_pattern(["x"], "(unclosed")
-
-    def test_ngrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-        assert ngrams(["a"], 2) == []
-        with pytest.raises(ModelError):
-            ngrams(["a"], 0)
 
 
 ROWS = [

@@ -10,7 +10,6 @@ from repro.core import (
     StackLayer,
     TECHNOLOGY_CATALOG,
     TrlSchedule,
-    adoption_curve,
     build_roadmap,
     commodity_year_forecast,
     forecast_milestones,
@@ -18,7 +17,6 @@ from repro.core import (
     greedy_portfolio,
     optimize_portfolio,
     score_all,
-    technologies_in_layer,
 )
 from repro.errors import ModelError
 from repro.survey import generate_corpus
@@ -26,8 +24,8 @@ from repro.survey import generate_corpus
 
 class TestTechnologyCatalog:
     def test_all_layers_populated(self):
-        for layer in StackLayer:
-            assert technologies_in_layer(layer)
+        layers = {t.layer for t in TECHNOLOGY_CATALOG.values()}
+        assert layers == set(StackLayer)
 
     def test_key_technologies_present(self):
         for name in ("400gbe", "fpga-accel", "neuromorphic", "sip-chiplets",
@@ -36,7 +34,8 @@ class TestTechnologyCatalog:
 
     def test_neuromorphic_is_riskiest_node_tech(self):
         neuro = get_technology("neuromorphic")
-        node_techs = technologies_in_layer(StackLayer.NODE)
+        node_techs = [t for t in TECHNOLOGY_CATALOG.values()
+                      if t.layer == StackLayer.NODE]
         assert neuro.risk == max(t.risk for t in node_techs)
 
     def test_unknown_technology_rejected(self):
@@ -85,12 +84,6 @@ class TestAdoptionModels:
             BassModel().years_to_fraction(0.0)
         with pytest.raises(ModelError):
             LogisticModel().years_to_fraction(1.0)
-
-    def test_adoption_curve_samples(self):
-        points = adoption_curve(BassModel(), horizon_years=10)
-        assert len(points) == 11
-        assert points[0] == (0.0, pytest.approx(0.0, abs=0.05))
-
 
 class TestTrlSchedule:
     def test_no_time_for_achieved_trl(self):

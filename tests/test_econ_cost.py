@@ -35,7 +35,7 @@ class TestCostItems:
 class TestEnergyPrice:
     def test_one_kw_for_one_hour(self):
         price = EnergyPrice(usd_per_kwh=0.10, pue=1.0)
-        assert price.cost_usd(1000.0, units.HOUR) == pytest.approx(0.10)
+        assert price.cost_usd(1000.0, 3_600.0) == pytest.approx(0.10)
 
     def test_pue_multiplies_cost(self):
         base = EnergyPrice(usd_per_kwh=0.10, pue=1.0)

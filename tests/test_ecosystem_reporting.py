@@ -12,7 +12,6 @@ from repro.ecosystem import (
     concentration_report,
     consortium_balance,
     consortium_coverage,
-    coordination_neighbours,
     coverage_matrix,
     exclusive_scopes,
     landscape_graph,
@@ -66,15 +65,9 @@ class TestLandscape:
         # The paper's framework deliberately partitions scope.
         assert overlap_pairs() == []
 
-    def test_coordination_neighbours_empty_for_partitioned_scopes(self):
-        # Scope partition means two-hop neighbourhoods stay empty.
-        assert coordination_neighbours("RETHINK-big") == []
-
     def test_unknown_initiative_rejected(self):
         with pytest.raises(ModelError):
             exclusive_scopes("GHOST")
-        with pytest.raises(ModelError):
-            coordination_neighbours("GHOST")
 
 
 class TestConsortium:

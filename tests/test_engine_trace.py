@@ -1,133 +1,9 @@
-"""Tests for metric tracing and random streams."""
+"""Tests for the seeded random streams of :mod:`repro.engine.randomness`."""
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    MetricSeries,
-    RandomStream,
-    Tracer,
-    confidence_interval_95,
-    summarize,
-)
-
-
-class TestMetricSeries:
-    def test_mean_and_percentiles(self):
-        series = MetricSeries("latency")
-        for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            series.record(float(i), v)
-        assert series.mean() == pytest.approx(2.5)
-        assert series.p50() == pytest.approx(2.5)
-        assert series.maximum() == 4.0
-
-    def test_p99_close_to_max_for_uniform(self):
-        series = MetricSeries("x")
-        for i in range(1000):
-            series.record(float(i), float(i))
-        assert 985 <= series.p99() <= 999
-
-    def test_requires_time_order(self):
-        series = MetricSeries("x")
-        series.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(4.0, 1.0)
-
-    def test_empty_series_raises(self):
-        series = MetricSeries("x")
-        with pytest.raises(ValueError):
-            series.mean()
-        with pytest.raises(ValueError):
-            series.percentile(50)
-        with pytest.raises(ValueError):
-            series.maximum()
-
-    def test_time_weighted_mean_piecewise_constant(self):
-        series = MetricSeries("queue")
-        series.record(0.0, 0.0)
-        series.record(2.0, 10.0)  # value 10 over [2, 4]
-        # horizon 4: (0*2 + 10*2) / 4 = 5
-        assert series.time_weighted_mean(4.0) == pytest.approx(5.0)
-
-    def test_time_weighted_mean_signal_zero_before_first_sample(self):
-        series = MetricSeries("queue")
-        series.record(5.0, 4.0)
-        # horizon 10: 0 over [0,5], 4 over [5,10] -> 2
-        assert series.time_weighted_mean(10.0) == pytest.approx(2.0)
-
-    def test_time_weighted_mean_bad_horizon(self):
-        series = MetricSeries("x")
-        series.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.time_weighted_mean(0.0)
-
-    def test_time_weighted_mean_sample_at_horizon_has_zero_weight(self):
-        series = MetricSeries("queue")
-        series.record(0.0, 2.0)
-        series.record(4.0, 100.0)  # lands exactly on the horizon
-        # The horizon sample covers an empty interval: (2*4 + 100*0) / 4.
-        assert series.time_weighted_mean(4.0) == pytest.approx(2.0)
-
-    def test_time_weighted_mean_sample_beyond_horizon_ignored(self):
-        series = MetricSeries("queue")
-        series.record(0.0, 2.0)
-        series.record(6.0, 100.0)
-        assert series.time_weighted_mean(4.0) == pytest.approx(2.0)
-
-    def test_time_weighted_mean_single_sample_spans_to_horizon(self):
-        series = MetricSeries("queue")
-        series.record(1.0, 4.0)
-        # 0 over [0,1], 4 over [1,2] -> 2
-        assert series.time_weighted_mean(2.0) == pytest.approx(2.0)
-
-    def test_time_weighted_mean_duplicate_timestamps(self):
-        series = MetricSeries("queue")
-        series.record(0.0, 1.0)
-        series.record(1.0, 10.0)  # superseded in the same instant...
-        series.record(1.0, 20.0)  # ...by this value, which holds [1, 2]
-        assert series.time_weighted_mean(2.0) == pytest.approx(10.5)
-
-
-class TestTracer:
-    def test_metric_created_on_demand(self):
-        tracer = Tracer()
-        tracer.record("lat", 0.0, 1.0)
-        tracer.record("lat", 1.0, 2.0)
-        assert len(tracer.metric("lat")) == 2
-        assert tracer.names() == ["lat"]
-
-    def test_distinct_metrics_are_independent(self):
-        tracer = Tracer()
-        tracer.record("a", 0.0, 1.0)
-        tracer.record("b", 0.0, 9.0)
-        assert tracer.metric("a").mean() == 1.0
-        assert tracer.metric("b").mean() == 9.0
-
-
-class TestSummaries:
-    def test_summarize_fields(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["count"] == 3
-        assert stats["mean"] == pytest.approx(2.0)
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_summarize_single_sample_std_zero(self):
-        assert summarize([5.0])["std"] == 0.0
-
-    def test_confidence_interval_contains_mean(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10.0, 2.0, size=200).tolist()
-        lo, hi = confidence_interval_95(samples)
-        assert lo < 10.0 < hi
-
-    def test_confidence_interval_needs_two(self):
-        with pytest.raises(ValueError):
-            confidence_interval_95([1.0])
+from repro.engine import RandomStream
 
 
 class TestRandomStream:

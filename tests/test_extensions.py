@@ -1,6 +1,6 @@
 """Tests for the extension modules: faults, online scheduling, edge
-placement, sensitivity analysis, forecast scenarios, market entry,
-corpus I/O, and broadcast join."""
+placement, sensitivity analysis, forecast scenarios, market entry and
+broadcast join."""
 
 import pytest
 
@@ -38,14 +38,6 @@ from repro.scheduler import (
     OnlineScheduler,
     chain_job,
     poisson_job_stream,
-)
-from repro.survey import (
-    corpus_from_dict,
-    corpus_to_dict,
-    generate_corpus,
-    key_findings,
-    load_corpus,
-    save_corpus,
 )
 from repro.workloads import EdgeScenario, WanLink, best_placement, evaluate_placements
 
@@ -355,41 +347,6 @@ class TestMarketEntry:
                             PROCESS_CATALOG["28nm"])
         with pytest.raises(ModelError):
             subsidy_sensitivity([])
-
-
-class TestCorpusIo:
-    def test_round_trip_preserves_findings(self, tmp_path):
-        corpus = generate_corpus()
-        path = tmp_path / "corpus.json"
-        save_corpus(corpus, path)
-        loaded = load_corpus(path)
-        assert loaded.n_interviews == corpus.n_interviews
-        assert loaded.n_companies == corpus.n_companies
-        original = [(f.finding_id, f.holds) for f in key_findings(corpus)]
-        reloaded = [(f.finding_id, f.holds) for f in key_findings(loaded)]
-        assert original == reloaded
-
-    def test_round_trip_is_exact(self):
-        corpus = generate_corpus(seed=5)
-        rebuilt = corpus_from_dict(corpus_to_dict(corpus))
-        assert rebuilt.companies == corpus.companies
-        assert rebuilt.interviews == corpus.interviews
-
-    def test_bad_schema_version_rejected(self):
-        payload = corpus_to_dict(generate_corpus())
-        payload["schema_version"] = 99
-        with pytest.raises(ModelError):
-            corpus_from_dict(payload)
-
-    def test_malformed_payload_rejected(self):
-        payload = corpus_to_dict(generate_corpus())
-        payload["companies"][0]["sector"] = "blockchain"
-        with pytest.raises(ModelError):
-            corpus_from_dict(payload)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ModelError):
-            load_corpus(tmp_path / "ghost.json")
 
 
 class TestBroadcastJoin:

@@ -23,11 +23,11 @@ from repro.frameworks import (
     greedy_time,
 )
 from repro.network import (
+    LegacyManagement,
     SdnController,
+    ecmp_paths,
     fat_tree,
     leaf_spine,
-    management_speedup,
-    shortest_path,
 )
 from repro.node import (
     accelerated_server,
@@ -37,7 +37,7 @@ from repro.node import (
     xeon_e5,
 )
 from repro.reporting import render_records
-from repro.scheduler import HeterogeneousScheduler, executors_from_cluster, fork_join_job
+from repro.scheduler import Executor, HeterogeneousScheduler, fork_join_job
 from repro.survey import generate_corpus
 from repro.workloads import run_suite, tail_latency_reduction
 
@@ -96,7 +96,12 @@ class TestRooflineToFramework:
             leaf_spine(2, 2, 1),
             lambda: accelerated_server(xeon_e5(), nvidia_k80()),
         )
-        scheduler = HeterogeneousScheduler(executors_from_cluster(cluster))
+        executors = [
+            Executor(f"{host}/{device.name}#{index}", host, device)
+            for host in cluster.hosts
+            for index, device in enumerate(cluster.server_at(host).devices)
+        ]
+        scheduler = HeterogeneousScheduler(executors)
         job = fork_join_job("fj", 4, "dense-gemm", "hash-aggregate", 2_000_000)
         schedule = scheduler.heft(job)
         gemm_devices = {
@@ -138,11 +143,12 @@ class TestNetworkToOperations:
         hosts = fabric.hosts
         installed = 0
         for src, dst in zip(hosts[:4], hosts[8:12]):
-            path = shortest_path(fabric, src, dst)
+            path = ecmp_paths(fabric, src, dst)[0]
             installed += controller.install_path(path, match=f"{src}->{dst}")
         assert installed >= 4 * 3  # at least tor-agg-core per path
         # The speedup claim composes with the real fabric.
-        assert management_speedup(fabric) > 50
+        legacy_s = LegacyManagement().policy_rollout_s(len(fabric.switches))
+        assert legacy_s / controller.policy_rollout_s(10) > 50
 
 
 class TestSuiteToReporting:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import units
-from repro.engine import MetricSeries
 from repro.errors import ModelError
 from repro.network import FUNCTION_CATALOG, ServiceChain, VnfHost
 from repro.node import MemoryLevel, dram, hdd, nvm, ssd
@@ -63,16 +62,6 @@ class TestMemoryLevels:
             MemoryLevel("x", 1e9, 1e9, -1.0, 1.0)
 
 
-class TestMetricAccessors:
-    def test_times_and_values_are_copies(self):
-        series = MetricSeries("x")
-        series.record(1.0, 10.0)
-        values = series.values
-        values.append(999.0)
-        assert len(series) == 1
-        assert series.times == [1.0]
-
-
 class TestRenderTableDetails:
     def test_title_prepended(self):
         text = render_table(["a"], [[1]], title="My Table")
@@ -92,15 +81,3 @@ class TestSurveyWeights:
         total = sum(SECTOR_WEIGHTS.values())
         assert total == pytest.approx(1.0)
         assert all(w > 0 for w in SECTOR_WEIGHTS.values())
-
-
-class TestUnitsEdgeCases:
-    def test_negative_bytes_pretty(self):
-        assert units.pretty_bytes(-2_500_000) == "-2.50 MB"
-
-    def test_zero_duration(self):
-        assert units.pretty_duration(0.0) == "0.00 us"
-
-    def test_binary_prefixes(self):
-        assert units.GIB == 2**30
-        assert units.KIB * units.KIB == units.MIB

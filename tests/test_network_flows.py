@@ -9,14 +9,13 @@ from repro.network import (
     Flow,
     FlowSimulator,
     PacketNetwork,
+    ecmp_paths,
     invalidate_link_capacity_cache,
     leaf_spine,
     max_min_fair_rates,
-    poisson_traffic_latencies,
-    shortest_path,
     transfer_time_s,
 )
-from repro.engine import Simulator
+from repro.engine import RandomStream, Simulator
 
 
 def _fabric():
@@ -24,11 +23,28 @@ def _fabric():
                       host_gbps=10.0, uplink_gbps=40.0)
 
 
+def _poisson_latencies(fabric, src, dst, rate_pps, n_packets, seed=7):
+    """Latencies of a Poisson stream of 1500 B packets from src to dst."""
+    sim = Simulator()
+    net = PacketNetwork(sim, fabric, hop_delay_s=0.5e-6)
+    rng = RandomStream(seed, "arrivals")
+
+    def source(sim):
+        for pid in range(n_packets):
+            net.send(pid, src, dst, 1_500.0)
+            yield sim.timeout(rng.exponential(1.0 / rate_pps))
+
+    sim.spawn(source(sim))
+    sim.run()
+    assert len(net.delivered) == n_packets
+    return [p.latency_s for p in net.delivered]
+
+
 class TestMaxMinFair:
     def test_single_flow_gets_bottleneck(self):
         fabric = _fabric()
         flow = Flow(0, "host0-0", "host1-0", units.GB)
-        flow.path = shortest_path(fabric, flow.src, flow.dst)
+        flow.path = ecmp_paths(fabric, flow.src, flow.dst)[0]
         rates = max_min_fair_rates(fabric, [flow])
         assert rates[0] == pytest.approx(10e9 / 8)
 
@@ -38,7 +54,7 @@ class TestMaxMinFair:
         flows = []
         for i, dst in enumerate(["host1-0", "host1-1"]):
             f = Flow(i, "host0-0", dst, units.GB)
-            f.path = shortest_path(fabric, f.src, dst)
+            f.path = ecmp_paths(fabric, f.src, dst)[0]
             flows.append(f)
         rates = max_min_fair_rates(fabric, flows)
         assert rates[0] == pytest.approx(10e9 / 16)
@@ -51,7 +67,7 @@ class TestMaxMinFair:
             [("host0-0", "host0-1"), ("host0-2", "host0-3")]
         ):
             f = Flow(i, src, dst, units.GB)
-            f.path = shortest_path(fabric, src, dst)
+            f.path = ecmp_paths(fabric, src, dst)[0]
             flows.append(f)
         rates = max_min_fair_rates(fabric, flows)
         assert rates[0] == pytest.approx(10e9 / 8)
@@ -144,35 +160,30 @@ class TestPacketNetwork:
     def test_queueing_grows_tail_latency(self):
         fabric = _fabric()
         # 60% load on a 10G link with 1500 B packets: ~833 kpps max.
-        lat_light = poisson_traffic_latencies(
+        lat_light = _poisson_latencies(
             fabric, "host0-0", "host0-1", rate_pps=50_000, n_packets=2000
         )
-        lat_heavy = poisson_traffic_latencies(
+        lat_heavy = _poisson_latencies(
             fabric, "host0-0", "host0-1", rate_pps=700_000, n_packets=2000
         )
         assert np.percentile(lat_heavy, 99) > 2 * np.percentile(lat_light, 99)
 
     def test_deterministic_given_seed(self):
         fabric = _fabric()
-        a = poisson_traffic_latencies(
+        a = _poisson_latencies(
             fabric, "host0-0", "host1-0", 10_000, 200, seed=3
         )
-        b = poisson_traffic_latencies(
+        b = _poisson_latencies(
             fabric, "host0-0", "host1-0", 10_000, 200, seed=3
         )
         assert a == b
-
-    def test_bad_args_rejected(self):
-        with pytest.raises(TopologyError):
-            poisson_traffic_latencies(_fabric(), "host0-0", "host1-0", 0, 10)
-
 
 class TestSolverFastPath:
     """Regression coverage for the vectorized incremental solver."""
 
     def test_zero_capacity_link_raises_topology_error(self):
         fabric = _fabric()
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         fabric.graph.edges[path[0], path[1]]["rate_gbps"] = 0.0
         with pytest.raises(TopologyError, match="flow 7"):
             FlowSimulator(fabric).run(
@@ -181,7 +192,7 @@ class TestSolverFastPath:
 
     def test_zero_capacity_error_names_endpoints(self):
         fabric = _fabric()
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         fabric.graph.edges[path[0], path[1]]["rate_gbps"] = 0.0
         with pytest.raises(TopologyError, match="host0-0->host1-0"):
             FlowSimulator(fabric).run(

@@ -14,11 +14,10 @@ from repro.network import (
     VnfHost,
     bare_metal_switch,
     branded_switch,
+    ecmp_paths,
     fat_tree,
     fleet_tco_usd,
     leaf_spine,
-    management_speedup,
-    shortest_path,
     standard_dmz_chain,
     white_box_switch,
     FUNCTION_CATALOG,
@@ -119,7 +118,7 @@ class TestSdnController:
     def test_install_path_populates_on_path_switches(self):
         fabric = leaf_spine(2, 2, 2)
         controller = SdnController(fabric)
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         installed = controller.install_path(path, match="tenantA")
         assert installed == 3  # leaf, spine, leaf
         on_path = [n for n in path if n in controller.tables]
@@ -144,7 +143,7 @@ class TestSdnController:
     def test_reactive_setup_faster_than_full_rollout(self):
         fabric = leaf_spine(2, 2, 2)
         controller = SdnController(fabric)
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         assert controller.reactive_flow_setup_s(path) < 0.1
 
     def test_unknown_switch_rejected(self):
@@ -178,8 +177,12 @@ class TestLegacyManagement:
         assert a == b
 
     def test_sdn_speedup_grows_with_fleet(self):
-        small = management_speedup(leaf_spine(2, 2, 2))
-        large = management_speedup(fat_tree(8))
+        def speedup(fabric):
+            legacy_s = LegacyManagement().policy_rollout_s(len(fabric.switches))
+            return legacy_s / SdnController(fabric).policy_rollout_s(10)
+
+        small = speedup(leaf_spine(2, 2, 2))
+        large = speedup(fat_tree(8))
         assert large > small > 1.0
 
     def test_validation(self):

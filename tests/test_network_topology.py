@@ -11,17 +11,14 @@ from repro.network import (
     Fabric,
     Link,
     commodity_generation,
-    cost_per_gbps_trend,
     disaggregated_fabric,
     ecmp_path_for_flow,
     ecmp_paths,
     fat_tree,
     generations_by_year,
-    hop_count_matrix,
     leaf_spine,
     path_bottleneck_gbps,
     path_links,
-    shortest_path,
 )
 from repro.network.flows import _fabric_link_capacities
 
@@ -40,8 +37,7 @@ class TestLinkGenerations:
         assert not ETHERNET_ROADMAP["100GbE"].photonic
 
     def test_cost_per_gbps_improves_monotonically(self):
-        trend = cost_per_gbps_trend()
-        costs = [c for _, c in trend]
+        costs = [g.usd_per_gbps for g in generations_by_year()]
         assert costs == sorted(costs, reverse=True)
 
     def test_commodity_generation_2016_is_40gbe(self):
@@ -117,12 +113,12 @@ class TestLeafSpine:
 
     def test_intra_leaf_path_has_two_hops(self):
         fabric = leaf_spine(2, 2, 4)
-        path = shortest_path(fabric, "host0-0", "host0-1")
-        assert path == ["host0-0", "leaf0", "host0-1"]
+        paths = ecmp_paths(fabric, "host0-0", "host0-1")
+        assert paths == [["host0-0", "leaf0", "host0-1"]]
 
     def test_inter_leaf_path_crosses_spine(self):
         fabric = leaf_spine(2, 2, 4)
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         assert len(path) == 5
         assert fabric.role(path[2]) == "agg"
 
@@ -194,7 +190,7 @@ class TestRoutingHelpers:
 
     def test_bottleneck(self):
         fabric = leaf_spine(2, 2, 2, host_gbps=10.0, uplink_gbps=40.0)
-        path = shortest_path(fabric, "host0-0", "host1-0")
+        path = ecmp_paths(fabric, "host0-0", "host1-0")[0]
         assert path_bottleneck_gbps(fabric, path) == 10.0
 
     def test_ecmp_pick_is_deterministic(self):
@@ -214,19 +210,12 @@ class TestRoutingHelpers:
     def test_same_endpoint_rejected(self):
         fabric = leaf_spine(2, 2, 2)
         with pytest.raises(TopologyError):
-            shortest_path(fabric, "host0-0", "host0-0")
+            ecmp_paths(fabric, "host0-0", "host0-0")
 
     def test_unknown_endpoint_rejected(self):
         fabric = leaf_spine(2, 2, 2)
         with pytest.raises(TopologyError):
-            shortest_path(fabric, "host0-0", "ghost")
-
-    def test_hop_count_matrix_symmetric_pairs(self):
-        fabric = leaf_spine(2, 2, 2)
-        matrix = hop_count_matrix(fabric)
-        assert matrix[("host0-0", "host0-1")] == 2
-        assert matrix[("host0-0", "host1-0")] == 4
-
+            ecmp_paths(fabric, "host0-0", "ghost")
 
 class TestStateVersionCaches:
     def test_remove_then_add_link_refreshes_both_caches(self):

@@ -9,8 +9,6 @@ from repro.node import (
     attainable_ops_per_s,
     energy_j,
     execution_time_s,
-    is_compute_bound,
-    min_profitable_ops,
     nvidia_k80,
     speedup,
     xeon_e5,
@@ -57,14 +55,14 @@ class TestRoofline:
     def test_compute_bound_kernel_hits_compute_roof(self):
         cpu = xeon_e5()
         k = _compute_kernel()
-        assert is_compute_bound(k, cpu)
+        assert k.intensity >= cpu.ridge_intensity
         rate = attainable_ops_per_s(k, cpu)
         assert rate == pytest.approx(cpu.effective_peak())
 
     def test_memory_bound_kernel_hits_bandwidth_roof(self):
         cpu = xeon_e5()
         k = _memory_kernel()
-        assert not is_compute_bound(k, cpu)
+        assert k.intensity < cpu.ridge_intensity
         rate = attainable_ops_per_s(k, cpu)
         assert rate == pytest.approx(cpu.mem_bw_bytes_per_s * k.intensity)
 
@@ -112,34 +110,3 @@ class TestRoofline:
         fpga, gpu = arria10_fpga(), nvidia_k80()
         assert execution_time_s(k, gpu) < execution_time_s(k, fpga)
         assert energy_j(k, fpga) < energy_j(k, gpu)
-
-
-class TestMinProfitableOps:
-    def test_tiny_kernels_do_not_offload(self):
-        shape = _compute_kernel(ops=1.0)
-        threshold = min_profitable_ops(shape, nvidia_k80(), xeon_e5())
-        assert 0 < threshold < float("inf")
-        # Below threshold the CPU wins, above the GPU wins.
-        small = shape.scaled(threshold * 0.5)
-        large = shape.scaled(threshold * 2.0)
-        assert execution_time_s(small, xeon_e5()) < execution_time_s(
-            small, nvidia_k80()
-        )
-        assert execution_time_s(large, nvidia_k80()) < execution_time_s(
-            large, xeon_e5()
-        )
-
-    def test_never_profitable_when_accelerator_slower(self):
-        # Memory-bound kernel where the FPGA's 34 GB/s loses to the CPU's
-        # 120 GB/s: no size makes offload pay.
-        shape = _memory_kernel(ops=1.0)
-        assert min_profitable_ops(shape, arria10_fpga(), xeon_e5()) == float(
-            "inf"
-        )
-
-    def test_zero_overhead_always_profitable(self):
-        from dataclasses import replace
-
-        gpu = replace(nvidia_k80(), launch_overhead_s=0.0)
-        shape = _compute_kernel(ops=1.0)
-        assert min_profitable_ops(shape, gpu, xeon_e5()) == 0.0

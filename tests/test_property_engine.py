@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    MetricSeries,
     RandomStream,
     Resource,
     Simulator,
     Store,
-    summarize,
 )
 
 
@@ -105,31 +103,6 @@ class TestSimulatorProperties:
         sim.spawn(consumer(sim))
         sim.run()
         assert received == items
-
-
-class TestMetricProperties:
-    @given(values=st.lists(
-        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
-        min_size=1, max_size=200,
-    ))
-    def test_percentiles_within_range(self, values):
-        series = MetricSeries("x")
-        for index, value in enumerate(values):
-            series.record(float(index), value)
-        for q in (0, 25, 50, 75, 99, 100):
-            assert min(values) <= series.percentile(q) <= max(values)
-
-    @given(values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1, max_size=100,
-    ))
-    def test_summary_invariants(self, values):
-        stats = summarize(values)
-        assert stats["min"] <= stats["p50"] <= stats["max"]
-        assert stats["p50"] <= stats["p90"] <= stats["p99"] <= stats["max"]
-        tolerance = 1e-9 * max(1.0, abs(stats["max"]), abs(stats["min"]))
-        assert stats["min"] - tolerance <= stats["mean"] <= stats["max"] + tolerance
-        assert stats["count"] == len(values)
 
 
 class TestRandomStreamProperties:

@@ -11,7 +11,6 @@ from repro.frameworks import (
     BatchExecutor,
     PartitionedDataset,
     Query,
-    SlidingWindow,
     TumblingWindow,
     run_query,
 )
@@ -77,21 +76,6 @@ class TestWindowProperties:
         assert len(windows) == 1
         start, end = windows[0]
         assert start <= t < end or abs(end - start - width) < 1e-9
-
-    @given(
-        t=st.floats(min_value=0.0, max_value=1e4),
-        slide=st.floats(min_value=0.1, max_value=10.0),
-        factor=st.integers(min_value=1, max_value=5),
-    )
-    def test_sliding_window_count(self, t, slide, factor):
-        width = slide * factor
-        windows = SlidingWindow(width, slide).assign(t)
-        # An event belongs to at most ceil(width/slide) windows, and
-        # every returned window contains it.
-        assert 1 <= len(windows) <= factor + 1
-        for start, end in windows:
-            assert start <= t < end + 1e-9
-
 
 class TestLoadBalanceProperties:
     def test_least_loaded_beats_ecmp_on_average_core_load(self):

@@ -14,8 +14,14 @@ from repro.econ import (
     yield_poisson,
 )
 from repro.frameworks import ShuffleSpec, shuffle_time_s
-from repro.network import Flow, FlowSimulator, leaf_spine, max_min_fair_rates
-from repro.network.routing import path_links, shortest_path
+from repro.network import (
+    Flow,
+    FlowSimulator,
+    ecmp_paths,
+    leaf_spine,
+    max_min_fair_rates,
+)
+from repro.network.routing import path_links
 
 
 def _fabric():
@@ -38,7 +44,7 @@ class TestMaxMinProperties:
         for fid in range(n_flows):
             src, dst = rng.sample(hosts, 2)
             flow = Flow(fid, src, dst, 1e9)
-            flow.path = shortest_path(fabric, src, dst)
+            flow.path = ecmp_paths(fabric, src, dst)[0]
             flows.append(flow)
         rates = max_min_fair_rates(fabric, flows)
         # Every flow gets positive bandwidth.

@@ -18,7 +18,6 @@ from repro.scheduler import (
     Job,
     Task,
     chain_job,
-    executors_from_cluster,
     fork_join_job,
 )
 
@@ -165,22 +164,17 @@ class TestSchedulers:
 
 
 class TestClusterExecutors:
-    def test_executors_from_cluster(self):
-        cluster = uniform_cluster(
-            leaf_spine(2, 2, 2),
-            lambda: accelerated_server(xeon_e5(), nvidia_k80()),
-        )
-        executors = executors_from_cluster(cluster)
-        assert len(executors) == 8  # 4 hosts x (cpu + gpu)
-        kinds = {e.device.kind.value for e in executors}
-        assert kinds == {"cpu", "gpu"}
-
     def test_schedule_on_cluster_pool(self):
         cluster = uniform_cluster(
             leaf_spine(2, 2, 2),
             lambda: accelerated_server(xeon_e5(), arria10_fpga()),
         )
-        scheduler = HeterogeneousScheduler(executors_from_cluster(cluster))
+        executors = [
+            Executor(f"{host}/{device.name}#{index}", host, device)
+            for host in cluster.hosts
+            for index, device in enumerate(cluster.server_at(host).devices)
+        ]
+        scheduler = HeterogeneousScheduler(executors)
         job = fork_join_job("fj", 8, "regex-extract", "hash-aggregate", 800_000)
         schedule = scheduler.heft(job)
         schedule.validate()

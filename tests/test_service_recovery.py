@@ -7,10 +7,7 @@ them in the ``recovered`` state and completes them, while completed
 jobs resolve from the cache without any pool work.
 """
 
-import json
 import time
-
-import pytest
 
 from repro.client import ServiceClient
 from repro.runner.journal import JournalWriter, journal_path, read_journal

@@ -16,7 +16,6 @@ from repro.node import (
 )
 from repro.workloads import (
     SearchServiceConfig,
-    clickstream,
     compare_architectures,
     convergence_comparison,
     gaussian_blobs,
@@ -52,13 +51,6 @@ class TestGenerators:
     def test_generators_deterministic(self):
         assert zipf_documents(5, 10, seed=3) == zipf_documents(5, 10, seed=3)
         assert sales_table(10, seed=3) == sales_table(10, seed=3)
-        assert clickstream(10, seed=3) == clickstream(10, seed=3)
-
-    def test_clickstream_fields_and_order(self):
-        events = clickstream(100, seed=2)
-        times = [e["time_s"] for e in events]
-        assert times == sorted(times)
-        assert all(e["user"].startswith("u") for e in events)
 
     def test_sales_table_fields(self):
         rows = sales_table(50, seed=2)
