@@ -138,7 +138,7 @@ class ResultCache:
         try:
             record = json.loads(text)
             result = RunResult.from_dict(record)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             self._quarantine(path)
             self.misses += 1
             return None

@@ -68,16 +68,20 @@ def decode_record(line: str) -> Dict[str, Any]:
     """Parse and checksum-verify one journal line.
 
     Raises ``ValueError`` on any malformation (missing separator,
-    undecodable JSON, checksum mismatch); callers decide whether that
-    is a tolerable torn tail or hard corruption.
+    undecodable or too deeply nested JSON, checksum mismatch); callers
+    decide whether that is a tolerable torn tail or hard corruption.
     """
     crc, sep, payload = line.rstrip("\n").partition(" ")
     if not sep or len(crc) != _CRC_HEX:
         raise ValueError("malformed journal line: no checksum prefix")
-    record = json.loads(payload)
+    try:
+        record = json.loads(payload)
+        canonical = _payload_json(record)
+    except RecursionError as exc:
+        raise ValueError("journal payload is nested too deeply") from exc
     if not isinstance(record, dict):
         raise ValueError("journal payload is not an object")
-    if _checksum(_payload_json(record)) != crc:
+    if _checksum(canonical) != crc:
         raise ValueError("journal checksum mismatch")
     return record
 

@@ -224,7 +224,7 @@ def decode_submit_request(text: "str | bytes") -> SubmitRequest:
         text = text.decode("utf-8", errors="replace")
     try:
         record = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ServiceError(
             f"request body is not valid JSON: {exc}",
             code="bad-request", status=400,

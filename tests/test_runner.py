@@ -265,6 +265,17 @@ class TestCache:
         # Quarantined entries no longer count as cached.
         assert len(cache) == 0
 
+    def test_deeply_nested_entry_quarantines(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = "d" * 64
+        cache.put(key, RunResult(experiment_id="E4", seed=0))
+        path = cache.root / key[:2] / f"{key}.json"
+        path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        assert cache.get(key) is None
+        assert path.with_suffix(".corrupt").exists()
+        assert cache.quarantined == 1
+        assert cache.misses == 1
+
     def test_schema_mismatch_quarantines(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = "c" * 64

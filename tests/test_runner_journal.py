@@ -57,6 +57,22 @@ class TestRecordCodec:
             decode_record(f"{crc} {payload}\n")
 
 
+    def test_deeply_nested_payload_rejected(self, tmp_path):
+        nested = '0000000000000000 {"a":' + "[" * 5000 + "]" * 5000 + "}\n"
+        with pytest.raises(ValueError, match="nested"):
+            decode_record(nested)
+        # read_journal applies its usual rules: a torn final record...
+        good = encode_record({"kind": "grid-start", "total": 1})
+        path = tmp_path / "j.jsonl"
+        path.write_text(good + nested, encoding="utf-8")
+        assert read_journal(path).torn_tail_offset == len(good)
+        # ...and corruption when more records follow.
+        path.write_text(good + nested + good, encoding="utf-8")
+        with pytest.raises(JournalError) as excinfo:
+            read_journal(path)
+        assert excinfo.value.offset == len(good)
+
+
 class TestJournalWriter:
     def test_appends_are_readable_in_order(self, tmp_path):
         path = tmp_path / "j.jsonl"

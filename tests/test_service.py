@@ -420,6 +420,19 @@ class TestMalformedRequests:
         assert client.health()["accepting"] is True
         assert registry.counter("service.errors").value == 1
 
+    def test_deeply_nested_body(self, service):
+        # Far below MAX_BODY_BYTES, but deeper than the JSON decoder's
+        # recursion limit.
+        handle, client, registry = service()
+        body = b'{"job": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+        assert len(body) < MAX_BODY_BYTES
+        self._assert_bad_request(
+            handle, client,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body,
+        )
+        assert registry.counter("service.errors").value == 1
+
     def test_overlong_content_length_is_payload_too_large(self, service):
         handle, client, registry = service()
         status, body = _raw_exchange(

@@ -100,6 +100,13 @@ class TestSubmitRequest:
             decode_submit_request(b"{nope")
         assert excinfo.value.code == "bad-request"
 
+    def test_decode_rejects_deeply_nested_json(self):
+        body = b'{"job": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+        with pytest.raises(ServiceError) as excinfo:
+            decode_submit_request(body)
+        assert excinfo.value.code == "bad-request"
+        assert excinfo.value.status == 400
+
     def test_decode_rejects_wrong_major(self):
         record = SubmitRequest(job=JobSpec(experiments=("E2",))).to_dict()
         record["schema_version"] = "99.0"
