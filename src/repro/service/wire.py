@@ -23,7 +23,7 @@ import base64
 import hashlib
 import struct
 from asyncio import IncompleteReadError, LimitOverrunError, StreamReader
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import BinaryIO, Dict, Generator, Optional, Tuple
 
 from repro.errors import ServiceError
 
@@ -241,69 +241,59 @@ def encode_frame(
     return bytes(head) + payload
 
 
-def _decode_frame_parts(
-    first_two: bytes, read_exact: Any
-) -> Tuple[int, bytes]:
-    """Shared tail of frame decoding once the 2-byte header is in hand."""
+def _frame_decoder() -> Generator[int, bytes, Tuple[int, bytes]]:
+    """The one frame decoder, for both readers below.
+
+    Yields how many bytes it needs next and is sent exactly those bytes;
+    returns ``(opcode, unmasked payload)``. Raises the 413
+    ``payload-too-large`` :class:`~repro.errors.ServiceError` as soon as
+    the header announces a payload over :data:`MAX_BODY_BYTES`.
+    """
+    first_two = yield 2
     opcode = first_two[0] & 0x0F
     masked = bool(first_two[1] & 0x80)
     length = first_two[1] & 0x7F
     if length == 126:
-        length = struct.unpack(">H", read_exact(2))[0]
+        length = struct.unpack(">H", (yield 2))[0]
     elif length == 127:
-        length = struct.unpack(">Q", read_exact(8))[0]
+        length = struct.unpack(">Q", (yield 8))[0]
     if length > MAX_BODY_BYTES:
         raise ServiceError(
             f"frame of {length} bytes exceeds {MAX_BODY_BYTES}",
             code="payload-too-large", status=413,
         )
-    mask_key = read_exact(4) if masked else b""
-    payload = read_exact(length) if length else b""
-    if masked and any(mask_key):
-        payload = bytes(
-            b ^ mask_key[i % 4] for i, b in enumerate(payload)
-        )
-    return opcode, payload
-
-
-async def read_frame(reader: StreamReader) -> Optional[Tuple[int, bytes]]:
-    """Read one frame; ``(opcode, unmasked payload)`` or None on EOF."""
-    opcode = 0
-    masked = False
-    try:
-        first_two = await reader.readexactly(2)
-        opcode = first_two[0] & 0x0F
-        masked = bool(first_two[1] & 0x80)
-        length = first_two[1] & 0x7F
-        if length == 126:
-            length = struct.unpack(">H", await reader.readexactly(2))[0]
-        elif length == 127:
-            length = struct.unpack(">Q", await reader.readexactly(8))[0]
-        if length > MAX_BODY_BYTES:
-            raise ServiceError(
-                f"frame of {length} bytes exceeds {MAX_BODY_BYTES}",
-                code="payload-too-large", status=413,
-            )
-        mask_key = await reader.readexactly(4) if masked else b""
-        payload = await reader.readexactly(length) if length else b""
-    except (IncompleteReadError, ConnectionError):
-        return None
+    mask_key = (yield 4) if masked else b""
+    payload = (yield length) if length else b""
     if masked and any(mask_key):
         payload = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
     return opcode, payload
 
 
+async def read_frame(reader: StreamReader) -> Optional[Tuple[int, bytes]]:
+    """Read one frame; ``(opcode, unmasked payload)`` or None on EOF."""
+    decoder = _frame_decoder()
+    try:
+        need = next(decoder)
+        while True:
+            need = decoder.send(await reader.readexactly(need))
+    except StopIteration as done:
+        return done.value
+    except (IncompleteReadError, ConnectionError):
+        return None
+
+
 def read_frame_blocking(stream: BinaryIO) -> Optional[Tuple[int, bytes]]:
     """Blocking :func:`read_frame` over a socket file object."""
+    decoder = _frame_decoder()
     try:
-        first_two = _read_exact_blocking(stream, 2)
-        if first_two is None:
-            return None
-        return _decode_frame_parts(
-            first_two, lambda n: _must_read_blocking(stream, n)
-        )
-    except EOFError:
-        return None
+        need = next(decoder)
+        while True:
+            data = _read_exact_blocking(stream, need)
+            if data is None:
+                return None
+            need = decoder.send(data)
+    except StopIteration as done:
+        return done.value
 
 
 def _read_exact_blocking(stream: BinaryIO, n: int) -> Optional[bytes]:
@@ -313,11 +303,4 @@ def _read_exact_blocking(stream: BinaryIO, n: int) -> Optional[bytes]:
         if not chunk:
             return None
         data += chunk
-    return data
-
-
-def _must_read_blocking(stream: BinaryIO, n: int) -> bytes:
-    data = _read_exact_blocking(stream, n)
-    if data is None:
-        raise EOFError("connection closed mid-frame")
     return data

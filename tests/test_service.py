@@ -9,10 +9,13 @@ handlers. Where a test needs a job held *in flight* deterministically
 so nothing depends on racing the executor.
 """
 
+import asyncio
+import io
 import json
 import multiprocessing
 import os
 import socket
+import struct
 import threading
 import time
 from pathlib import Path
@@ -25,7 +28,7 @@ from repro.errors import ServiceError
 from repro.runner import RunResult
 from repro.runner import api as runner_api
 from repro.runner import entrypoints
-from repro.service import SCHEMA_VERSION, serve_in_thread
+from repro.service import SCHEMA_VERSION, serve_in_thread, wire
 from repro.service.wire import MAX_BODY_BYTES, MAX_HEADER_LINES
 
 _EXECUTE_JOB = runner_api.execute_job
@@ -298,6 +301,47 @@ class TestEndpoints:
         assert excinfo.value.code == "client-cap"
         gate.set()
         assert client.result(first["job_id"]).ok
+
+
+def _read_both_ways(frame: bytes):
+    """``read_frame`` and ``read_frame_blocking`` outcomes for ``frame``.
+
+    Each outcome is the decoded ``(opcode, payload)``, None, or the
+    ``(code, status)`` of a raised :class:`ServiceError`.
+    """
+    async def read_async():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await wire.read_frame(reader)
+
+    outcomes = []
+    for read in (lambda: asyncio.run(read_async()),
+                 lambda: wire.read_frame_blocking(io.BytesIO(frame))):
+        try:
+            outcomes.append(read())
+        except ServiceError as exc:
+            outcomes.append((exc.code, exc.status))
+    return outcomes
+
+
+class TestFrameDecoding:
+    def test_async_and_blocking_readers_agree(self):
+        key = b"\x12\x34\x56\x78"
+        masked = bytes(b ^ key[i % 4] for i, b in enumerate(b"hello"))
+        cases = [
+            (wire.encode_frame(b"x" * n, mask=mask), (wire.OP_TEXT, b"x" * n))
+            for n in (0, 125, 126, 65_535, 65_536)
+            for mask in (False, True)
+        ] + [
+            (bytes([0x81, 0x80 | 5]) + key + masked, (wire.OP_TEXT, b"hello")),
+            (bytes([0x82, 127]) + struct.pack(">Q", MAX_BODY_BYTES + 1),
+             ("payload-too-large", 413)),
+            (wire.encode_frame(b"x" * 200)[:-1], None),
+            (b"\x81", None),
+        ]
+        for frame, expected in cases:
+            assert _read_both_ways(frame) == [expected, expected]
 
 
 def _raw_exchange(handle, payload: bytes):
