@@ -1,7 +1,6 @@
 """Tests for the vectorized traffic-scenario engine (PR 10).
 
-Two contracts are pinned here (X15's reroute byte-identity is a row of
-``tests/test_registered_outputs.py``):
+Three contracts are pinned here:
 
 1. **Batch-vs-scalar equivalence** -- every scenario component
    (diurnal curve, flash crowds, MMPP bursts, heavy-tailed sessions,
@@ -14,9 +13,14 @@ Two contracts are pinned here (X15's reroute byte-identity is a row of
    exactly the event ordering of a per-event scheduling loop, including
    under randomized interleavings with pending events on both sides of
    the near/far calendar horizon.
+3. **Reroute byte-identity** -- X15's arrivals now come from
+   :func:`repro.mc.traffic.poisson_inter_arrivals`; its quick seed-0
+   ``results.json`` must match the golden file captured before the
+   reroute, byte for byte.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from repro.mc.traffic import (
     scenario_trace,
     session_lengths,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SEEDS = (0, 1, 2)
 
@@ -397,6 +403,41 @@ class TestCalendarCounters:
         sim = Simulator()
         sim.schedule_batch([1.0], lambda _p: None)
         assert sim.run() == 1.0  # and no AttributeError on the None path
+
+
+class TestX15RerouteByteIdentity:
+    def test_quick_seed0_results_match_pre_reroute_golden(self, tmp_path):
+        # The golden was captured from the pre-reroute scalar
+        # per-request draws; the batched inter-arrival fast path must
+        # reproduce the canonical results.json byte for byte.
+        from repro.runner import run_grid
+
+        grid = run_grid("X15", seeds=[0], quick=True, use_cache=False,
+                        retries=0)
+        assert grid.all_ok, grid.failures
+        path = grid.write_json(tmp_path / "results.json")
+        golden = (GOLDEN_DIR / "x15_quick_seed0_results.json").read_bytes()
+        assert path.read_bytes() == golden
+
+
+class TestChaosBodyByteIdentity:
+    # X12 and X17 share one search and one memory simulation body; the
+    # goldens were captured from the earlier per-exhibit copies (X12 fed
+    # by per-event source processes), and the shared bodies must
+    # reproduce both canonical results.json files byte for byte. E2's
+    # golden was captured before processes began resuming inline on
+    # already-fired events; with X15 above, every process-based exhibit
+    # has a pinned results file.
+    @pytest.mark.parametrize("experiment", ["E2", "X12", "X17"])
+    def test_quick_seed0_results_match_golden(self, experiment, tmp_path):
+        from repro.runner import run_grid
+
+        grid = run_grid(experiment, seeds=[0], quick=True, use_cache=False,
+                        retries=0)
+        assert grid.all_ok, grid.failures
+        path = grid.write_json(tmp_path / "results.json")
+        name = f"{experiment.lower()}_quick_seed0_results.json"
+        assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 #: X17's registered quick problem size (QUICK_CONFIGS["X17"]).
