@@ -5,13 +5,24 @@ absolute times or achieved speedups -- they pin the harness mechanics:
 result schema, checksum verification, baseline regression detection and
 the CLI wiring. The benches themselves run in ``--quick`` mode (about
 10x smaller workloads) with a single round.
+
+The same quick run also pins every bench's candidate-side checksum: the
+SHA-256 of its canonical encoding must equal the committed table in
+``golden/perf_checksums.json``. ``_verify_checksums`` only catches a
+candidate that diverges from its reference; the table also catches a
+change that moves both sides the same way. To print the current table::
+
+    PYTHONPATH=src python tests/test_perf_suite.py
 """
 
 import copy
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.perf
 from repro.errors import ModelError
 from repro.perf import (
     REGRESSION_TOLERANCE,
@@ -47,9 +58,89 @@ EXPECTED_BENCHES = {
 }
 
 
+CHECKSUM_TABLE = Path(__file__).parent / "golden" / "perf_checksums.json"
+
+
+def _canonical(value) -> str:
+    """Exact text of a checksum: every float digit and every byte.
+
+    Only plain Python values are accepted (a numpy scalar's repr is not
+    stable across numpy versions); dict items are sorted by key.
+    """
+    kind = type(value)
+    if value is None or kind in (bool, int, float, str, bytes):
+        return repr(value)
+    if kind in (tuple, list):
+        body = ",".join(_canonical(item) for item in value)
+        return f"{kind.__name__}({body})"
+    if kind is dict:
+        items = sorted(
+            (_canonical(k), _canonical(v)) for k, v in value.items()
+        )
+        return "dict(" + ",".join(f"{k}:{v}" for k, v in items) + ")"
+    raise TypeError(f"no canonical encoding for {kind.__name__}")
+
+
+def quick_run():
+    """One seed-0 quick round: ``(suites, {bench: candidate checksum})``.
+
+    The checksums are captured where the harness verifies them, so the
+    digest table costs no extra bench runs.
+    """
+    checksums = {}
+    verify = repro.perf._verify_checksums
+
+    def record(spec, candidate, reference):
+        checksums[spec.name] = candidate
+        verify(spec, candidate, reference)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.perf, "_verify_checksums", record)
+        suites = run_suites(rounds=1, quick=True, seed=0)
+    return suites, checksums
+
+
+def checksum_digests(checksums) -> dict:
+    return {
+        name: hashlib.sha256(_canonical(value).encode()).hexdigest()
+        for name, value in sorted(checksums.items())
+    }
+
+
 @pytest.fixture(scope="module")
-def quick_suites():
-    return run_suites(rounds=1, quick=True)
+def quick_results():
+    return quick_run()
+
+
+@pytest.fixture(scope="module")
+def quick_suites(quick_results):
+    return quick_results[0]
+
+
+class TestChecksumDigests:
+    def test_every_candidate_checksum_matches_its_digest(
+        self, quick_results
+    ):
+        expected = json.loads(CHECKSUM_TABLE.read_text())
+        actual = checksum_digests(quick_results[1])
+        assert sorted(expected) == sorted(
+            name for names in EXPECTED_BENCHES.values() for name in names
+        )
+        moved = sorted(
+            name for name, digest in expected.items()
+            if actual.get(name) != digest
+        )
+        assert not moved, f"checksums moved: {moved}"
+
+    def test_canonical_encoding_is_exact(self):
+        assert _canonical(0.1) != _canonical(0.1 + 2 ** -56)
+        assert _canonical(b"\x00\x01") != _canonical(b"\x00\x02")
+        assert _canonical((1, 2.0)) != _canonical([1, 2.0])
+        assert _canonical({2: 1.0, 1: 0.5}) == _canonical({1: 0.5, 2: 1.0})
+        with pytest.raises(TypeError):
+            import numpy as np
+
+            _canonical(np.float64(1.0))
 
 
 class TestSuiteSchema:
@@ -357,3 +448,8 @@ class TestChecksumVerification:
     def test_cardinality_mismatch(self):
         with pytest.raises(ModelError, match="cardinality"):
             _verify_checksums(self._spec(False), (1.0,), (1.0, 2.0))
+
+
+if __name__ == "__main__":
+    print(json.dumps(checksum_digests(quick_run()[1]), indent=2,
+                     sort_keys=True))
