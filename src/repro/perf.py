@@ -1,117 +1,41 @@
 """Pinned performance microbenches for the simulation substrates.
 
 ``python -m repro perf`` runs every microbench twice per round -- once on
-the production kernel and once on the frozen pre-fast-path reference
-kernel (:mod:`repro._perfref` for the engine/network suites,
-:mod:`repro._modelref` for the model suite) -- in interleaved rounds,
-then reports the median wall time of each side and the speedup ratio. CI
-gates on the *ratios*, not on absolute times, so results are robust to
-machine differences.
+the production implementation (the *candidate*) and once on the frozen
+pre-fast-path *reference* (:mod:`repro._perfref` for the engine and
+network suites, :mod:`repro._modelref` for the model and traffic suites;
+the sharded suite races the sharded engine against the single-process
+kernel) -- in interleaved rounds, then reports the median wall time of
+each side and the speedup ratio. CI gates on the *ratios*, not on
+absolute times, so results are robust to machine differences.
 
-Benches
--------
-``event_churn``
-    Steady-state callback chains: a rolling window of pending timeouts,
-    each completion scheduling the next. Measures raw event throughput
-    (allocation, heap traffic, dispatch).
-``timeout_churn``
-    A single process yielding tens of thousands of timeouts back to
-    back. Measures the process-step / timeout round trip.
-``resource_contention``
-    Many processes cycling acquire/hold/release on a small
-    :class:`~repro.engine.resources.Resource`. Measures the
-    event-flush and FIFO grant path.
-``e2_end_to_end``
-    The E2 Catapult search-ranking workload end to end on both kernels.
-    Measures a realistic mix, and doubles as a golden-output check: the
-    latency samples must match the reference kernel exactly.
-``flow_solver_500``
-    500-flow all-to-all shuffle between two racks (the E6-E8 traffic
-    shape) through :class:`~repro.network.flows.FlowSimulator`.
-``flow_solver_scaling``
-    A smaller random-pair flow set across the whole fabric.
-``switch_failure_impact``
-    Per-switch bisection-impact analysis of a host-heavy leaf-spine:
-    the production contract-once/reuse-the-baseline-flow analysis vs
-    the frozen copy-and-recompute-per-switch reference.
-``incremental_flow_repair``
-    A localized fault schedule (ToR-uplink flaps, aggregation-switch
-    crashes) over a ~1k-switch fat-tree:
-    :class:`~repro.network.flows.IncrementalMaxMinSolver` repairing
-    only the affected flows per event vs the frozen
-    reroute-everything + full-re-solve driver. Allocation snapshots
-    after every event must match bit for bit.
-``sharded_fabric_4w``
-    The X14 fabric-transport workload (k=30 fat-tree, 1125 switches,
-    100k requests) on the sharded conservative-time engine -- 4 worker
-    processes, pod-aligned cut -- vs the single-process kernel. The
-    checksum is the canonical trace digest plus delivery counts, so
-    every perf run re-proves bit-for-bit engine equivalence before
-    timing is trusted. Pinned 3x target; the floor is enforced only on
-    machines with >= 4 cores (see ``parallel_workers``), and a result
-    recorded on fewer cores than workers reports the target as
-    unverified.
-``sharded_window_protocol``
-    The same workload with 4 shards *inline* in one process: isolates
-    the conservative-window protocol overhead (barriers, boundary-event
-    routing, trace merge) from parallel hardware, so it reads below 1x.
-``mc_commodity_year``
-    Sampled commodity-year scenarios (the E1/E16 Monte-Carlo shape):
-    one :func:`repro.mc.commodity_year_samples` batch vs the frozen
-    per-sample scalar loop.
-``roi_npv_sweep``
-    NPV over a sampled accelerator-parameter grid:
-    :func:`repro.mc.npv_batch` vs the per-sample cashflow/NPV loop.
-``soc_sip_unit_costs``
-    Monte-Carlo SoC/SiP unit costs under subsystem-area jitter on the
-    EUROSERVER reference design.
-``market_concentration``
-    Lognormally jittered vendor shares plus the HHI of every sample.
-``adoption_paths``
-    A (q-sample x time) grid of Bass cumulative-adoption fractions.
-``survey_theme_stats``
-    Corpus fraction + per-role cross-tab for every survey theme in one
-    batched pass over a replicated interview corpus.
-``traffic_arrivals_1m``
-    A ~1e6-arrival composed traffic scenario (diurnal curve + flash
-    crowd + MMPP bursts) generated by the vectorized thinning draw in
-    :func:`repro.mc.traffic.arrival_times` vs the frozen per-candidate
-    scalar reference. The accepted arrival times must match bit for
-    bit; pinned 50x target.
-``traffic_sessions_clients``
-    One million heavy-tailed (Pareto) session lengths plus Zipf-skewed
-    client ids as two batch draws vs the frozen scalar loops.
-``bulk_injection``
-    Pre-sorted arrival times injected into the event calendar via
-    :meth:`~repro.engine.sim.Simulator.schedule_batch` vs a per-event
-    scheduling loop; both simulations then run to completion and must
-    agree exactly on events fired and final clock.
+The benches are one table, :func:`build_specs`. A row holds its full and
+``--quick`` problem sizes, an untimed ``setup`` that builds fresh inputs
+for one side, the timed ``body`` run with the candidate or the reference
+implementation, and an untimed ``checksum``; :func:`_measure` is the one
+timer around every body. The reason a row's checksum is relative, or a
+floor binds only on enough cores, is noted next to that row, and
+``python -m repro perf --list`` prints the catalogue with every pinned
+floor.
 
-Every bench verifies that both kernels produce the same simulation
-results before any timing is reported (exactly for the engine benches,
-to 1e-9 relative for the flow benches, whose vectorized solver may order
-exact float ties differently). The model benches are bit-exact except
-``soc_sip_unit_costs``, where numpy's SIMD ``pow`` differs from scalar
-libm ``pow`` by 1 ULP in the yield term (see :mod:`repro.mc.soc_sip`).
+Every bench verifies that both sides produce the same checksum before
+any timing is reported: exactly, or to 1e-9 relative where the row says
+so.
 
 Outputs ``BENCH_engine.json``, ``BENCH_network.json``,
 ``BENCH_models.json``, ``BENCH_sharded.json`` and ``BENCH_traffic.json``;
 with ``--check <dir>`` the run fails if any bench regresses more than
 25% against the committed baseline or drops below its pinned
 ``min_speedup`` floor. The headline benches carry a ``target_speedup``
-(3x event churn, 5x 500-flow solver, 10x for the sampled-scenario model
-benches, 3x the 4-worker sharded engine, 50x the 1e6-arrival scenario
-draw) that the committed baseline demonstrates; the CI floor is the
-target minus the regression tolerance, so a genuine regression trips
-the gate but single-vCPU scheduler jitter does not. Parallel benches
-record the core count they ran on and are ratio-gated only when the
-machine can actually host their workers.
+that the committed baseline demonstrates; the CI floor is the target
+minus the regression tolerance, so a genuine regression trips the gate
+but single-vCPU scheduler jitter does not. Parallel benches record the
+core count they ran on and are ratio-gated only when the machine can
+actually host their workers.
 
-``--list`` prints every suite (with its committed-baseline path and
-whether the baseline actually exists), every bench id and pinned floor
-without running anything, and every timed run appends one JSON line --
-UTC timestamp, git revision, all speedup ratios -- to
-``benchmarks/BENCH_history.jsonl`` (override with ``--history-file``).
+Every timed run appends one JSON line -- UTC timestamp, git revision,
+all speedup ratios -- to ``benchmarks/BENCH_history.jsonl`` (override
+with ``--history-file``).
 """
 
 from __future__ import annotations
@@ -122,29 +46,137 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+import repro.workloads.search as search
 from repro import _modelref, _perfref
+from repro.econ.sensitivity import default_accelerator_ranges
+from repro.econ.silicon import PROCESS_CATALOG
+from repro.econ.soc_sip import euroserver_reference_design
+from repro.engine.resources import Resource
+from repro.engine.sim import Simulator
 from repro.errors import ModelError
+from repro.mc import (
+    bass_adoption_paths,
+    commodity_year_samples,
+    hhi_batch,
+    npv_batch,
+    sampled_market_shares,
+    sampled_unit_costs,
+    theme_statistics,
+    uniform_parameter_samples,
+)
+from repro.mc.traffic import (
+    FlashCrowd,
+    ScenarioSpec,
+    arrival_times,
+    client_ids,
+    session_lengths,
+)
+from repro.network.failures import single_switch_failure_impact
+from repro.network.flows import Flow, FlowSimulator, IncrementalMaxMinSolver
+from repro.network.routing import ecmp_path_for_flow, path_links
+from repro.network.topology import ROLE_AGG, ROLE_TOR, fat_tree, leaf_spine
+from repro.survey import ALL_THEMES, generate_corpus
+from repro.workloads.fabricsim import (
+    FabricWorkload,
+    simulate_fabric,
+    simulate_fabric_sharded,
+)
 
 #: CI fails when a bench's speedup falls more than this far (fractional)
 #: below the committed baseline's speedup.
 REGRESSION_TOLERANCE = 0.25
 
-_BenchOutcome = Tuple[float, Any]  # (elapsed seconds, result checksum)
-
 
 # ---------------------------------------------------------------------------
-# Engine microbenches. Each takes the kernel classes to run on, so the
-# same workload drives the production and the reference kernel.
+# The harness: one spec type and one timer.
 # ---------------------------------------------------------------------------
 
 
-def _bench_event_churn(sim_cls, n_events: int, window: int = 128) -> _BenchOutcome:
+def _call(impl, args):
+    return impl(*args)
+
+
+def _output(_inputs, output):
+    return output
+
+
+@dataclass(frozen=True)
+class BenchSpec:
+    """One pinned microbench: a row of the :func:`build_specs` table.
+
+    ``setup(impl, **size)`` builds fresh inputs for one side, untimed.
+    ``body(impl, inputs)`` is the timed work (default ``impl(*inputs)``).
+    ``checksum(inputs, output)`` reduces the result, untimed, to the
+    value both sides must agree on (default: the output itself).
+    ``teardown(inputs)`` undoes what ``setup`` changed, untimed, even when
+    the body fails. ``impl`` is ``candidate`` or ``reference``.
+    :func:`build_specs` fills ``{key}`` fields of ``description`` from
+    ``size``.
+    """
+
+    name: str
+    suite: str
+    description: str
+    candidate: Any
+    reference: Any
+    setup: Callable[..., Any]
+    body: Callable[[Any, Any], Any] = _call
+    checksum: Callable[[Any, Any], Any] = _output
+    teardown: Optional[Callable[[Any], Any]] = None
+    size: Mapping[str, Any] = field(default_factory=dict)
+    exact: bool = True  # checksum comparison: exact vs 1e-9 relative
+    #: Speedup the committed baseline must demonstrate.
+    target_speedup: Optional[float] = None
+    #: Worker processes the candidate needs to hit its target (0 for a
+    #: single-process bench). A parallel bench records the core count it
+    #: ran on, and the baseline check only enforces ratio floors when
+    #: the machine actually has that many cores -- a 4-worker 3x target
+    #: is meaningless on a 1-core box.
+    parallel_workers: int = 0
+
+    @property
+    def min_speedup(self) -> Optional[float]:
+        """The pinned CI floor, ``target_speedup`` less the tolerance.
+
+        Single-vCPU timing jitter cannot flake a floor this far below
+        the target, while a real regression still trips it.
+        """
+        if self.target_speedup is None:
+            return None
+        return round(self.target_speedup * (1.0 - REGRESSION_TOLERANCE), 3)
+
+
+def _measure(spec: BenchSpec, impl: Any) -> Tuple[float, Any]:
+    """One side of ``spec``: (seconds spent in the body, checksum)."""
+    inputs = spec.setup(impl, **spec.size)
+    try:
+        start = time.perf_counter()
+        output = spec.body(impl, inputs)
+        elapsed = time.perf_counter() - start
+    finally:
+        if spec.teardown is not None:
+            spec.teardown(inputs)
+    return elapsed, spec.checksum(inputs, output)
+
+
+# ---------------------------------------------------------------------------
+# Engine benches: the kernel classes are the implementations, so setup
+# builds (and, where a process must exist first, spawns into) a fresh
+# simulator and the body drives it.
+# ---------------------------------------------------------------------------
+
+
+def _event_chains(sim_cls, n):
+    """A fresh kernel and a factory of callback chains sharing ``n`` events."""
     sim = sim_cls()
-    budget = n_events
+    budget = n
     timeout = sim.timeout
 
     def make_chain(delay):
@@ -156,29 +188,31 @@ def _bench_event_churn(sim_cls, n_events: int, window: int = 128) -> _BenchOutco
 
         return advance
 
-    start = time.perf_counter()
+    return sim, timeout, make_chain
+
+
+def _start_chains(_kernel, chains, window: int = 128):
+    sim, timeout, make_chain = chains
     for i in range(window):
         timeout(1e-4 + i * 1e-6).add_callback(make_chain(1e-3 + i * 1e-6))
     sim.run()
-    return time.perf_counter() - start, sim.now
 
 
-def _bench_timeout_churn(sim_cls, n_timeouts: int) -> _BenchOutcome:
+def _one_ticker(sim_cls, n):
+    """A fresh kernel with one process spawned to yield ``n`` timeouts."""
     sim = sim_cls()
 
     def ticker():
-        for i in range(n_timeouts):
+        for i in range(n):
             yield sim.timeout(1e-3 + (i % 7) * 1e-6)
 
     sim.spawn(ticker())
-    start = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - start, sim.now
+    return sim
 
 
-def _bench_resource_contention(
-    sim_cls, resource_cls, n_procs: int, cycles: int
-) -> _BenchOutcome:
+def _contended_pool(kernel, n_procs, cycles):
+    """A fresh kernel with ``n_procs`` workers spawned on an 8-way pool."""
+    sim_cls, resource_cls = kernel
     sim = sim_cls()
     pool = resource_cls(sim, capacity=8)
 
@@ -190,36 +224,41 @@ def _bench_resource_contention(
 
     for k in range(n_procs):
         sim.spawn(worker(k))
-    start = time.perf_counter()
+    return sim
+
+
+def _run_sim(_kernel, sim):
     sim.run()
-    return time.perf_counter() - start, sim.now
 
 
-def _bench_e2_end_to_end(sim_cls, resource_cls, n_requests: int) -> _BenchOutcome:
-    import repro.workloads.search as search
+def _sim_clock(sim, _output):
+    return sim.now
 
-    originals = (search.Simulator, search.Resource)
-    search.Simulator, search.Resource = sim_cls, resource_cls
-    try:
-        start = time.perf_counter()
-        result = search.run_search_service(
-            qps=4000.0, n_requests=n_requests, accelerated=True
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        search.Simulator, search.Resource = originals
-    return elapsed, tuple(result.latencies_s)
+
+def _install_search_kernel(kernel, n_requests):
+    """Point the E2 workload at ``kernel``; keeps what teardown restores."""
+    previous = (search.Simulator, search.Resource)
+    search.Simulator, search.Resource = kernel
+    return previous, n_requests
+
+
+def _restore_search_kernel(inputs):
+    search.Simulator, search.Resource = inputs[0]
+
+
+def _search_service(_kernel, inputs):
+    return search.run_search_service(
+        qps=4000.0, n_requests=inputs[1], accelerated=True
+    )
 
 
 # ---------------------------------------------------------------------------
-# Flow-solver microbenches.
+# Network benches.
 # ---------------------------------------------------------------------------
 
 
 def _shuffle_flows(n_flows: int, seed: int = 7):
     """All-to-all shuffle between two racks: the E6-E8 traffic shape."""
-    from repro.network.flows import Flow
-
     rng = random.Random(seed)
     return [
         Flow(
@@ -234,8 +273,6 @@ def _shuffle_flows(n_flows: int, seed: int = 7):
 
 
 def _random_flows(n_flows: int, seed: int = 11):
-    from repro.network.flows import Flow
-
     rng = random.Random(seed)
     flows = []
     for i in range(n_flows):
@@ -250,28 +287,20 @@ def _random_flows(n_flows: int, seed: int = 11):
     return flows
 
 
-def _bench_flow_solver(solver_cls, make_flows) -> _BenchOutcome:
-    from repro.network.topology import leaf_spine
-
+def _solver_and_flows(solver_cls, make_flows, n, seed):
+    """A solver on a fresh 4x4 leaf-spine and its flow set."""
     fabric = leaf_spine(n_spines=4, n_leaves=4, hosts_per_leaf=8)
-    flows = make_flows()
-    solver = solver_cls(fabric)
-    start = time.perf_counter()
+    flows = make_flows(n, seed)
+    return solver_cls(fabric), flows
+
+
+def _solve(_solver_cls, inputs):
+    solver, flows = inputs
     solver.run(flows)
-    elapsed = time.perf_counter() - start
-    return elapsed, tuple(f.finish_s for f in flows)
 
 
-def _bench_switch_impact(impl, hosts_per_leaf: int) -> _BenchOutcome:
-    from repro.network.topology import leaf_spine
-
-    fabric = leaf_spine(
-        n_spines=4, n_leaves=8, hosts_per_leaf=hosts_per_leaf
-    )
-    start = time.perf_counter()
-    worst = impl(fabric)
-    elapsed = time.perf_counter() - start
-    return elapsed, tuple(value for _, value in sorted(worst.items()))
+def _finish_times(inputs, _output):
+    return tuple(f.finish_s for f in inputs[1])
 
 
 def _fault_schedule_workload(
@@ -286,10 +315,6 @@ def _fault_schedule_workload(
     elements concurrently. Deterministic in ``seed``; called once per
     bench side so candidate and reference mutate separate fabrics.
     """
-    from repro.network.flows import Flow
-    from repro.network.routing import ecmp_path_for_flow, path_links
-    from repro.network.topology import ROLE_AGG, ROLE_TOR, fat_tree
-
     fabric = fat_tree(k)
     rng = random.Random(seed)
     hosts = fabric.hosts
@@ -335,240 +360,443 @@ def _fault_schedule_workload(
     return fabric, flows, schedule
 
 
-def _bench_incremental_repair(
-    incremental: bool, k: int, n_flows: int, n_events: int, seed: int
-) -> _BenchOutcome:
-    fabric, flows, schedule = _fault_schedule_workload(
-        k, n_flows, n_events, seed
-    )
-    if incremental:
-        from repro.network.flows import IncrementalMaxMinSolver
-
-        start = time.perf_counter()
-        solver = IncrementalMaxMinSolver(fabric, flows)
-        snapshots = [dict(solver.allocations)]
-        for method, args in schedule:
-            getattr(solver, method)(*args)
-            snapshots.append(dict(solver.allocations))
-        elapsed = time.perf_counter() - start
-    else:
-        start = time.perf_counter()
-        snapshots = _perfref.reference_fault_schedule_rates(
-            fabric, flows, schedule
-        )
-        elapsed = time.perf_counter() - start
-    return elapsed, snapshots
+def _incremental_rates(fabric, flows, schedule):
+    """Allocation snapshots from one solver repairing after each event."""
+    solver = IncrementalMaxMinSolver(fabric, flows)
+    snapshots = [dict(solver.allocations)]
+    for method, args in schedule:
+        getattr(solver, method)(*args)
+        snapshots.append(dict(solver.allocations))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------
-# Model-layer microbenches: repro.mc batch kernels vs the frozen scalar
-# references in repro._modelref. Workload setup (sampling inputs,
-# building the corpus) happens before the timer so both sides time only
-# the model evaluation.
+# Sharded-engine benches: the same workload through two engines, so the
+# checksum (canonical trace digest plus delivery counts) re-proves
+# bit-for-bit engine equivalence on every perf run.
 # ---------------------------------------------------------------------------
 
 
-def _bench_commodity_year(impl, n_samples: int, seed: int) -> _BenchOutcome:
-    start = time.perf_counter()
-    years = impl(4, 0.35, 1.5, n_samples, seed)
-    return time.perf_counter() - start, years.tobytes()
-
-
-def _bench_npv_sweep(sweep, n_samples: int, seed: int) -> _BenchOutcome:
-    from repro.econ.sensitivity import default_accelerator_ranges
-    from repro.mc import uniform_parameter_samples
-
-    params = uniform_parameter_samples(
-        default_accelerator_ranges(), n_samples, seed
+def _fabric_workload(_engine, k, n_requests, seed, shards):
+    workload = FabricWorkload(
+        fabric="fat-tree", k=k, n_requests=n_requests, duration_s=2e-3,
+        seed=seed,
     )
-    start = time.perf_counter()
-    npv = sweep(params, n_samples)
-    return time.perf_counter() - start, npv.tobytes()
+    return workload, shards
 
 
-def _bench_sampled_unit_costs(impl, n_samples: int, seed: int) -> _BenchOutcome:
-    from repro.econ.silicon import PROCESS_CATALOG
-    from repro.econ.soc_sip import euroserver_reference_design
+def _single_process(workload, _shards):
+    return simulate_fabric(workload)
 
+
+def _fabric_digest(_inputs, run):
+    metrics = run.metrics
+    return (
+        metrics["trace_sha256"],
+        metrics["delivered"],
+        metrics["dropped"],
+        metrics["fault_events"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Model and traffic benches: repro.mc batch kernels vs the frozen scalar
+# references in repro._modelref. Sampling inputs and building the corpus
+# or scenario happen in setup, so both sides time only the model.
+# ---------------------------------------------------------------------------
+
+
+def _raw_bytes(_inputs, arrays):
+    """The exact sample bytes: equivalence is bit for bit."""
+    if not isinstance(arrays, tuple):
+        arrays = (arrays,)
+    return b"".join(array.tobytes() for array in arrays)
+
+
+def _npv_params(_sweep, n, seed):
+    params = uniform_parameter_samples(default_accelerator_ranges(), n, seed)
+    return params, n
+
+
+def _euroserver_costs(_impl, n, seed):
     design = euroserver_reference_design(
         PROCESS_CATALOG["16nm"], PROCESS_CATALOG["28nm"]
     )
-    start = time.perf_counter()
-    soc, sip = impl(design, 0.2, n_samples, seed)
-    elapsed = time.perf_counter() - start
-    return elapsed, tuple(map(float, soc)) + tuple(map(float, sip))
+    return design, 0.2, n, seed
 
 
-def _bench_market_concentration(
-    sample_impl, hhi_impl, n_samples: int, seed: int
-) -> _BenchOutcome:
-    shares = [0.55, 0.12, 0.10, 0.08, 0.15]  # the datacenter-switch market
-    start = time.perf_counter()
-    sampled = sample_impl(shares, 0.3, n_samples, seed)
-    hhi = hhi_impl(sampled)
-    elapsed = time.perf_counter() - start
-    return elapsed, sampled.tobytes() + hhi.tobytes()
+def _float_costs(_inputs, costs):
+    soc, sip = costs
+    return tuple(map(float, soc)) + tuple(map(float, sip))
 
 
-def _bench_adoption_paths(impl, n_q: int, n_t: int, seed: int) -> _BenchOutcome:
-    import numpy as np
+def _shares_with_hhi(sample, hhi, *args):
+    sampled = sample(*args)
+    return sampled, hhi(sampled)
 
+
+def _adoption_grid(_impl, n_q, n_t, seed):
     rng = np.random.default_rng(seed)
     q_values = rng.uniform(0.2, 0.8, size=n_q)
     t_grid = np.linspace(-2.0, 25.0, n_t)
-    start = time.perf_counter()
-    paths = impl(0.03, q_values, t_grid)
-    return time.perf_counter() - start, paths.tobytes()
+    return 0.03, q_values, t_grid
 
 
-def _bench_theme_statistics(impl, replication: int) -> _BenchOutcome:
-    from repro.survey import ALL_THEMES, generate_corpus
-
+def _replicated_corpus(_impl, replication):
     corpus = generate_corpus()
     role_by_company = {c.company_id: c.role.value for c in corpus.companies}
     themes = [i.themes for i in corpus.interviews] * replication
     roles = [
         role_by_company[i.company_id] for i in corpus.interviews
     ] * replication
-    start = time.perf_counter()
-    stats = impl(themes, roles, list(ALL_THEMES))
-    return time.perf_counter() - start, stats
+    return themes, roles
 
 
-# ---------------------------------------------------------------------------
-# Sharded-engine benches. Candidate and reference are the *same*
-# workload through two engines -- the sharded conservative-time
-# coordinator vs the single-process kernel -- so the checksum (the
-# canonical trace digest plus delivery counts) doubles as the
-# bit-for-bit equivalence gate on every perf run.
-# ---------------------------------------------------------------------------
+def _scenario(rate: float = 32_000.0, horizon: float = 25.0) -> ScenarioSpec:
+    """Diurnal curve + flash crowd + MMPP bursts + heavy-tailed sessions.
 
-
-def _bench_sharded_fabric(
-    shards: int, inline: bool, workload
-) -> _BenchOutcome:
-    from repro.workloads.fabricsim import (
-        simulate_fabric,
-        simulate_fabric_sharded,
+    The defaults give ~1e6 accepted arrivals.
+    """
+    return ScenarioSpec(
+        base_rate_hz=rate,
+        horizon_s=horizon,
+        diurnal_amplitude=0.35,
+        diurnal_period_s=horizon,
+        flash_crowds=(
+            FlashCrowd(
+                start_s=0.3 * horizon,
+                ramp_s=0.05 * horizon,
+                peak_multiplier=2.0,
+                decay_s=0.1 * horizon,
+                hold_s=0.05 * horizon,
+            ),
+        ),
+        burst_multiplier=1.5,
+        burst_mean_s=0.04 * horizon,
+        calm_mean_s=0.16 * horizon,
+        session_tail="pareto",
+        session_shape=1.6,
+        session_scale_s=0.5,
+        n_clients=1_000_000,
+        client_skew=1.1,
     )
 
-    start = time.perf_counter()
-    if shards <= 1:
-        run = simulate_fabric(workload)
-    else:
-        run = simulate_fabric_sharded(workload, shards=shards, inline=inline)
-    elapsed = time.perf_counter() - start
-    checksum = (
-        run.metrics["trace_sha256"],
-        run.metrics["delivered"],
-        run.metrics["dropped"],
-        run.metrics["fault_events"],
+
+def _arrival_inputs(_impl, rate, horizon, seed):
+    """The scenario, its seed and the flash crowds unpacked for the
+    scalar reference."""
+    spec = _scenario(rate, horizon)
+    crowds = tuple(
+        (c.start_s, c.ramp_s, c.peak_multiplier, c.decay_s, c.hold_s)
+        for c in spec.flash_crowds
     )
-    return elapsed, checksum
+    return spec, seed, crowds
 
 
-# ---------------------------------------------------------------------------
-# Traffic-scenario benches: the vectorized repro.mc.traffic batch draws
-# vs the frozen scalar generators in repro._modelref, plus bulk DES
-# injection through Simulator.schedule_batch vs a per-event scheduling
-# loop. Checksums are the raw sample bytes (or the full simulation
-# outcome), so every timed run re-proves bit-for-bit equivalence.
-# ---------------------------------------------------------------------------
+def _scalar_arrivals(spec, seed, crowds):
+    return _modelref.reference_arrival_times(
+        spec.base_rate_hz, spec.horizon_s, spec.diurnal_amplitude,
+        spec.diurnal_period_s, crowds, spec.burst_multiplier,
+        spec.burst_mean_s, spec.calm_mean_s, seed,
+    )
 
 
-def _bench_arrival_generation(batch: bool, spec, seed: int) -> _BenchOutcome:
-    from repro.mc.traffic import arrival_times
-
-    if batch:
-        start = time.perf_counter()
-        times = arrival_times(spec, seed)
-        elapsed = time.perf_counter() - start
-    else:
-        crowds = tuple(
-            (c.start_s, c.ramp_s, c.peak_multiplier, c.decay_s, c.hold_s)
-            for c in spec.flash_crowds
-        )
-        start = time.perf_counter()
-        times = _modelref.reference_arrival_times(
-            spec.base_rate_hz, spec.horizon_s, spec.diurnal_amplitude,
-            spec.diurnal_period_s, crowds, spec.burst_multiplier,
-            spec.burst_mean_s, spec.calm_mean_s, seed,
-        )
-        elapsed = time.perf_counter() - start
-    return elapsed, times.tobytes()
+def _batch_sessions(spec, n, seed):
+    return session_lengths(spec, n, seed), client_ids(spec, n, seed + 1)
 
 
-def _bench_sessions_clients(batch: bool, spec, n: int, seed: int) -> _BenchOutcome:
-    from repro.mc.traffic import client_ids, session_lengths
-
-    if batch:
-        start = time.perf_counter()
-        lengths = session_lengths(spec, n, seed)
-        clients = client_ids(spec, n, seed + 1)
-        elapsed = time.perf_counter() - start
-    else:
-        start = time.perf_counter()
-        lengths = _modelref.reference_session_lengths(
-            spec.session_tail, spec.session_median_s, spec.session_sigma,
-            spec.session_shape, spec.session_scale_s, n, seed,
-        )
-        clients = _modelref.reference_client_ids(
-            spec.n_clients, spec.client_skew, n, seed + 1
-        )
-        elapsed = time.perf_counter() - start
-    return elapsed, lengths.tobytes() + clients.tobytes()
+def _scalar_sessions(spec, n, seed):
+    lengths = _modelref.reference_session_lengths(
+        spec.session_tail, spec.session_median_s, spec.session_sigma,
+        spec.session_shape, spec.session_scale_s, n, seed,
+    )
+    clients = _modelref.reference_client_ids(
+        spec.n_clients, spec.client_skew, n, seed + 1
+    )
+    return lengths, clients
 
 
-def _bench_bulk_injection(batched: bool, whens: List[float]) -> _BenchOutcome:
-    from functools import partial
-
-    from repro.engine.sim import Simulator
-
+def _injection_inputs(_impl, n, seed):
+    """A fresh kernel, ``n`` pre-sorted arrival times, a counting callback."""
+    whens = np.cumsum(
+        np.random.default_rng(seed).exponential(1.0e-3, size=n)
+    ).tolist()
     sim = Simulator()
     fired = [0]
 
     def absorb(_payload) -> None:
         fired[0] += 1
 
-    # Only the injection phase is timed; the drain afterwards produces
-    # the checksum proving both paths scheduled an identical calendar.
-    start = time.perf_counter()
-    if batched:
-        sim.schedule_batch(whens, absorb)
-    else:
-        for index, when in enumerate(whens):
-            sim._schedule_at(when, partial(absorb, index))
-    elapsed = time.perf_counter() - start
+    return sim, whens, absorb, fired
+
+
+def _inject_each(sim, whens, absorb, _fired):
+    for index, when in enumerate(whens):
+        sim._schedule_at(when, partial(absorb, index))
+
+
+def _drained(inputs, _output):
+    """Run the injected calendar out, untimed: both paths must agree."""
+    sim, _, _, fired = inputs
     sim.run()
-    return elapsed, (fired[0], sim.now, sim.events_processed)
+    return fired[0], sim.now, sim.events_processed
+
+
+def build_specs(quick: bool = False, seed: int = 0) -> List[BenchSpec]:
+    """The pinned bench table; ``quick`` shrinks workloads ~10x for tests.
+
+    Each row gives its full and quick size through ``pick``; quick rows
+    carry no target, since tiny workloads are noise-dominated. ``seed``
+    follows the runner convention: added to each seeded bench's base
+    seed, with 0 reproducing historical runs.
+    """
+
+    def pick(full, small):
+        return small if quick else full
+
+    # The X14 workload both sharded rows race through two engines.
+    fabric_transport = dict(
+        k=pick(30, 8),  # 1125 switches, 6750 hosts at k=30
+        n_requests=pick(100_000, 4_000),
+        seed=23 + seed,
+        shards=pick(4, 2),
+    )
+    rows = [
+        BenchSpec(
+            "event_churn", "engine",
+            "{n} chained timeout completions over a rolling window of "
+            "pending events",
+            Simulator, _perfref.Simulator,
+            setup=_event_chains, body=_start_chains,
+            checksum=lambda chains, _: chains[0].now,
+            size=dict(n=pick(50_000, 5_000)),
+            target_speedup=pick(3.0, None),
+        ),
+        BenchSpec(
+            "timeout_churn", "engine",
+            "one process yielding {n} timeouts back to back",
+            Simulator, _perfref.Simulator,
+            setup=_one_ticker, body=_run_sim, checksum=_sim_clock,
+            size=dict(n=pick(30_000, 3_000)),
+        ),
+        BenchSpec(
+            "resource_contention", "engine",
+            "{n_procs} processes x {cycles} acquire/hold/release cycles on "
+            "an 8-way resource",
+            (Simulator, Resource), (_perfref.Simulator, _perfref.Resource),
+            setup=_contended_pool, body=_run_sim, checksum=_sim_clock,
+            size=dict(n_procs=pick(200, 20), cycles=25),
+        ),
+        # Doubles as a golden-output check: the E2 latency samples must
+        # match the reference kernel's exactly.
+        BenchSpec(
+            "e2_end_to_end", "engine",
+            "E2 search-ranking service, {n_requests} accelerated requests "
+            "at 4000 qps",
+            (Simulator, Resource), (_perfref.Simulator, _perfref.Resource),
+            setup=_install_search_kernel, body=_search_service,
+            checksum=lambda _, result: tuple(result.latencies_s),
+            teardown=_restore_search_kernel,
+            size=dict(n_requests=pick(2_000, 200)),
+        ),
+        # The flow benches compare to 1e-9 relative: the vectorized
+        # solver may order exact float ties differently.
+        BenchSpec(
+            "flow_solver_500", "network",
+            "{n}-flow two-rack shuffle through FlowSimulator",
+            FlowSimulator, _perfref.ReferenceFlowSimulator,
+            setup=partial(_solver_and_flows, make_flows=_shuffle_flows),
+            body=_solve, checksum=_finish_times,
+            size=dict(n=pick(500, 50), seed=7 + seed),
+            exact=False,
+            target_speedup=pick(5.0, None),
+        ),
+        # Contract once and reuse the baseline flow vs copy and
+        # recompute per switch.
+        BenchSpec(
+            "switch_failure_impact", "network",
+            "per-switch bisection impact on a 4x8 leaf-spine with "
+            "{hosts_per_leaf} hosts per leaf",
+            single_switch_failure_impact,
+            _perfref.reference_single_switch_failure_impact,
+            setup=lambda _, hosts_per_leaf: (
+                leaf_spine(n_spines=4, n_leaves=8,
+                           hosts_per_leaf=hosts_per_leaf),
+            ),
+            checksum=lambda _, worst: tuple(
+                value for _, value in sorted(worst.items())
+            ),
+            size=dict(hosts_per_leaf=pick(16, 4)),
+            exact=False,
+        ),
+        BenchSpec(
+            "flow_solver_scaling", "network",
+            "{n} random-pair flows across a 4x4 leaf-spine",
+            FlowSimulator, _perfref.ReferenceFlowSimulator,
+            setup=partial(_solver_and_flows, make_flows=_random_flows),
+            body=_solve, checksum=_finish_times,
+            size=dict(n=pick(150, 30), seed=11 + seed),
+            exact=False,
+        ),
+        # Allocation snapshots after every event must match bit for bit.
+        BenchSpec(
+            "incremental_flow_repair", "network",
+            "{n_events}-event localized fault schedule over a k={k} "
+            "fat-tree with {n_flows} flows: incremental repair vs full "
+            "reroute + re-solve per event",
+            _incremental_rates, _perfref.reference_fault_schedule_rates,
+            setup=lambda _, **size: _fault_schedule_workload(**size),
+            size=dict(
+                k=pick(30, 8),  # 1125 switches at k=30
+                n_flows=pick(24, 10),
+                n_events=pick(10, 6),
+                seed=17 + seed,
+            ),
+            target_speedup=pick(10.0, None),
+        ),
+        # The floor binds only on machines with at least as many cores as
+        # workers; a run on fewer reports the target as unverified.
+        BenchSpec(
+            "sharded_fabric_4w", "sharded",
+            "k={k} fat-tree transport ({n_requests} requests): {shards} "
+            "worker processes under conservative windows vs the "
+            "single-process kernel",
+            partial(simulate_fabric_sharded, inline=False), _single_process,
+            setup=_fabric_workload, checksum=_fabric_digest,
+            size=fabric_transport,
+            target_speedup=pick(3.0, None),
+            parallel_workers=pick(4, 2),
+        ),
+        # All shards inline in one process: the conservative-window
+        # protocol overhead without parallel hardware, so below 1x.
+        BenchSpec(
+            "sharded_window_protocol", "sharded",
+            "same workload, {shards} shards inline in one process: "
+            "conservative-window protocol overhead without parallel "
+            "hardware",
+            partial(simulate_fabric_sharded, inline=True), _single_process,
+            setup=_fabric_workload, checksum=_fabric_digest,
+            size=fabric_transport,
+        ),
+        BenchSpec(
+            "mc_commodity_year", "models",
+            "{n} sampled commodity-year scenarios (TRL 4, risk 0.35, 1.5x "
+            "acceleration)",
+            commodity_year_samples,
+            _modelref.reference_commodity_year_samples,
+            setup=lambda _, n, seed: (4, 0.35, 1.5, n, seed),
+            checksum=_raw_bytes,
+            size=dict(n=pick(200_000, 20_000), seed=29 + seed),
+            target_speedup=pick(10.0, None),
+        ),
+        BenchSpec(
+            "roi_npv_sweep", "models",
+            "NPV over {n} sampled accelerator parameter vectors (the "
+            "Finding-2 uncertainty set)",
+            lambda params, _n: npv_batch(params),
+            lambda params, n: _modelref.reference_npv_sweep(params, n, 3),
+            setup=_npv_params, checksum=_raw_bytes,
+            size=dict(n=pick(40_000, 4_000), seed=seed),
+            target_speedup=pick(10.0, None),
+        ),
+        # 1e-9 relative: numpy's SIMD pow differs from scalar libm pow by
+        # 1 ULP in the yield term (see repro.mc.soc_sip).
+        BenchSpec(
+            "soc_sip_unit_costs", "models",
+            "{n} Monte-Carlo SoC/SiP unit costs on the EUROSERVER design "
+            "(sigma 0.2 area jitter)",
+            sampled_unit_costs, _modelref.reference_sampled_unit_costs,
+            setup=_euroserver_costs, checksum=_float_costs,
+            size=dict(n=pick(6_000, 600), seed=seed),
+            exact=False,
+        ),
+        BenchSpec(
+            "market_concentration", "models",
+            "{n} jittered share vectors + HHI for the datacenter-switch "
+            "market",
+            partial(_shares_with_hhi, sampled_market_shares, hhi_batch),
+            partial(
+                _shares_with_hhi,
+                _modelref.reference_sampled_market_shares,
+                _modelref.reference_hhi,
+            ),
+            # The datacenter-switch market's vendor shares.
+            setup=lambda _, n, seed: (
+                [0.55, 0.12, 0.10, 0.08, 0.15], 0.3, n, seed
+            ),
+            checksum=_raw_bytes,
+            size=dict(n=pick(60_000, 6_000), seed=seed),
+        ),
+        BenchSpec(
+            "adoption_paths", "models",
+            "{n_q} x {n_t} Bass cumulative-adoption grid (sampled q, "
+            "p=0.03)",
+            bass_adoption_paths, _modelref.reference_adoption_paths,
+            setup=_adoption_grid, checksum=_raw_bytes,
+            size=dict(n_q=pick(500, 50), n_t=pick(300, 30), seed=13 + seed),
+        ),
+        BenchSpec(
+            "survey_theme_stats", "models",
+            "all-theme fraction + role cross-tab over a "
+            "{replication}x-replicated interview corpus",
+            theme_statistics, _modelref.reference_theme_statistics,
+            setup=_replicated_corpus,
+            body=lambda impl, corpus: impl(*corpus, list(ALL_THEMES)),
+            size=dict(replication=pick(100, 10)),
+            target_speedup=pick(5.0, None),
+        ),
+        # Accepted arrival times must match bit for bit. Quick shrinks
+        # both the rate and the horizon (~100x fewer candidates).
+        BenchSpec(
+            "traffic_arrivals_1m", "traffic",
+            "{rate:.0f} Hz x {horizon:.1f} s composed scenario (diurnal + "
+            "flash crowd + MMPP bursts): one thinning batch draw vs the "
+            "frozen per-candidate scalar loop",
+            lambda spec, seed, _crowds: arrival_times(spec, seed),
+            _scalar_arrivals,
+            setup=_arrival_inputs, checksum=_raw_bytes,
+            size=dict(
+                rate=pick(32_000.0, 3_200.0),
+                horizon=pick(25.0, 2.5),
+                seed=41 + seed,
+            ),
+            target_speedup=pick(50.0, None),
+        ),
+        BenchSpec(
+            "traffic_sessions_clients", "traffic",
+            "{n} Pareto session lengths + Zipf client ids as two batch "
+            "draws vs the frozen scalar loops",
+            _batch_sessions, _scalar_sessions,
+            setup=lambda _, n, seed: (_scenario(), n, seed),
+            checksum=_raw_bytes,
+            size=dict(n=pick(1_000_000, 10_000), seed=43 + seed),
+            target_speedup=pick(10.0, None),
+        ),
+        # Only the injection is timed; the drain in the checksum proves
+        # both paths scheduled an identical calendar.
+        BenchSpec(
+            "bulk_injection", "traffic",
+            "{n} pre-sorted arrivals into the two-tier calendar: "
+            "Simulator.schedule_batch vs a per-event scheduling loop "
+            "(drain untimed, checksummed)",
+            lambda sim, whens, absorb, _fired: sim.schedule_batch(
+                whens, absorb
+            ),
+            _inject_each,
+            setup=_injection_inputs, checksum=_drained,
+            size=dict(n=pick(200_000, 5_000), seed=97 + seed),
+            target_speedup=pick(2.0, None),
+        ),
+    ]
+    return [
+        replace(row, description=row.description.format(**row.size))
+        for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Harness.
+# Running, gating and reporting.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """One pinned microbench: candidate and reference runners."""
-
-    name: str
-    suite: str
-    description: str
-    candidate: Callable[[], _BenchOutcome]
-    reference: Callable[[], _BenchOutcome]
-    exact: bool = True  # checksum comparison: exact vs 1e-9 relative
-    #: Speedup the committed baseline must demonstrate. The pinned CI
-    #: floor is ``target_speedup * (1 - REGRESSION_TOLERANCE)`` so that
-    #: single-vCPU timing jitter cannot flake the gate while a real
-    #: regression still trips it.
-    target_speedup: Optional[float] = None
-    #: Worker processes the candidate needs to hit its target (0 for a
-    #: single-process bench). A parallel bench records the core count it
-    #: ran on, and the baseline check only enforces ratio floors when
-    #: the machine actually has that many cores -- a 4-worker 3x target
-    #: is meaningless on a 1-core box.
-    parallel_workers: int = 0
 
 
 def _verify_checksums(spec: BenchSpec, candidate: Any, reference: Any) -> None:
@@ -597,8 +825,8 @@ def _verify_checksums(spec: BenchSpec, candidate: Any, reference: Any) -> None:
 def _run_spec(spec: BenchSpec, rounds: int) -> Dict[str, Any]:
     # Warmup round, also used to verify both kernels agree on the
     # simulation results before any timing is trusted.
-    _, cand_sum = spec.candidate()
-    _, ref_sum = spec.reference()
+    _, cand_sum = _measure(spec, spec.candidate)
+    _, ref_sum = _measure(spec, spec.reference)
     _verify_checksums(spec, cand_sum, ref_sum)
 
     candidate_times: List[float] = []
@@ -606,8 +834,8 @@ def _run_spec(spec: BenchSpec, rounds: int) -> Dict[str, Any]:
     for _ in range(rounds):
         # Interleaved so slow machine-wide drift (thermal, noisy
         # neighbours) hits both sides equally.
-        candidate_times.append(spec.candidate()[0])
-        reference_times.append(spec.reference()[0])
+        candidate_times.append(_measure(spec, spec.candidate)[0])
+        reference_times.append(_measure(spec, spec.reference)[0])
 
     reference_median = statistics.median(reference_times)
     candidate_median = statistics.median(candidate_times)
@@ -620,9 +848,7 @@ def _run_spec(spec: BenchSpec, rounds: int) -> Dict[str, Any]:
     }
     if spec.target_speedup is not None:
         entry["target_speedup"] = spec.target_speedup
-        entry["min_speedup"] = round(
-            spec.target_speedup * (1.0 - REGRESSION_TOLERANCE), 3
-        )
+        entry["min_speedup"] = spec.min_speedup
     if spec.parallel_workers:
         entry["parallel_workers"] = spec.parallel_workers
         entry["cores"] = _available_cores()
@@ -635,389 +861,6 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def build_specs(quick: bool = False, seed: int = 0) -> List[BenchSpec]:
-    """The pinned bench set; ``quick`` shrinks workloads ~10x for tests.
-
-    ``seed`` follows the runner convention: added to each flow bench's
-    legacy base seed (7 / 11) and to each model bench's base seed, with
-    0 reproducing historical runs.
-    """
-    from repro.engine.resources import Resource
-    from repro.engine.sim import Simulator
-    from repro.mc import (
-        bass_adoption_paths,
-        commodity_year_samples,
-        hhi_batch,
-        npv_batch,
-        sampled_market_shares,
-        sampled_unit_costs,
-        theme_statistics,
-    )
-    from repro.mc.traffic import FlashCrowd, ScenarioSpec
-    from repro.network.failures import single_switch_failure_impact
-    from repro.network.flows import FlowSimulator
-    from repro.workloads.fabricsim import FabricWorkload
-
-    scale = 0.1 if quick else 1.0
-    n_churn = max(int(50_000 * scale), 500)
-    n_timeouts = max(int(30_000 * scale), 300)
-    n_procs = max(int(200 * scale), 20)
-    cycles = 25
-    n_requests = max(int(2_000 * scale), 100)
-    n_shuffle = max(int(500 * scale), 50)
-    n_random = max(int(150 * scale), 30)
-    hosts_per_leaf = 4 if quick else 16
-    n_mc_years = max(int(200_000 * scale), 2_000)
-    n_mc_roi = max(int(40_000 * scale), 400)
-    n_mc_costs = max(int(6_000 * scale), 60)
-    n_mc_shares = max(int(60_000 * scale), 600)
-    n_mc_q = max(int(500 * scale), 50)
-    n_mc_t = max(int(300 * scale), 30)
-    corpus_reps = max(int(100 * scale), 2)
-    repair_k = 8 if quick else 30  # 1125 switches at k=30
-    repair_flows = 10 if quick else 24
-    repair_events = 6 if quick else 10
-    sharded_workload = FabricWorkload(
-        fabric="fat-tree",
-        k=8 if quick else 30,  # 1125 switches, 6750 hosts at k=30
-        n_requests=4_000 if quick else 100_000,
-        duration_s=2e-3,
-        seed=23 + seed,
-    )
-    sharded_shards = 2 if quick else 4
-    sharded_workers = 2 if quick else 4
-    # ~1e6 accepted arrivals at full size: 32 kHz base over a 25 s
-    # horizon with every scenario component composed. Quick shrinks
-    # both the rate and the horizon (~100x fewer candidates).
-    traffic_horizon = 25.0 * scale if quick else 25.0
-    traffic_spec = ScenarioSpec(
-        base_rate_hz=32_000.0 * scale if quick else 32_000.0,
-        horizon_s=traffic_horizon,
-        diurnal_amplitude=0.35,
-        diurnal_period_s=traffic_horizon,
-        flash_crowds=(
-            FlashCrowd(
-                start_s=0.3 * traffic_horizon,
-                ramp_s=0.05 * traffic_horizon,
-                peak_multiplier=2.0,
-                decay_s=0.1 * traffic_horizon,
-                hold_s=0.05 * traffic_horizon,
-            ),
-        ),
-        burst_multiplier=1.5,
-        burst_mean_s=0.04 * traffic_horizon,
-        calm_mean_s=0.16 * traffic_horizon,
-        session_tail="pareto",
-        session_shape=1.6,
-        session_scale_s=0.5,
-        n_clients=1_000_000,
-        client_skew=1.1,
-    )
-    n_sessions = 10_000 if quick else 1_000_000
-    inject_n = 5_000 if quick else 200_000
-    import numpy as _np
-
-    inject_whens = _np.cumsum(
-        _np.random.default_rng(97 + seed).exponential(1.0e-3, size=inject_n)
-    ).tolist()
-
-    return [
-        BenchSpec(
-            name="event_churn",
-            suite="engine",
-            description=(
-                f"{n_churn} chained timeout completions over a rolling "
-                "window of pending events"
-            ),
-            candidate=lambda: _bench_event_churn(Simulator, n_churn),
-            reference=lambda: _bench_event_churn(_perfref.Simulator, n_churn),
-            target_speedup=None if quick else 3.0,
-        ),
-        BenchSpec(
-            name="timeout_churn",
-            suite="engine",
-            description=(
-                f"one process yielding {n_timeouts} timeouts back to back"
-            ),
-            candidate=lambda: _bench_timeout_churn(Simulator, n_timeouts),
-            reference=lambda: _bench_timeout_churn(
-                _perfref.Simulator, n_timeouts
-            ),
-        ),
-        BenchSpec(
-            name="resource_contention",
-            suite="engine",
-            description=(
-                f"{n_procs} processes x {cycles} acquire/hold/release "
-                "cycles on an 8-way resource"
-            ),
-            candidate=lambda: _bench_resource_contention(
-                Simulator, Resource, n_procs, cycles
-            ),
-            reference=lambda: _bench_resource_contention(
-                _perfref.Simulator, _perfref.Resource, n_procs, cycles
-            ),
-        ),
-        BenchSpec(
-            name="e2_end_to_end",
-            suite="engine",
-            description=(
-                f"E2 search-ranking service, {n_requests} accelerated "
-                "requests at 4000 qps"
-            ),
-            candidate=lambda: _bench_e2_end_to_end(
-                Simulator, Resource, n_requests
-            ),
-            reference=lambda: _bench_e2_end_to_end(
-                _perfref.Simulator, _perfref.Resource, n_requests
-            ),
-        ),
-        BenchSpec(
-            name="flow_solver_500",
-            suite="network",
-            description=(
-                f"{n_shuffle}-flow two-rack shuffle through FlowSimulator"
-            ),
-            candidate=lambda: _bench_flow_solver(
-                FlowSimulator, lambda: _shuffle_flows(n_shuffle, seed=7 + seed)
-            ),
-            reference=lambda: _bench_flow_solver(
-                _perfref.ReferenceFlowSimulator,
-                lambda: _shuffle_flows(n_shuffle, seed=7 + seed),
-            ),
-            exact=False,
-            target_speedup=None if quick else 5.0,
-        ),
-        BenchSpec(
-            name="switch_failure_impact",
-            suite="network",
-            description=(
-                f"per-switch bisection impact on a 4x8 leaf-spine with "
-                f"{hosts_per_leaf} hosts per leaf"
-            ),
-            candidate=lambda: _bench_switch_impact(
-                single_switch_failure_impact, hosts_per_leaf
-            ),
-            reference=lambda: _bench_switch_impact(
-                _perfref.reference_single_switch_failure_impact,
-                hosts_per_leaf,
-            ),
-            exact=False,
-        ),
-        BenchSpec(
-            name="flow_solver_scaling",
-            suite="network",
-            description=(
-                f"{n_random} random-pair flows across a 4x4 leaf-spine"
-            ),
-            candidate=lambda: _bench_flow_solver(
-                FlowSimulator, lambda: _random_flows(n_random, seed=11 + seed)
-            ),
-            reference=lambda: _bench_flow_solver(
-                _perfref.ReferenceFlowSimulator,
-                lambda: _random_flows(n_random, seed=11 + seed),
-            ),
-            exact=False,
-        ),
-        BenchSpec(
-            name="incremental_flow_repair",
-            suite="network",
-            description=(
-                f"{repair_events}-event localized fault schedule over a "
-                f"k={repair_k} fat-tree with {repair_flows} flows: "
-                "incremental repair vs full reroute + re-solve per event"
-            ),
-            candidate=lambda: _bench_incremental_repair(
-                True, repair_k, repair_flows, repair_events, 17 + seed
-            ),
-            reference=lambda: _bench_incremental_repair(
-                False, repair_k, repair_flows, repair_events, 17 + seed
-            ),
-            exact=True,  # allocations must match bit for bit
-            target_speedup=None if quick else 10.0,
-        ),
-        BenchSpec(
-            name="sharded_fabric_4w",
-            suite="sharded",
-            description=(
-                f"k={sharded_workload.k} fat-tree transport "
-                f"({sharded_workload.n_requests} requests): "
-                f"{sharded_shards} worker processes under conservative "
-                "windows vs the single-process kernel"
-            ),
-            candidate=lambda: _bench_sharded_fabric(
-                sharded_shards, False, sharded_workload
-            ),
-            reference=lambda: _bench_sharded_fabric(
-                1, False, sharded_workload
-            ),
-            exact=True,  # merged trace digest must match bit for bit
-            target_speedup=None if quick else 3.0,
-            parallel_workers=sharded_workers,
-        ),
-        BenchSpec(
-            name="sharded_window_protocol",
-            suite="sharded",
-            description=(
-                f"same workload, {sharded_shards} shards inline in one "
-                "process: conservative-window protocol overhead without "
-                "parallel hardware"
-            ),
-            candidate=lambda: _bench_sharded_fabric(
-                sharded_shards, True, sharded_workload
-            ),
-            reference=lambda: _bench_sharded_fabric(
-                1, False, sharded_workload
-            ),
-            exact=True,
-        ),
-        BenchSpec(
-            name="mc_commodity_year",
-            suite="models",
-            description=(
-                f"{n_mc_years} sampled commodity-year scenarios "
-                "(TRL 4, risk 0.35, 1.5x acceleration)"
-            ),
-            candidate=lambda: _bench_commodity_year(
-                commodity_year_samples, n_mc_years, 29 + seed
-            ),
-            reference=lambda: _bench_commodity_year(
-                _modelref.reference_commodity_year_samples,
-                n_mc_years,
-                29 + seed,
-            ),
-            target_speedup=None if quick else 10.0,
-        ),
-        BenchSpec(
-            name="roi_npv_sweep",
-            suite="models",
-            description=(
-                f"NPV over {n_mc_roi} sampled accelerator parameter "
-                "vectors (the Finding-2 uncertainty set)"
-            ),
-            candidate=lambda: _bench_npv_sweep(
-                lambda params, _n: npv_batch(params), n_mc_roi, seed
-            ),
-            reference=lambda: _bench_npv_sweep(
-                lambda params, n: _modelref.reference_npv_sweep(
-                    params, n, 3
-                ),
-                n_mc_roi,
-                seed,
-            ),
-            target_speedup=None if quick else 10.0,
-        ),
-        BenchSpec(
-            name="soc_sip_unit_costs",
-            suite="models",
-            description=(
-                f"{n_mc_costs} Monte-Carlo SoC/SiP unit costs on the "
-                "EUROSERVER design (sigma 0.2 area jitter)"
-            ),
-            candidate=lambda: _bench_sampled_unit_costs(
-                sampled_unit_costs, n_mc_costs, seed
-            ),
-            reference=lambda: _bench_sampled_unit_costs(
-                _modelref.reference_sampled_unit_costs, n_mc_costs, seed
-            ),
-            exact=False,  # 1-ULP SIMD-vs-libm pow; see repro.mc.soc_sip
-        ),
-        BenchSpec(
-            name="market_concentration",
-            suite="models",
-            description=(
-                f"{n_mc_shares} jittered share vectors + HHI for the "
-                "datacenter-switch market"
-            ),
-            candidate=lambda: _bench_market_concentration(
-                sampled_market_shares, hhi_batch, n_mc_shares, seed
-            ),
-            reference=lambda: _bench_market_concentration(
-                _modelref.reference_sampled_market_shares,
-                _modelref.reference_hhi,
-                n_mc_shares,
-                seed,
-            ),
-        ),
-        BenchSpec(
-            name="adoption_paths",
-            suite="models",
-            description=(
-                f"{n_mc_q} x {n_mc_t} Bass cumulative-adoption grid "
-                "(sampled q, p=0.03)"
-            ),
-            candidate=lambda: _bench_adoption_paths(
-                bass_adoption_paths, n_mc_q, n_mc_t, 13 + seed
-            ),
-            reference=lambda: _bench_adoption_paths(
-                _modelref.reference_adoption_paths, n_mc_q, n_mc_t, 13 + seed
-            ),
-        ),
-        BenchSpec(
-            name="survey_theme_stats",
-            suite="models",
-            description=(
-                f"all-theme fraction + role cross-tab over a "
-                f"{corpus_reps}x-replicated interview corpus"
-            ),
-            candidate=lambda: _bench_theme_statistics(
-                theme_statistics, corpus_reps
-            ),
-            reference=lambda: _bench_theme_statistics(
-                _modelref.reference_theme_statistics, corpus_reps
-            ),
-            target_speedup=None if quick else 5.0,
-        ),
-        BenchSpec(
-            name="traffic_arrivals_1m",
-            suite="traffic",
-            description=(
-                f"{traffic_spec.base_rate_hz:.0f} Hz x "
-                f"{traffic_spec.horizon_s:.1f} s composed scenario "
-                "(diurnal + flash crowd + MMPP bursts): one thinning "
-                "batch draw vs the frozen per-candidate scalar loop"
-            ),
-            candidate=lambda: _bench_arrival_generation(
-                True, traffic_spec, 41 + seed
-            ),
-            reference=lambda: _bench_arrival_generation(
-                False, traffic_spec, 41 + seed
-            ),
-            exact=True,  # accepted arrival times must match bit for bit
-            target_speedup=None if quick else 50.0,
-        ),
-        BenchSpec(
-            name="traffic_sessions_clients",
-            suite="traffic",
-            description=(
-                f"{n_sessions} Pareto session lengths + Zipf client ids "
-                "as two batch draws vs the frozen scalar loops"
-            ),
-            candidate=lambda: _bench_sessions_clients(
-                True, traffic_spec, n_sessions, 43 + seed
-            ),
-            reference=lambda: _bench_sessions_clients(
-                False, traffic_spec, n_sessions, 43 + seed
-            ),
-            exact=True,
-            target_speedup=None if quick else 10.0,
-        ),
-        BenchSpec(
-            name="bulk_injection",
-            suite="traffic",
-            description=(
-                f"{inject_n} pre-sorted arrivals into the two-tier "
-                "calendar: Simulator.schedule_batch vs a per-event "
-                "scheduling loop (drain untimed, checksummed)"
-            ),
-            candidate=lambda: _bench_bulk_injection(True, inject_whens),
-            reference=lambda: _bench_bulk_injection(False, inject_whens),
-            exact=True,
-            target_speedup=None if quick else 2.0,
-        ),
-    ]
 
 
 def run_suites(
@@ -1164,10 +1007,9 @@ def render_spec_listing(specs: Optional[List[BenchSpec]] = None) -> str:
         for spec in by_suite[suite]:
             gates = []
             if spec.target_speedup is not None:
-                floor = spec.target_speedup * (1.0 - REGRESSION_TOLERANCE)
                 gates.append(
                     f"target {spec.target_speedup:.1f}x, "
-                    f"floor {floor:.2f}x"
+                    f"floor {spec.min_speedup:.2f}x"
                 )
             if spec.parallel_workers:
                 gates.append(f"{spec.parallel_workers} workers")
@@ -1264,7 +1106,7 @@ def render_results(suites: Dict[str, Dict[str, Any]]) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI for ``python -m repro perf`` and ``benchmarks/perfsuite.py``."""
+    """CLI for ``python -m repro perf``."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -18,6 +18,7 @@ change that moves both sides the same way. To print the current table::
 import copy
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from repro.errors import ModelError
 from repro.perf import (
     REGRESSION_TOLERANCE,
     BenchSpec,
+    _measure,
     _verify_checksums,
     build_specs,
     check_against_baseline,
@@ -423,12 +425,69 @@ class TestListingAndHistory:
         assert "event_churn" in record["speedups"]["engine"]
 
 
+class TestMeasure:
+    """One timer: only the body runs between the two clock reads."""
+
+    @staticmethod
+    def _spec(clock, calls, body):
+        def step(name, seconds, result):
+            calls.append(name)
+            clock[0] += seconds
+            return result
+
+        return BenchSpec(
+            name="fake", suite="engine", description="",
+            candidate="cand", reference="ref",
+            setup=lambda impl, n: step(("setup", impl, n), 100.0, n),
+            body=body,
+            checksum=lambda n, out: step("checksum", 100.0, (n, out)),
+            teardown=lambda n: step(("teardown", n), 100.0, None),
+            size={"n": 3},
+        )
+
+    def test_times_only_the_body(self, monkeypatch):
+        clock, calls = [0.0], []
+        monkeypatch.setattr(repro.perf.time, "perf_counter",
+                            lambda: clock[0])
+
+        def body(impl, n):
+            calls.append(("body", impl, n))
+            clock[0] += 5.0
+            return n * 2
+
+        spec = self._spec(clock, calls, body)
+        assert _measure(spec, spec.reference) == (5.0, (3, 6))
+        assert calls == [
+            ("setup", "ref", 3), ("body", "ref", 3), ("teardown", 3),
+            "checksum",
+        ]
+
+    def test_teardown_runs_when_the_body_fails(self):
+        calls = []
+
+        def body(impl, n):
+            raise ModelError("boom")
+
+        spec = self._spec([0.0], calls, body)
+        with pytest.raises(ModelError, match="boom"):
+            _measure(spec, spec.candidate)
+        assert calls == [("setup", "cand", 3), ("teardown", 3)]
+
+    def test_floor_is_target_less_tolerance(self):
+        spec = BenchSpec(
+            name="fake", suite="engine", description="",
+            candidate=None, reference=None, setup=lambda _impl: (),
+        )
+        assert spec.min_speedup is None
+        assert replace(spec, target_speedup=3.0).min_speedup == 2.25
+
+
 class TestChecksumVerification:
     @staticmethod
     def _spec(exact):
         return BenchSpec(
             name="fake", suite="engine", description="",
-            candidate=lambda: (0.0, None), reference=lambda: (0.0, None),
+            candidate=None, reference=None, setup=lambda _impl: (),
             exact=exact,
         )
 
