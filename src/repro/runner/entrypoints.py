@@ -10,7 +10,9 @@ Conventions:
 
 - ``config`` holds *overrides*; each entrypoint merges them over its
   defaults (the benchmark suite's historical problem sizes) and records
-  the merged, effective config in the result.
+  the merged, effective config in the result. A key that no default
+  names raises :class:`~repro.errors.ModelError`, so the shard comes
+  back ``error`` naming the unknown and the valid keys.
 - ``seed`` is the grid seed. Entrypoints add it to their legacy base
   seed, so seed 0 reproduces the benchmark numbers bit for bit and
   different experiments at the same grid seed stay decorrelated.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
+from repro.errors import ModelError
 from repro.runner.results import RunResult
 
 #: Per-experiment reduced problem sizes for smoke runs.
@@ -55,7 +58,17 @@ QUICK_CONFIGS: Dict[str, Dict[str, Any]] = {
 
 
 def _merge(defaults: Dict[str, Any], config: Mapping[str, Any]) -> Dict[str, Any]:
-    """Overrides over defaults; unknown keys are kept (and recorded)."""
+    """Overrides over defaults; a key no default names is a ModelError.
+
+    A misspelled override must fail its shard, not silently run the
+    default and record the typo as if it had been applied.
+    """
+    unknown = sorted(set(config) - set(defaults), key=str)
+    if unknown:
+        raise ModelError(
+            f"unknown config key(s): {', '.join(map(str, unknown))}; "
+            f"valid keys: {', '.join(sorted(defaults))}"
+        )
     merged = dict(defaults)
     merged.update(config)
     return merged

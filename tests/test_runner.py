@@ -394,6 +394,15 @@ class TestFailurePaths:
         assert result.status == "error"
         assert "T-OK" in result.error
 
+    def test_misspelled_override_fails_the_shard(self):
+        result = run_experiment("E4", config={"speeedup": 9.0}, seed=0)
+        assert result.status == "error"
+        assert "ModelError: unknown config key(s): speeedup;" in result.error
+        assert "valid keys: " in result.error and " speedup" in result.error
+        spelled = run_experiment("E4", config={"speedup": 9.0}, seed=0)
+        assert spelled.ok, spelled.error
+        assert spelled.config["speedup"] == 9.0
+
     def test_invalid_pool_arguments_rejected(self):
         with pytest.raises(ValueError):
             run_shards([], jobs=0)

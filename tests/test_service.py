@@ -261,6 +261,16 @@ class TestEndpoints:
         assert excinfo.value.code == "not-found"
         assert excinfo.value.status == 404
 
+    def test_misspelled_override_fails_its_shard(self, service):
+        handle, client, registry = service()
+        result = client.submit_and_wait(
+            "E4", overrides=[{"speeedup": 9.0}], retries=0
+        )
+        assert result.status == "failed"
+        [record] = result.grid().results
+        assert record.status == "error"
+        assert "unknown config key(s): speeedup;" in record.error
+
     def test_wrong_major_version_rejected_on_the_wire(self, service):
         handle, client, registry = service()
         payload = {
