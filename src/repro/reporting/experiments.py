@@ -291,7 +291,7 @@ EXPERIMENTS: List[Experiment] = [
         "Localized max-min repair after a fault beats re-solving the whole fabric from scratch",
         "repair answers bit-identical to full solves; repair count dominates full-solve fallbacks on sparse fault schedules",
         ("repro.network.flows", "repro.engine.observability"),
-        "benchmarks/perfsuite.py",
+        "src/repro/perf.py",
         traceable=True,
     ),
     Experiment(
