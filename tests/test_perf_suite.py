@@ -21,6 +21,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.perf
@@ -140,8 +141,6 @@ class TestChecksumDigests:
         assert _canonical((1, 2.0)) != _canonical([1, 2.0])
         assert _canonical({2: 1.0, 1: 0.5}) == _canonical({1: 0.5, 2: 1.0})
         with pytest.raises(TypeError):
-            import numpy as np
-
             _canonical(np.float64(1.0))
 
 
