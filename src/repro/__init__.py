@@ -83,7 +83,6 @@ from repro.reporting import (
     get_experiment,
     render_table,
     run_trace,
-    traceable_experiments,
 )
 from repro.runner import (
     GridResult,
@@ -129,6 +128,5 @@ __all__ = [
     "runnable_experiments",
     "simulate_fabric",
     "simulate_fabric_sharded",
-    "traceable_experiments",
     "with_deadline",
 ]

@@ -14,8 +14,9 @@ Commands:
   byte-identical canonical document. Options: ``--jobs``, ``--seeds``,
   ``--cache-dir``, ``--no-cache``, ``--out-dir``, ``--timeout-s``,
   ``--retries``, ``--quick``, ``--resume``, ``--set KEY=VALUE``.
-- ``trace``        -- run one experiment instrumented; print the span /
-  metrics report and write ``trace.jsonl``.
+- ``trace``        -- run one experiment at its ``--quick`` size,
+  instrumented; print the span / metrics report and write
+  ``trace.jsonl``.
 - ``serve``        -- start the experiment service: an asyncio HTTP +
   WebSocket server accepting job submissions, with admission control,
   request coalescing and the shared result cache. Accepted jobs are
@@ -146,17 +147,14 @@ def _cmd_experiments() -> int:
 
     rows = [
         [e.experiment_id, e.paper_anchor, e.claim[:52],
-         "yes" if e.runnable else "", "yes" if e.traceable else ""]
+         "yes" if e.runnable else ""]
         for e in EXPERIMENTS
     ]
-    print(render_table(
-        ["id", "anchor", "claim", "runnable", "traceable"], rows
-    ))
+    print(render_table(["id", "anchor", "claim", "runnable"], rows))
     _emit_summary(
         "experiments",
         total=len(EXPERIMENTS),
         runnable=sum(1 for e in EXPERIMENTS if e.runnable),
-        traceable=sum(1 for e in EXPERIMENTS if e.traceable),
     )
     return 0
 
@@ -236,15 +234,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.errors import RegistryError
-    from repro.reporting import (
-        render_trace_report,
-        run_trace,
-        traceable_experiments,
-    )
+    from repro.reporting import render_trace_report, run_trace
+    from repro.runner import runnable_experiments
 
     if args.experiment is None:
         print("traceable experiments: "
-              f"{', '.join(traceable_experiments())}")
+              f"{', '.join(runnable_experiments())}")
         print("usage: python -m repro trace <experiment> "
               "[--out-dir DIR] [--seed N]")
         return 2
@@ -259,6 +254,9 @@ def _cmd_trace(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = report.write_jsonl(str(out_path))
     print(f"\nwrote {lines} lines to {out_path}")
+    if not report.result.ok:
+        print(f"error: {report.result.error}", file=sys.stderr)
+        return 1
     _emit_summary(
         "trace", experiment=report.experiment_id, seed=args.seed,
         lines=lines, out=str(out_path),
@@ -420,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--out-dir", default=".",
                               help="where to write trace.jsonl (default: .)")
     trace_parser.add_argument("--seed", type=int, default=0,
-                              help="grid seed (0 reproduces the "
-                                   "historical trace)")
+                              help="grid seed (as for run --quick)")
 
     serve_parser = sub.add_parser(
         "serve", help="start the experiment service (HTTP + WebSocket)"

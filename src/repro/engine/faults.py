@@ -39,7 +39,8 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.engine.randomness import RandomStream
@@ -70,7 +71,7 @@ class FaultSpec:
     its repair). ``targets`` are node labels, except for ``link-flap``
     where each target is an ``(a, b)`` endpoint pair. ``slowdown`` is
     the service-time multiplier applied while a ``straggler`` fault is
-    active.
+    active. Every number must be finite.
     """
 
     kind: str
@@ -83,6 +84,10 @@ class FaultSpec:
     slowdown: float = 4.0
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SimulationError(f"{item.name} must be finite, got {value}")
         if self.kind not in FAULT_KINDS:
             raise SimulationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -148,13 +153,10 @@ class FaultInjector:
     sim: Simulator
     seed: int = 0
     fabric: Any = None
-    observability: Any = None
     events: List[FaultEvent] = field(default_factory=list)
     specs: List[FaultSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.observability is None:
-            self.observability = self.sim.observability
         self._root = RandomStream(self.seed, "faults")
         self._down: set = set()
         self._slow: dict = {}
@@ -281,11 +283,12 @@ class FaultInjector:
             self._notify(spec.kind, label, "up")
             event = FaultEvent(spec.kind, label, down_at, sim.now)
             self.events.append(event)
-            if self.observability is not None:
-                self.observability.spans.record(
+            observability = sim.observability
+            if observability is not None:
+                observability.spans.record(
                     f"fault.{spec.kind}",
-                    down_at,
-                    sim.now,
+                    observability.offset + down_at,
+                    observability.offset + sim.now,
                     tags={"subsystem": "engine.faults", "target": label},
                 )
             count += 1
@@ -313,10 +316,9 @@ class FaultInjector:
             self.fabric.restore_node(target)
 
     def _count(self, phase: str, kind: str) -> None:
-        if self.observability is not None:
-            self.observability.registry.counter(
-                f"faults.{phase}.{kind}"
-            ).inc()
+        observability = self.sim.observability
+        if observability is not None:
+            observability.registry.counter(f"faults.{phase}.{kind}").inc()
 
     def _notify(self, kind: str, label: str, phase: str) -> None:
         for listener in self._listeners:

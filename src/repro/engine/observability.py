@@ -12,7 +12,10 @@ The experiments' numbers (tail latencies, queue depths, utilization) are
 - :class:`Observability` bundles both and attaches to a
   :class:`~repro.engine.sim.Simulator`, enabling ``sim.span(...)``
   context managers, per-process accounting and auto-published
-  resource gauges.
+  resource gauges. Used as a context manager it is the *ambient*
+  observability: inside ``with obs:`` every new simulator attaches to
+  it, and model code without a simulator reads it through
+  :meth:`Observability.current`.
 
 Everything here is optional: a simulator without an attached
 :class:`Observability` pays only a handful of ``is None`` checks per
@@ -25,6 +28,7 @@ import itertools
 import json
 from bisect import bisect_left
 from collections import deque
+from contextvars import ContextVar
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -426,9 +430,7 @@ class _SpanContext:
         self._key = obs._context_key()
         stack = obs._stacks.setdefault(self._key, [])
         parent_id = stack[-1].span_id if stack else None
-        self._span = obs.spans.start(
-            self._name, obs.sim.now, self._tags, parent_id
-        )
+        self._span = obs.spans.start(self._name, obs.now, self._tags, parent_id)
         stack.append(self._span)
         return self._span
 
@@ -439,7 +441,7 @@ class _SpanContext:
             return False
         if exc_type is not None:
             span.tags["error"] = exc_type.__name__
-        obs.spans.finish(span, obs.sim.now)
+        obs.spans.finish(span, obs.now)
         stack = obs._stacks.get(self._key)
         if stack:
             try:
@@ -451,8 +453,14 @@ class _SpanContext:
         return False
 
 
+#: The ambient observability of the current context (``with obs:``).
+_CURRENT: ContextVar[Optional["Observability"]] = ContextVar(
+    "repro_observability", default=None
+)
+
+
 class Observability:
-    """Span log + metric registry, attachable to one simulator.
+    """Span log + metric registry on one simulated timeline.
 
     Usage::
 
@@ -462,6 +470,13 @@ class Observability:
             yield sim.timeout(1.0)
         obs.registry.counter("requests").inc()
         obs.snapshot()
+
+    or ambiently: ``with Observability() as obs: run(...)`` attaches
+    every simulator the run builds. Simulators attached one after
+    another share one timeline: each later one starts where the
+    previous one's clock stood (:attr:`offset`), so span bounds, gauge
+    samples and :attr:`now` stay ordered, and ``events_processed``
+    sums over all of them.
     """
 
     def __init__(self, span_capacity: int = 65_536) -> None:
@@ -474,10 +489,40 @@ class Observability:
         self.steps_by_subsystem: Dict[str, int] = {}
         #: (process name, virtual time, repr(exception)) per crash seen
         self.errors: List[Tuple[str, float, str]] = []
+        #: timeline time at which the attached simulator's clock reads 0
+        self.offset = 0.0
+        self._events_before = 0
         self._stacks: Dict[Any, List[Span]] = {}
 
+    def __enter__(self) -> "Observability":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CURRENT.reset(self._token)
+        return False
+
+    @staticmethod
+    def current() -> Optional["Observability"]:
+        """The innermost ``with``-scoped Observability, or None."""
+        return _CURRENT.get()
+
+    @property
+    def now(self) -> float:
+        """The timeline clock: the attached simulator's time + offset."""
+        if self.sim is None:
+            return self.offset
+        return self.offset + self.sim.now
+
     def attach(self, sim: Any) -> "Observability":
-        """Bind to ``sim`` (sets ``sim.observability``); returns self."""
+        """Bind to ``sim`` (sets ``sim.observability``); returns self.
+
+        A simulator replacing an earlier one continues its timeline.
+        """
+        previous = self.sim
+        if previous is not None and previous is not sim:
+            self._events_before += previous.events_processed
+            self.offset = self.now - sim.now
         self.sim = sim
         sim.observability = self
         return self
@@ -495,7 +540,7 @@ class Observability:
 
     def snapshot(self) -> Dict[str, Any]:
         """Registry snapshot extended with span, process and error stats."""
-        until = self.sim.now if self.sim is not None else None
+        until = self.now if self.sim is not None else None
         out = self.registry.snapshot(until)
         out["spans"] = {
             "recorded": len(self.spans),
@@ -513,8 +558,10 @@ class Observability:
         out["steps_by_subsystem"] = dict(sorted(self.steps_by_subsystem.items()))
         out["errors"] = list(self.errors)
         if self.sim is not None:
-            out["events_processed"] = self.sim.events_processed
-            out["sim_time"] = self.sim.now
+            out["events_processed"] = (
+                self._events_before + self.sim.events_processed
+            )
+            out["sim_time"] = until
         return out
 
     def export_jsonl(self, path: str, header: Optional[Dict[str, Any]] = None) -> int:
@@ -558,5 +605,5 @@ class Observability:
         self._stacks.pop(id(handle), None)
 
     def _note_process_error(self, handle: Any, exc: BaseException) -> None:
-        self.errors.append((handle.name, self.sim.now, repr(exc)))
+        self.errors.append((handle.name, self.now, repr(exc)))
         self.registry.counter("engine.process_errors").inc()

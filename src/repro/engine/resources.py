@@ -76,7 +76,7 @@ class Resource:
         observability = self.sim.observability
         if observability is None:
             return
-        now = self.sim.now
+        now = observability.now
         registry = observability.registry
         registry.gauge(f"{self.name}.in_use").set(now, float(self._in_use))
         registry.gauge(f"{self.name}.queue_length").set(
@@ -187,7 +187,7 @@ class Container:
         observability = self.sim.observability
         if observability is None:
             return
-        now = self.sim.now
+        now = observability.now
         registry = observability.registry
         registry.gauge(f"{self.name}.level").set(now, self._level)
         registry.gauge(f"{self.name}.waiting_get").set(
@@ -268,7 +268,7 @@ class Store:
         observability = self.sim.observability
         if observability is None:
             return
-        now = self.sim.now
+        now = observability.now
         registry = observability.registry
         registry.gauge(f"{self.name}.items").set(now, float(len(self._items)))
         registry.gauge(f"{self.name}.waiting_get").set(

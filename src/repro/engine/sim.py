@@ -72,8 +72,9 @@ pop sequence -- and every golden trace -- is bit-for-bit identical to a
 plain heap-based kernel.
 
 Observability is opt-in: attach a
-:class:`~repro.engine.observability.Observability` (or pass it to the
-constructor) and ``sim.span(...)`` records spans, processes are
+:class:`~repro.engine.observability.Observability` (pass it to the
+constructor, or build the simulator inside ``with obs:``) and
+``sim.span(...)`` records spans, processes are
 accounted per name, and the ``on_event`` / ``on_process_error`` hooks
 fire. Without one, the extra cost is a few ``is None`` checks per event.
 
@@ -98,6 +99,7 @@ from bisect import bisect_left as _bisect_left
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.engine.observability import Observability
 from repro.errors import ProcessFailure, SimulationError
 
 #: Type alias for simulation processes.
@@ -493,6 +495,7 @@ class Simulator:
     observability:
         Optional :class:`~repro.engine.observability.Observability` to
         attach; equivalent to calling ``observability.attach(sim)``.
+        Defaults to the ambient one (:meth:`Observability.current`).
 
     Attributes
     ----------
@@ -537,6 +540,8 @@ class Simulator:
             Callable[[ProcessHandle, BaseException], bool]
         ] = None
         self._active_process: Optional[ProcessHandle] = None
+        if observability is None:
+            observability = Observability.current()
         if observability is not None:
             observability.attach(self)
 
@@ -603,7 +608,7 @@ class Simulator:
 
     def _schedule_at(self, when: float, call: Callable[[], None]) -> None:
         """Schedule a zero-argument callable at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule into the past: {when} < {self._now}"
             )
@@ -635,7 +640,7 @@ class Simulator:
         lambda, and (in the dominant schedule-ahead case) one plain
         ``list.append``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"negative delay: {delay}")
         # Inline construction (no __init__ call frame): this is the
         # single most frequent allocation in every simulation.
@@ -690,7 +695,7 @@ class Simulator:
         n = len(whens)
         if n == 0:
             return 0
-        if whens[0] < self._now:
+        if not whens[0] >= self._now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule into the past: {whens[0]} < {self._now}"
             )

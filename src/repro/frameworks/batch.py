@@ -7,7 +7,9 @@ plain Python (the results are real); the *time and energy* are charged by
 the roofline cost of each operator's building block on the device the
 offload policy selects, plus shuffle time from the fabric model -- a BSP
 (bulk-synchronous) execution where each stage takes as long as its
-slowest host.
+slowest host. Inside an ambient :class:`~repro.engine.Observability`
+scope each run records its stages' compute and shuffle phases as
+back-to-back spans.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analytics.blocks import BlockRegistry, default_blocks
 from repro.cluster.machine import Cluster
+from repro.engine import Observability
 from repro.errors import PlanError
 from repro.frameworks.dataflow import Operator, Plan
 from repro.frameworks.dataset import PartitionedDataset
@@ -217,4 +220,24 @@ class BatchExecutor:
             else:
                 energy += self._charge_operator(operator, current, stages[-1])
                 current = self._apply_narrow(operator, current)
+        observability = Observability.current()
+        if observability is not None:
+            clock = observability.now
+            for stage in stages:
+                tags = {
+                    "subsystem": "frameworks.batch",
+                    "policy": self.policy.name,
+                    "operators": "+".join(stage.operator_labels),
+                }
+                observability.spans.record(
+                    f"stage{stage.stage_index}.compute",
+                    clock, clock + stage.compute_time_s, tags=tags,
+                )
+                clock += stage.compute_time_s
+                if stage.shuffle_time_s > 0:
+                    observability.spans.record(
+                        f"stage{stage.stage_index}.shuffle",
+                        clock, clock + stage.shuffle_time_s, tags=tags,
+                    )
+                    clock += stage.shuffle_time_s
         return JobResult(records=current.collect(), stages=stages, energy_j=energy)

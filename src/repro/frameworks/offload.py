@@ -8,19 +8,18 @@ which of a server's devices runs the operator. Policies:
   overhead, so small batches stay on the CPU).
 - ``greedy_energy``: lowest-energy device.
 
-Policies are observable: construct one with a
-:class:`~repro.engine.Registry` and every placement decision is counted
-per device and per block, which is how E11 trace runs attribute operator
-work to silicon.
+Policies are observable: inside an ambient
+:class:`~repro.engine.Observability` scope every placement decision is
+counted per device and per block, which is how E11 trace runs attribute
+operator work to silicon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.analytics.blocks import BuildingBlock
-from repro.engine import Registry
+from repro.engine import Observability
 from repro.errors import ModelError, SchedulingError
 from repro.node.device import ComputeDevice
 from repro.node.server import Server
@@ -31,7 +30,6 @@ class OffloadPolicy:
     """A named device-selection rule."""
 
     name: str
-    registry: Optional[Registry] = field(default=None, compare=False)
 
     VALID = ("cpu_only", "greedy_time", "greedy_energy")
 
@@ -69,28 +67,30 @@ class OffloadPolicy:
     def _chosen(
         self, block: BuildingBlock, device: ComputeDevice, n_records: int
     ) -> ComputeDevice:
-        """Count the placement decision when a registry is attached."""
-        if self.registry is not None:
-            self.registry.counter(f"offload.{self.name}.decisions").inc()
-            self.registry.counter(
+        """Count the placement decision in an ambient observability."""
+        observability = Observability.current()
+        if observability is not None:
+            registry = observability.registry
+            registry.counter(f"offload.{self.name}.decisions").inc()
+            registry.counter(
                 f"offload.{self.name}.device.{device.kind.value}"
             ).inc()
-            self.registry.counter(
+            registry.counter(
                 f"offload.{self.name}.records.{block.name}"
             ).inc(n_records)
         return device
 
 
-def cpu_only(registry: Optional[Registry] = None) -> OffloadPolicy:
+def cpu_only() -> OffloadPolicy:
     """The no-accelerator baseline policy."""
-    return OffloadPolicy("cpu_only", registry=registry)
+    return OffloadPolicy("cpu_only")
 
 
-def greedy_time(registry: Optional[Registry] = None) -> OffloadPolicy:
+def greedy_time() -> OffloadPolicy:
     """Minimize wall-clock per operator batch."""
-    return OffloadPolicy("greedy_time", registry=registry)
+    return OffloadPolicy("greedy_time")
 
 
-def greedy_energy(registry: Optional[Registry] = None) -> OffloadPolicy:
+def greedy_energy() -> OffloadPolicy:
     """Minimize energy per operator batch."""
-    return OffloadPolicy("greedy_energy", registry=registry)
+    return OffloadPolicy("greedy_energy")

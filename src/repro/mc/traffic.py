@@ -44,7 +44,8 @@ invariants").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -69,6 +70,14 @@ _TWO_PI = 2.0 * np.pi
 _SESSION_TAILS = ("lognormal", "pareto")
 
 
+def _require_finite(spec) -> None:
+    """ModelError for a NaN or infinite float field of a spec dataclass."""
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"{item.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FlashCrowd:
     """One flash-crowd episode: linear ramp, plateau, exponential decay.
@@ -89,6 +98,7 @@ class FlashCrowd:
     hold_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.start_s < 0:
             raise ModelError(f"flash crowd start_s must be >= 0, got {self.start_s}")
         if self.ramp_s <= 0:
@@ -144,6 +154,7 @@ class ScenarioSpec:
     client_skew: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_rate_hz <= 0:
             raise ModelError(f"base_rate_hz must be positive, got {self.base_rate_hz}")
         if self.horizon_s <= 0:

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import networkx as nx
 import numpy as np
 
+from repro.engine import Observability
 from repro.errors import TopologyError
 from repro.network.routing import ecmp_path_for_flow, ecmp_paths, path_links
 from repro.network.topology import Fabric
@@ -184,19 +185,13 @@ class IncrementalMaxMinSolver:
     uses). Everything else is an incremental repair (counted in
     :attr:`incremental_repairs`).
 
-    Pass an observability metrics ``registry``
-    (:attr:`~repro.engine.observability.Observability.registry`) to
-    mirror both counters into ``flows.incremental.full_solves`` and
+    Inside an ambient :class:`~repro.engine.Observability` scope both
+    counters are mirrored into ``flows.incremental.full_solves`` and
     ``flows.incremental.repairs``, so instrumented runs
     (``python -m repro trace``) report the repair/fallback split.
     """
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        flows: List[Flow],
-        registry: Optional[object] = None,
-    ) -> None:
+    def __init__(self, fabric: Fabric, flows: List[Flow]) -> None:
         self.fabric = fabric
         self.flows = list(flows)
         self._flows_by_id: Dict[int, Flow] = {}
@@ -207,7 +202,6 @@ class IncrementalMaxMinSolver:
         self.allocations: Dict[int, float] = {}
         self.full_solves = 0
         self.incremental_repairs = 0
-        self._registry = registry
         self._full_solve()
 
     # -- fabric mutations ----------------------------------------------------
@@ -275,13 +269,14 @@ class IncrementalMaxMinSolver:
             self._full_solve()
 
     def _count(self, kind: str) -> None:
-        """Bump the local counter and (if attached) its registry mirror."""
+        """Bump the local counter and (if observed) its registry mirror."""
         if kind == "full_solves":
             self.full_solves += 1
         else:
             self.incremental_repairs += 1
-        if self._registry is not None:
-            self._registry.counter(f"flows.incremental.{kind}").inc()
+        observability = Observability.current()
+        if observability is not None:
+            observability.registry.counter(f"flows.incremental.{kind}").inc()
 
     def _full_solve(self) -> None:
         fabric = self.fabric

@@ -130,17 +130,17 @@ def _record_flows(
 def compare_assignment_policies(
     fabric: Fabric,
     flow_specs: List[Tuple[str, str, float]],
-    observability: Optional[Observability] = None,
 ) -> AssignmentComparison:
     """Run the same flow set under both assigners.
 
-    ``flow_specs`` is a list of (src, dst, size_bytes). With an
-    :class:`~repro.engine.Observability` attached, each run emits one
-    span per flow plus flow-completion-time histograms and imbalance
-    gauges, keyed by policy.
+    ``flow_specs`` is a list of (src, dst, size_bytes). Inside an
+    ambient :class:`~repro.engine.Observability` scope, each run emits
+    one span per flow plus flow-completion-time histograms and
+    imbalance gauges, keyed by policy.
     """
     if not flow_specs:
         raise TopologyError("need at least one flow")
+    observability = Observability.current()
 
     def build() -> List[Flow]:
         return [

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.econ.cost import EnergyPrice, TcoBreakdown
-from repro.engine import Registry
+from repro.engine import Observability
 from repro.errors import ModelError
 
 
@@ -171,15 +171,15 @@ def fleet_tco_usd(
     horizon_years: float = 5.0,
     energy: EnergyPrice = EnergyPrice(),
     inhouse_nos_team_usd_per_year: float = 2_000_000.0,
-    registry: Optional[Registry] = None,
 ) -> float:
     """Total fleet cost; in-house NOS engineering amortizes across the fleet.
 
     The crossover this produces is the paper's point: bare metal only
     pays off for operators with enough switches to amortize a NOS team
-    -- hyperscalers, not SMEs. Passing a
-    :class:`~repro.engine.Registry` publishes per-line-item cost
-    counters and a per-switch-TCO histogram keyed by switch name.
+    -- hyperscalers, not SMEs. Inside an ambient
+    :class:`~repro.engine.Observability` scope it publishes
+    per-line-item cost counters and a per-switch-TCO histogram keyed by
+    switch name.
     """
     if fleet_size < 1:
         raise ModelError("fleet must have at least one switch")
@@ -192,7 +192,9 @@ def fleet_tco_usd(
         nos_engineering_usd_per_year=per_switch_engineering,
     )
     per_switch = breakdown.total_usd
-    if registry is not None:
+    observability = Observability.current()
+    if observability is not None:
+        registry = observability.registry
         registry.counter(f"switch.{switch.name}.fleet_evaluations").inc()
         for label, amount in breakdown.by_label().items():
             if amount > 0:

@@ -7,18 +7,11 @@ from repro.reporting.experiments import (
     registry,
 )
 from repro.reporting.tables import format_value, render_records, render_table
-from repro.reporting.traces import (
-    TRACE_RUNNERS,
-    TraceReport,
-    render_trace_report,
-    run_trace,
-    traceable_experiments,
-)
+from repro.reporting.traces import TraceReport, render_trace_report, run_trace
 
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
-    "TRACE_RUNNERS",
     "TraceReport",
     "format_value",
     "get_experiment",
@@ -27,5 +20,4 @@ __all__ = [
     "render_table",
     "render_trace_report",
     "run_trace",
-    "traceable_experiments",
 ]

@@ -21,8 +21,8 @@ class Experiment:
 
     ``entrypoint`` is a dotted ``"module:function"`` path to a runnable
     ``(config, seed) -> RunResult`` callable (empty when the exhibit is
-    only reachable through its benchmark). ``traceable`` marks
-    experiments wired for instrumented ``python -m repro trace`` runs.
+    only reachable through its benchmark). Every runnable experiment
+    can also be traced (``python -m repro trace``).
     """
 
     experiment_id: str
@@ -32,7 +32,6 @@ class Experiment:
     modules: Tuple[str, ...]
     bench: str
     entrypoint: str = ""
-    traceable: bool = False
 
     @property
     def runnable(self) -> bool:
@@ -84,7 +83,6 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.engine", "repro.workloads.search"),
         "benchmarks/test_bench_catapult.py",
         entrypoint="repro.runner.entrypoints:run_e2",
-        traceable=True,
     ),
     Experiment(
         "E3", "SV.B R4",
@@ -117,7 +115,6 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.network.switch", "repro.econ.cost"),
         "benchmarks/test_bench_switch_tco.py",
         entrypoint="repro.runner.entrypoints:run_e6",
-        traceable=True,
     ),
     Experiment(
         "E7", "SIV.A.2",
@@ -158,7 +155,6 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.frameworks", "repro.analytics.blocks"),
         "benchmarks/test_bench_offload.py",
         entrypoint="repro.runner.entrypoints:run_e11",
-        traceable=True,
     ),
     Experiment(
         "E12", "R9",
@@ -214,7 +210,7 @@ EXPERIMENTS: List[Experiment] = [
         "shared never loses on mean completion time; gain >1.3x under load",
         ("repro.scheduler.online",),
         "benchmarks/test_bench_dynamic_allocation.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x2",
     ),
     Experiment(
         "X3", "R11 (edge) / SIII (IoT back-end)",
@@ -243,7 +239,7 @@ EXPERIMENTS: List[Experiment] = [
         "least-loaded placement never slower, lower link imbalance, wins under collision-prone fan-out",
         ("repro.network.loadbalance",),
         "benchmarks/test_bench_loadbalance.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x7",
     ),
     Experiment(
         "X9", "SV.A Finding 2 (wait-for-commodity)",
@@ -292,7 +288,7 @@ EXPERIMENTS: List[Experiment] = [
         "repair answers bit-identical to full solves; repair count dominates full-solve fallbacks on sparse fault schedules",
         ("repro.network.flows", "repro.engine.observability"),
         "src/repro/perf.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x11",
     ),
     Experiment(
         "X14", "SIV.A (scale-out fabrics) + methodology (parallel DES)",

@@ -1,4 +1,4 @@
-"""Runnable entry points for the E-series experiments.
+"""Runnable entry points for the registered experiments.
 
 Each ``run_eN(config, seed)`` wraps the computation that used to live
 only inside ``benchmarks/test_bench_*.py`` and returns a
@@ -49,6 +49,9 @@ QUICK_CONFIGS: Dict[str, Dict[str, Any]] = {
     "E14": {"n_events": 20_000},
     "E15": {},
     "E16": {},
+    "X2": {},
+    "X7": {},
+    "X11": {},
     "X12": {"n_requests": 600, "n_reads": 400, "n_jobs": 10},
     "X14": {"k": 8, "n_requests": 8_000, "duration_s": 2e-3, "shards": 2},
     "X15": {"n_requests": 3_000},
@@ -623,6 +626,108 @@ def run_e16(config: Mapping[str, Any], seed: int) -> RunResult:
         == len(RECOMMENDATIONS)
     )
     return _result("E16", seed, cfg, metrics)
+
+
+def run_x2(config: Mapping[str, Any], seed: int) -> RunResult:
+    """X2: FIFO whole-pool vs shared online allocation of a job stream."""
+    from repro.node import arria10_fpga, nvidia_k80, xeon_e5
+    from repro.scheduler import (
+        Executor,
+        OnlineScheduler,
+        chain_job,
+        poisson_job_stream,
+    )
+
+    cfg = _merge({}, config)
+    scheduler = OnlineScheduler([
+        Executor("cpu0", "hA", xeon_e5()),
+        Executor("cpu1", "hB", xeon_e5()),
+        Executor("gpu0", "hA", nvidia_k80()),
+        Executor("fpga0", "hB", arria10_fpga()),
+    ])
+    stream = poisson_job_stream(
+        10,
+        0.002,
+        job_factory=lambda i: chain_job(
+            f"job{i}",
+            ["filter-scan", "dense-gemm", "hash-aggregate"],
+            1_000_000,
+        ),
+        seed=21 + seed,
+    )
+    exclusive = scheduler.run_exclusive(stream)
+    shared = scheduler.run_shared(stream)
+    metrics = {
+        "exclusive_mct_s": exclusive.mean_completion_time_s,
+        "shared_mct_s": shared.mean_completion_time_s,
+        "gain": (
+            exclusive.mean_completion_time_s / shared.mean_completion_time_s
+        ),
+    }
+    return _result("X2", seed, cfg, metrics)
+
+
+def run_x7(config: Mapping[str, Any], seed: int) -> RunResult:
+    """X7: ECMP vs least-loaded flow placement (analytic; seed unused)."""
+    from repro import units
+    from repro.network import compare_assignment_policies, fat_tree
+
+    cfg = _merge({}, config)
+    fabric = fat_tree(4)
+    hosts = fabric.hosts
+    half = len(hosts) // 2
+    specs = [
+        (hosts[i], hosts[half + i], 250 * units.MB) for i in range(8)
+    ]
+    comparison = compare_assignment_policies(fabric, specs)
+    metrics = {
+        "ecmp_completion_s": comparison.ecmp_completion_s,
+        "least_loaded_completion_s": comparison.least_loaded_completion_s,
+        "speedup": comparison.speedup,
+        "ecmp_imbalance": comparison.ecmp_imbalance,
+        "least_loaded_imbalance": comparison.least_loaded_imbalance,
+    }
+    return _result("X7", seed, cfg, metrics)
+
+
+def run_x11(config: Mapping[str, Any], seed: int) -> RunResult:
+    """X11: incremental max-min repair through a link/node fault schedule."""
+    from repro import units
+    from repro.network import fat_tree
+    from repro.network.flows import Flow, IncrementalMaxMinSolver
+
+    cfg = _merge({}, config)
+    fabric = fat_tree(4)
+    hosts = fabric.hosts
+    half = len(hosts) // 2
+    flows = [
+        Flow(
+            i,
+            hosts[(i + seed) % half],
+            hosts[half + (2 * i + seed) % half],
+            100 * units.MB,
+        )
+        for i in range(12)
+    ]
+    solver = IncrementalMaxMinSolver(fabric, flows)
+    schedule = (
+        ("fail_link", ("agg0-0", "core0-0")),
+        ("fail_link", ("tor0-0", "agg0-1")),
+        ("restore_link", ("agg0-0", "core0-0")),
+        ("fail_node", ("agg1-0",)),
+        ("restore_link", ("tor0-0", "agg0-1")),
+        ("restore_node", ("agg1-0",)),
+    )
+    for op, args in schedule:
+        getattr(solver, op)(*args)
+    total_rate = sum(solver.allocations.values())
+    metrics = {
+        "flows": len(flows),
+        "full_solves": solver.full_solves,
+        "incremental_repairs": solver.incremental_repairs,
+        "total_rate_gbytes_per_s": total_rate / units.GB,
+    }
+    return _result("X11", seed, cfg, metrics)
 
 
 def run_x12(config: Mapping[str, Any], seed: int) -> RunResult:

@@ -86,27 +86,31 @@ class OnlineOutcome:
 
 
 class OnlineScheduler:
-    """Simulates job streams over a fixed executor pool."""
+    """Simulates job streams over a fixed executor pool.
+
+    Inside an ambient :class:`~repro.engine.Observability` scope, job
+    and task placements are recorded as ``scheduler.online`` spans,
+    counters and completion-time histograms.
+    """
 
     def __init__(
         self,
         executors: List[Executor],
         blocks: Optional[BlockRegistry] = None,
         link_gbps: float = 10.0,
-        observability: Optional[Observability] = None,
     ) -> None:
         if not executors:
             raise SchedulingError("need at least one executor")
         self.executors = list(executors)
         self.blocks = blocks or default_blocks()
         self.link_gbps = link_gbps
-        self.observability = observability
 
     # -- policies -----------------------------------------------------------
 
     def run_exclusive(self, stream: List[OnlineJob]) -> OnlineOutcome:
         """FIFO whole-pool allocation: one job at a time."""
         ordered = self._validated(stream)
+        observability = Observability.current()
         pool_free_at = 0.0
         completions: Dict[str, float] = {}
         for online in ordered:
@@ -114,8 +118,8 @@ class OnlineScheduler:
             job_finish = self._eft_makespan(online.job, base_time=start)
             completions[online.job.name] = job_finish
             pool_free_at = job_finish
-            if self.observability is not None:
-                self.observability.spans.record(
+            if observability is not None:
+                observability.spans.record(
                     "exclusive.job",
                     start,
                     job_finish,
@@ -148,6 +152,7 @@ class OnlineScheduler:
         sooner), and the outcome reports the kill count and wasted work.
         """
         ordered = self._validated(stream)
+        observability = Observability.current()
         outage_windows = self._outage_windows(outages)
         rescheduled = 0
         wasted_s = 0.0
@@ -204,8 +209,8 @@ class OnlineScheduler:
             free_at[executor.name] = end
             finish[(job_name, task_id)] = (end, executor)
             completions[job_name] = max(completions.get(job_name, 0.0), end)
-            if self.observability is not None:
-                self.observability.spans.record(
+            if observability is not None:
+                observability.spans.record(
                     f"task.{task.block}",
                     _start,
                     end,
@@ -217,7 +222,7 @@ class OnlineScheduler:
                         "policy": "shared",
                     },
                 )
-                registry = self.observability.registry
+                registry = observability.registry
                 registry.counter("scheduler.tasks_placed").inc()
                 registry.counter(f"scheduler.busy_s.{executor.name}").inc(
                     end - _start
@@ -255,9 +260,10 @@ class OnlineScheduler:
 
     def _record_outcome(self, outcome: OnlineOutcome, policy: str) -> None:
         """Publish per-job completion-time histograms for one policy run."""
-        if self.observability is None:
+        observability = Observability.current()
+        if observability is None:
             return
-        histogram = self.observability.registry.histogram(
+        histogram = observability.registry.histogram(
             f"scheduler.completion_s.{policy}"
         )
         for name, finish_s in outcome.completions.items():

@@ -20,9 +20,9 @@ throughput gain at iso-SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.engine import Observability, RandomStream, Resource, Simulator
+from repro.engine import RandomStream, Resource, Simulator
 from repro.errors import ModelError
 
 
@@ -81,19 +81,18 @@ def run_search_service(
     accelerated: bool,
     config: SearchServiceConfig = SearchServiceConfig(),
     seed: int = 2016,
-    observability: Optional[Observability] = None,
 ) -> SearchRunResult:
     """Simulate ``n_requests`` through the service at ``qps``.
 
-    With an :class:`~repro.engine.Observability` attached the run emits
-    per-stage spans (request/frontend/rank), worker-pool gauges and a
-    latency histogram; without one the instrumentation is free.
+    Inside an ambient :class:`~repro.engine.Observability` scope the run
+    emits per-stage spans (request/frontend/rank), worker-pool gauges
+    and a latency histogram; without one the instrumentation is free.
     """
     if qps <= 0:
         raise ModelError(f"qps must be positive, got {qps}")
     if n_requests < 1:
         raise ModelError("need at least one request")
-    sim = Simulator(observability=observability)
+    sim = Simulator()
     arrivals = RandomStream(seed, "arrivals")
     service = RandomStream(seed, "service")
     cpu_pool = Resource(
@@ -143,8 +142,8 @@ def run_search_service(
     sim.run()
     if len(latencies) != n_requests:
         raise ModelError("not all requests completed")
-    if observability is not None:
-        registry = observability.registry
+    if sim.observability is not None:
+        registry = sim.observability.registry
         registry.counter("search.requests").inc(len(latencies))
         histogram = registry.histogram("search.latency_s")
         for latency in latencies:

@@ -10,7 +10,7 @@ so architectures can be compared side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.analytics import kmeans, tokenize
@@ -265,10 +265,26 @@ def compare_architectures(
     configurations: Dict[str, tuple],
     scale: int = 1,
 ) -> Dict[str, List[BenchmarkScore]]:
-    """Side-by-side suite runs: name -> (cluster, policy)."""
+    """Side-by-side suite runs: name -> (cluster, policy).
+
+    Each batch dataset is built once and run on every architecture; no
+    suite operator mutates its input records, so sharing is safe.
+    """
     if not configurations:
         raise ModelError("need at least one architecture")
+    if scale < 1:
+        raise ModelError(f"scale must be >= 1, got {scale}")
+    benchmarks = []
+    for definition in standard_suite():
+        if definition.make_dataset is not None:
+            dataset = definition.make_dataset(scale)
+            definition = replace(
+                definition, make_dataset=lambda _scale, built=dataset: built
+            )
+        benchmarks.append(definition)
     return {
-        name: run_suite(cluster, name, policy=policy, scale=scale)
+        name: run_suite(
+            cluster, name, policy=policy, scale=scale, benchmarks=benchmarks
+        )
         for name, (cluster, policy) in configurations.items()
     }

@@ -67,7 +67,6 @@ TOP_LEVEL_SURFACE = [
     "runnable_experiments",
     "simulate_fabric",
     "simulate_fabric_sharded",
-    "traceable_experiments",
     "with_deadline",
 ]
 

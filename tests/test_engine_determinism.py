@@ -17,6 +17,7 @@ output. These tests pin that down three ways:
   kernel, and an ``on_event`` hook still sees every reference entry.
 """
 
+import contextlib
 import random
 
 from hypothesis import given, settings
@@ -29,12 +30,13 @@ from repro.engine import Observability, Resource, Simulator
 def _run_e2(n_requests=400, observability=None):
     from repro.workloads.search import run_search_service
 
-    result = run_search_service(
-        qps=4000.0,
-        n_requests=n_requests,
-        accelerated=True,
-        observability=observability,
-    )
+    scope = contextlib.nullcontext() if observability is None else observability
+    with scope:
+        result = run_search_service(
+            qps=4000.0,
+            n_requests=n_requests,
+            accelerated=True,
+        )
     return tuple(result.latencies_s)
 
 

@@ -52,6 +52,17 @@ class TestFaultSpecValidation:
             FaultSpec(kind=STRAGGLER, targets=("x",), mtbf_s=1.0, mttr_s=1.0,
                       start_s=5.0, end_s=5.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "mtbf_s", "mttr_s", "start_s", "end_s", "max_faults", "slowdown",
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # A NaN MTBF used to pass every ``<= 0`` check and then hang the
+        # simulator it drove.
+        kwargs = {"mtbf_s": 1.0, "mttr_s": 1.0, field: value}
+        with pytest.raises(SimulationError, match=field):
+            FaultSpec(kind=STRAGGLER, targets=("x",), **kwargs)
+
     def test_fabric_kind_needs_fabric(self):
         sim = Simulator()
         injector = FaultInjector(sim, seed=1)

@@ -478,3 +478,49 @@ class TestEngineIntegration:
         assert snapshot["sim_time"] == pytest.approx(1.0)
         assert snapshot["spans"]["recorded"] == 1
         assert snapshot["steps_by_subsystem"]["test"] >= 1
+
+
+class TestAmbientScope:
+    @staticmethod
+    def _run_one(clock_s):
+        sim = Simulator()
+        pool = Resource(sim, capacity=1, name="pool")
+
+        def proc(sim):
+            with sim.span("hold", subsystem="test"):
+                yield pool.acquire()
+                yield sim.timeout(clock_s)
+                pool.release()
+
+        sim.spawn(proc(sim), name="p")
+        sim.run()
+        return sim
+
+    def test_simulators_in_one_scope_share_one_timeline(self):
+        with Observability() as obs:
+            first = self._run_one(3.0)
+            second = self._run_one(2.0)
+        assert first.observability is obs and second.observability is obs
+        snapshot = obs.snapshot()
+        assert snapshot["sim_time"] == first.now + second.now == 5.0
+        assert snapshot["events_processed"] == (
+            first.events_processed + second.events_processed
+        )
+        # The second run's gauge samples follow the first run's, in order.
+        gauges = obs.registry.gauges
+        assert gauges["pool.in_use"].last_time == 5.0
+        assert snapshot["gauges"]["pool.in_use"]["mean"] == pytest.approx(1.0)
+        spans = [(s.start, s.end) for s in obs.spans.spans()]
+        assert spans == [(0.0, 3.0), (3.0, 5.0)]
+
+    def test_scope_ends_with_the_with_block(self):
+        with Observability() as obs:
+            assert Observability.current() is obs
+        assert Observability.current() is None
+        assert Simulator().observability is None
+
+    def test_explicit_observability_wins_over_the_scope(self):
+        explicit = Observability()
+        with Observability():
+            sim = Simulator(observability=explicit)
+        assert sim.observability is explicit

@@ -290,6 +290,15 @@ class TestSchedulingGuards:
         with pytest.raises(SimulationError):
             sim._schedule_at(5.0, lambda: None)
 
+    @pytest.mark.parametrize("schedule", [
+        lambda sim: sim.timeout(float("nan")),
+        lambda sim: sim._schedule_at(float("nan"), lambda: None),
+        lambda sim: sim.schedule_batch([float("nan")], lambda _: None),
+    ], ids=["timeout", "schedule_at", "schedule_batch"])
+    def test_nan_time_rejected(self, schedule):
+        with pytest.raises(SimulationError):
+            schedule(Simulator())
+
     def test_peek_reports_next_event_time(self):
         sim = Simulator()
         assert sim.peek() is None

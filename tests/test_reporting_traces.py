@@ -5,24 +5,22 @@ import json
 import pytest
 
 from repro.errors import RegistryError
-from repro.reporting import (
-    TRACE_RUNNERS,
-    render_trace_report,
-    run_trace,
-    traceable_experiments,
-)
+from repro.reporting import render_trace_report, run_trace
+from repro.runner import runnable_experiments
 
 
 class TestRegistry:
-    def test_traceable_ids_are_registered_experiments(self):
+    def test_traceable_ids_are_registered_experiments(self, capsys):
+        from repro.__main__ import main
         from repro.reporting import registry
 
         table = registry()
-        for experiment_id in traceable_experiments():
+        assert main(["trace"]) == 2
+        listed = capsys.readouterr().out.splitlines()[0]
+        traceable = listed.split(": ", 1)[1].split(", ")
+        assert traceable == runnable_experiments()
+        for experiment_id in traceable:
             assert experiment_id in table
-
-    def test_at_least_three_experiments_traceable(self):
-        assert len(TRACE_RUNNERS) >= 3
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(RegistryError):
@@ -67,7 +65,8 @@ class TestTraceRuns:
         snapshot = report.snapshot()
         assert snapshot["spans"]["recorded"] == 0
         counters = snapshot["counters"]
-        assert counters["switch.branded-tor.fleet_evaluations"] == 3
+        # One evaluation per fleet size of E6's five-fleet sweep.
+        assert counters["switch.branded-tor.fleet_evaluations"] == 5
         assert any(name.endswith(".usd.hardware") for name in counters)
 
     def test_report_renders_and_exports(self, x2_report, tmp_path):

@@ -2,14 +2,15 @@
 
 Covers the PR's acceptance guarantees: grid determinism across worker
 counts, cache hit/invalidation behaviour, the timeout and retry paths,
-entrypoint conformance for every runnable E-series experiment, and the
-``python -m repro run`` CLI.
+entrypoint conformance (traced, digest-pinned) for every runnable
+experiment, and the ``python -m repro run`` CLI.
 
 The synthetic entrypoints below live at module scope so forked pool
 workers can resolve them by dotted path (the fork context inherits this
 module through ``sys.modules``).
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -23,7 +24,7 @@ import pytest
 
 from repro.engine.observability import Registry
 from repro.errors import RegistryError
-from repro.reporting import get_experiment
+from repro.reporting import get_experiment, run_trace
 from repro.runner import (
     QUICK_CONFIGS,
     GridResult,
@@ -128,23 +129,27 @@ class TestResolveExperiments:
 
 
 class TestEntrypointConformance:
-    @pytest.mark.parametrize("experiment_id", sorted(
-        {f"E{i}" for i in range(1, 17)},
-        key=lambda e: int(e[1:]),
-    ))
+    DIGESTS = json.loads(
+        (Path(__file__).parent / "golden" / "registered_outputs.json")
+        .read_text()
+    )
+
+    @pytest.mark.parametrize("experiment_id", runnable_experiments())
     def test_entrypoint_resolves_and_returns_ok_runresult(
         self, experiment_id
     ):
+        # Traced at the quick size, the record must be the untraced
+        # ``run --quick`` record: tracing observes, it does not change.
         experiment = get_experiment(experiment_id)
         fn = resolve_entrypoint(experiment.entrypoint)
         assert callable(fn)
-        result = run_experiment(
-            experiment_id, config=QUICK_CONFIGS.get(experiment_id)
-        )
+        result = run_trace(experiment_id, seed=0).result
         assert isinstance(result, RunResult)
         assert result.ok, result.error
         assert result.experiment_id == experiment_id
         assert result.metrics, f"{experiment_id} returned no metrics"
+        digest = hashlib.sha256(result.canonical_json().encode()).hexdigest()
+        assert digest == self.DIGESTS[experiment_id]["0"]
 
     def test_bad_entrypoint_paths_rejected(self):
         with pytest.raises(RegistryError, match="module:function"):
@@ -680,5 +685,5 @@ class TestRunCli:
     def test_trace_rejects_non_traceable_with_hint(self, capsys):
         from repro.__main__ import main
 
-        assert main(["trace", "E1"]) == 2
+        assert main(["trace", "T1"]) == 2
         assert "error" in capsys.readouterr().err

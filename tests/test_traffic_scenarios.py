@@ -234,6 +234,30 @@ class TestSpecValidation:
         with pytest.raises(ModelError):
             FlashCrowd(**base)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "base_rate_hz", "horizon_s", "diurnal_period_s", "burst_multiplier",
+        "burst_mean_s", "calm_mean_s", "session_median_s", "session_sigma",
+        "session_shape", "session_scale_s", "n_clients", "client_skew",
+    ])
+    def test_non_finite_spec_field_rejected(self, field, value):
+        base = {"base_rate_hz": 10.0, "horizon_s": 1.0,
+                "burst_mean_s": 0.1, "calm_mean_s": 0.1}
+        base[field] = value
+        with pytest.raises(ModelError, match=field):
+            ScenarioSpec(**base)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "start_s", "ramp_s", "peak_multiplier", "decay_s", "hold_s",
+    ])
+    def test_non_finite_flash_crowd_field_rejected(self, field, value):
+        base = {"start_s": 1.0, "ramp_s": 1.0, "peak_multiplier": 2.0,
+                "decay_s": 1.0}
+        base[field] = value
+        with pytest.raises(ModelError, match=field):
+            FlashCrowd(**base)
+
     def test_flash_crowds_coerced_to_tuple(self):
         spec = ScenarioSpec(base_rate_hz=1.0, horizon_s=1.0,
                             flash_crowds=[CROWD])
