@@ -1,20 +1,30 @@
 """Resilience primitives: retry with backoff, deadlines, hedged requests.
 
-The chaos experiments (X12) need the three classic tail-tolerance
+The chaos experiments (X12, X17) need the classic tail-tolerance
 mechanisms as first-class, composable engine constructs:
 
-- :func:`retry` -- re-run a failing operation under a
-  :class:`RetryPolicy` (exponential backoff, cap, deterministic jitter);
+- :func:`retry_events` / :func:`retry` -- re-run a failing operation
+  under a :class:`RetryPolicy` (exponential backoff, cap, deterministic
+  jitter);
 - :func:`with_deadline` -- wrap any :class:`~repro.engine.sim.Event`
   so the waiter gets :class:`~repro.errors.DeadlineExceeded` instead of
   blocking past a timeout;
-- :func:`hedge` -- speculative duplicate execution ("hedged requests"):
-  launch a copy after a delay, first completion wins, losers are
-  interrupted.
+- :func:`hedge_events` / :func:`hedge` -- speculative duplicate
+  execution ("hedged requests"): launch a copy after a delay, first
+  completion wins, losers are abandoned.
 
-All three are built strictly on the public ``Event`` / ``ProcessHandle``
-/ ``interrupt`` machinery; they add nothing to the kernel's hot paths,
-so simulations that do not use them are bit-for-bit unchanged.
+Retry and hedge exist once, as *event chains*: the caller supplies a
+``launch`` function that starts one attempt (or copy) and returns its
+outcome event, and the primitive returns a gate event. Nothing is a
+process: backoffs and hedge delays are :class:`~repro.engine.sim.Timeout`
+callbacks and outcomes are callbacks on events. :class:`ServiceCopy` is
+the event form of "queue on a resource, hold it, release", the copy a
+hedged request launches. The generator forms :func:`retry` and
+:func:`hedge` are thin wrappers for code that runs attempts as
+processes: each attempt is spawned under :func:`_guarded`, the wrapper
+waits on the gate, and a losing copy is abandoned by interrupting its
+process. None of this touches the kernel's hot paths, so simulations
+that do not use them are bit-for-bit unchanged.
 
 Randomness is explicit: jitter only happens when the caller passes a
 :class:`~repro.engine.randomness.RandomStream`, which keeps every
@@ -43,7 +53,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.engine.randomness import RandomStream
 from repro.engine.sim import Event, Interrupt, Process, Simulator
@@ -113,13 +123,258 @@ class HedgeOutcome:
     launched: int
 
 
+
+
+#: Starts attempt ``n`` (1-based) of :func:`retry_events`; returns the
+#: attempt's outcome event.
+RetryLaunch = Callable[[int], Event]
+#: Starts copy ``i`` (0-based) of :func:`hedge_events`; returns the
+#: copy's outcome event and a function that abandons the copy, called
+#: with a cause when another copy wins.
+HedgeLaunch = Callable[[int], Tuple[Event, Callable[[Any], None]]]
+
+
+def _registry(sim: Simulator) -> Any:
+    return sim.observability.registry if sim.observability is not None else None
+
+
+class ServiceCopy(Event):
+    """Queue for a slot of ``resource``, hold it, release it -- no process.
+
+    The event form of ``yield resource.acquire()``, ``yield
+    sim.timeout(duration_s())``, ``resource.release()``: the grant
+    starts a service :class:`~repro.engine.sim.Timeout` whose length
+    ``duration_s()`` returns *at grant time*, and the timeout's end
+    releases the slot and fires this event (with ``None``).
+
+    :meth:`cancel` abandons the copy at the current time, wherever it
+    is. A queued copy's acquire event is cancelled, so
+    :meth:`~repro.engine.resources.Resource.release` prunes it instead
+    of granting to it. A copy that holds its slot (granted, or in
+    service) releases it now, and its pending grant or service callback
+    does nothing.
+    """
+
+    __slots__ = ("resource", "duration_s", "_grant")
+
+    def __init__(
+        self, sim: Simulator, resource: Any, duration_s: Callable[[], float]
+    ) -> None:
+        Event.__init__(self, sim)
+        self.resource = resource
+        self.duration_s = duration_s
+        grant = self._grant = resource.acquire()
+        if grant._triggered:
+            self._start(grant)
+        else:
+            grant.add_callback(self._start)
+
+    def _start(self, _grant: Event) -> None:
+        if not self._cancelled:
+            self.sim.timeout(self.duration_s()).add_callback(self._finish)
+
+    def _finish(self, _service: Event) -> None:
+        if not self._cancelled:
+            self.resource.release()
+            self.succeed()
+
+    def cancel(self, cause: Any = None) -> None:
+        """Leave the pool now: dequeue, or release the held slot."""
+        if self._triggered or self._cancelled:
+            return
+        self._cancelled = True
+        if self._grant._triggered:
+            self.resource.release()
+        else:
+            self._grant.cancel()
+
+
+class _RetryCall(Event):
+    """The gate of one :func:`retry_events` call, driving its own chain."""
+
+    __slots__ = ("launch", "policy", "rng", "name", "registry", "attempt",
+                 "_on_outcome_cb", "_start_cb")
+
+    def __init__(self, sim, launch, policy, rng, name) -> None:
+        Event.__init__(self, sim)
+        self.launch = launch
+        self.policy = policy
+        self.rng = rng
+        self.name = name
+        self.registry = _registry(sim)
+        self.attempt = 0
+        self._on_outcome_cb = self._on_outcome
+        self._start_cb = self._start
+
+    def _start(self, _backoff: Optional[Event] = None) -> None:
+        if self._cancelled:
+            return
+        self.attempt += 1
+        if self.registry is not None:
+            self.registry.counter("resilience.retry.attempts").inc()
+        self.launch(self.attempt).add_callback(self._on_outcome_cb)
+
+    def _on_outcome(self, outcome: Event) -> None:
+        number = self.attempt
+        registry = self.registry
+        exc = outcome._exception
+        if exc is None:
+            if number > 1 and registry is not None:
+                registry.counter("resilience.retry.recovered").inc()
+            self.succeed(outcome._value)
+            return
+        if registry is not None:
+            registry.counter("resilience.retry.failures").inc()
+        if number >= self.policy.max_attempts:
+            if registry is not None:
+                registry.counter("resilience.retry.exhausted").inc()
+            error = RetryExhausted(
+                f"{self.name}: all {number} attempts failed (last: {exc!r})",
+                attempts=number,
+            )
+            error.__cause__ = exc
+            self.fail(error)
+            return
+        self.sim.timeout(self.policy.delay_s(number, self.rng)).add_callback(
+            self._start_cb
+        )
+
+
+def retry_events(
+    sim: Simulator,
+    launch: RetryLaunch,
+    policy: RetryPolicy = RetryPolicy(),
+    rng: Optional[RandomStream] = None,
+    name: str = "retry",
+) -> Event:
+    """Run ``launch(n)`` until an attempt succeeds; returns the gate event.
+
+    Attempt ``n`` (1-based) starts at once for ``n = 1``; after a failed
+    attempt the backoff ``policy.delay_s(n, rng)`` is drawn when the
+    failure is handled, and a :class:`~repro.engine.sim.Timeout` of that
+    length starts attempt ``n + 1``. The gate fires with the successful
+    attempt's value, or fails with :class:`~repro.errors.RetryExhausted`
+    (its ``__cause__`` the last failure) once the budget is spent.
+    Cancelling the gate (its waiter was interrupted) stops the chain: no
+    further attempt starts.
+
+    With observability attached to ``sim``, increments
+    ``resilience.retry.attempts`` / ``.failures`` / ``.recovered`` /
+    ``.exhausted`` counters.
+    """
+    gate = _RetryCall(sim, launch, policy, rng, name)
+    gate._start()
+    return gate
+
+
+class _HedgeCall(Event):
+    """The gate of one :func:`hedge_events` call, driving its own copies."""
+
+    __slots__ = ("launch", "delay_s", "max_copies", "name", "copies",
+                 "pending", "last_error", "_on_outcome_cb")
+
+    def __init__(self, sim, launch, delay_s, max_copies, name) -> None:
+        Event.__init__(self, sim)
+        self.launch = launch
+        self.delay_s = delay_s
+        self.max_copies = max_copies
+        self.name = name
+        self.copies: list = []  # (outcome, abandon) per launched copy
+        self.pending = 0
+        self.last_error: Optional[BaseException] = None
+        self._on_outcome_cb = self._on_outcome
+
+    def _start(self) -> None:
+        self.pending += 1
+        copy = self.launch(len(self.copies))
+        self.copies.append(copy)
+        copy[0].add_callback(self._on_outcome_cb)
+
+    def _on_outcome(self, outcome: Event) -> None:
+        if self._triggered or self._cancelled:
+            return
+        self.pending -= 1
+        copies = self.copies
+        if outcome._exception is not None:
+            self.last_error = outcome._exception
+            if len(copies) < self.max_copies:
+                self._start()  # failed copy: hedge immediately
+            elif self.pending == 0:
+                self.fail(self.last_error)
+            return
+        launched = len(copies)
+        winner = 0
+        while copies[winner][0] is not outcome:
+            winner += 1
+        self.succeed(HedgeOutcome(value=outcome._value, winner=winner,
+                                  launched=launched))
+        registry = _registry(self.sim)
+        if registry is not None:
+            registry.counter("resilience.hedge.calls").inc()
+            if launched > 1:
+                registry.counter("resilience.hedge.extra_copies").inc(
+                    launched - 1
+                )
+            if winner > 0:
+                registry.counter("resilience.hedge.hedged_wins").inc()
+        if launched > 1:
+            cause = f"{self.name}: lost to copy {winner}"
+            for loser, abandon in copies:
+                if loser is not outcome and not loser._triggered:
+                    abandon(cause)
+
+    def _on_timer(self, _timer: Event) -> None:
+        launched = len(self.copies)
+        if self._triggered or self._cancelled or launched >= self.max_copies:
+            return
+        if launched + 1 < self.max_copies:
+            self.sim.timeout(self.delay_s).add_callback(self._on_timer)
+        self._start()
+
+
+def hedge_events(
+    sim: Simulator,
+    launch: HedgeLaunch,
+    delay_s: float,
+    max_copies: int = 2,
+    name: str = "hedge",
+) -> Event:
+    """Speculatively duplicate an operation; returns the gate event.
+
+    Copy 0 starts at once; while no copy has finished, another starts
+    every ``delay_s`` until ``max_copies`` are out. The first copy to
+    finish fires the gate with a :class:`HedgeOutcome`, and every other
+    copy still pending is abandoned at that same time (winner takes
+    all). A copy that *fails* triggers an immediate replacement while
+    budget remains; if every launched copy fails, the gate fails with
+    the last failure. Each hedge timer is created before the copy it
+    launches, so a copy finishing exactly at the hedge time loses the
+    tie to the timer, as it does when copies are processes.
+
+    With observability attached, increments ``resilience.hedge.calls`` /
+    ``.extra_copies`` / ``.hedged_wins`` counters when the gate fires
+    successfully.
+    """
+    if max_copies < 1:
+        raise SimulationError("hedge needs at least one copy")
+    if delay_s < 0:
+        raise SimulationError(f"negative hedge delay: {delay_s}")
+    gate = _HedgeCall(sim, launch, delay_s, max_copies, name)
+    if max_copies > 1:
+        sim.timeout(delay_s).add_callback(gate._on_timer)
+    gate._start()
+    return gate
+
+
 def _guarded(generator: Process, outcome: Event) -> Process:
     """Run ``generator`` and deliver its result or failure via ``outcome``.
 
-    Exceptions escaping a plain spawned process would abort the whole
-    run (:class:`~repro.errors.ProcessFailure`); routing them through an
-    event instead lets :func:`retry` and :func:`hedge` observe failures
-    without installing a global ``on_process_error`` hook. An
+    The generator wrappers :func:`retry` and :func:`hedge` spawn each
+    attempt under this guard. Exceptions escaping a plain spawned
+    process would abort the whole run
+    (:class:`~repro.errors.ProcessFailure`); routing them through an
+    event instead lets the event forms observe failures without a
+    global ``on_process_error`` hook. An
     :class:`~repro.engine.sim.Interrupt` (a cancelled hedge loser)
     cancels the outcome and ends the copy silently.
     """
@@ -145,51 +400,61 @@ def retry(
 ) -> Iterator[Event]:
     """Run ``make_attempt()`` until it succeeds, backing off between tries.
 
-    A generator meant for ``yield from`` inside a process (or to be
-    spawned directly). ``make_attempt`` must return a *fresh* process
-    generator per call; each attempt runs as its own process so a crash
-    inside it is contained. Returns the successful attempt's value;
-    raises :class:`~repro.errors.RetryExhausted` (chaining the last
-    error) when the policy's budget is spent. Interrupts delivered to
-    the retrying process propagate unchanged.
-
-    With observability attached to ``sim``, increments
-    ``resilience.retry.attempts`` / ``.failures`` / ``.recovered`` /
-    ``.exhausted`` counters.
+    The generator form of :func:`retry_events`, meant for ``yield from``
+    inside a process (or to be spawned directly). ``make_attempt`` must
+    return a *fresh* process generator per call; each attempt runs as
+    its own process so a crash inside it is contained. Returns the
+    successful attempt's value; raises
+    :class:`~repro.errors.RetryExhausted` (chaining the last error) when
+    the policy's budget is spent. Interrupts delivered to the retrying
+    process propagate unchanged, and no further attempt starts.
     """
-    registry = (
-        sim.observability.registry if sim.observability is not None else None
-    )
-    attempt = 0
-    while True:
-        attempt += 1
-        if registry is not None:
-            registry.counter("resilience.retry.attempts").inc()
+
+    def launch(attempt: int) -> Event:
         outcome = sim.event()
         sim.spawn(
-            _guarded(make_attempt(), outcome),
-            name=f"{name}.attempt{attempt}",
+            _guarded(make_attempt(), outcome), name=f"{name}.attempt{attempt}"
         )
-        try:
-            result = yield outcome
-        except Interrupt:
-            raise
-        except Exception as exc:  # noqa: BLE001 - retried per policy
-            if registry is not None:
-                registry.counter("resilience.retry.failures").inc()
-            if attempt >= policy.max_attempts:
-                if registry is not None:
-                    registry.counter("resilience.retry.exhausted").inc()
-                raise RetryExhausted(
-                    f"{name}: all {attempt} attempts failed "
-                    f"(last: {exc!r})",
-                    attempts=attempt,
-                ) from exc
-            yield sim.timeout(policy.delay_s(attempt, rng))
+        return outcome
+
+    return (yield retry_events(sim, launch, policy, rng, name))
+
+
+class _DeadlineGate(Event):
+    """The gate of one :func:`with_deadline` call."""
+
+    __slots__ = ("event", "timer", "timeout_s", "started")
+
+    def __init__(self, sim: Simulator, event: Event, timeout_s: float) -> None:
+        Event.__init__(self, sim)
+        self.event = event
+        self.timer = sim.timeout(timeout_s)
+        self.timeout_s = timeout_s
+        self.started = sim.now
+
+    def _on_event(self, evt: Event) -> None:
+        if self._triggered:
+            return
+        self.timer.cancel()
+        if evt._exception is not None:
+            self.fail(evt._exception)
         else:
-            if attempt > 1 and registry is not None:
-                registry.counter("resilience.retry.recovered").inc()
-            return result
+            self.succeed(evt._value)
+
+    def _on_timer(self, _timer: Event) -> None:
+        if self._triggered:
+            return
+        self.event.cancel()
+        registry = _registry(self.sim)
+        if registry is not None:
+            registry.counter("resilience.deadline.expired").inc()
+        self.fail(
+            DeadlineExceeded(
+                f"no result within {self.timeout_s:g}s "
+                f"(started t={self.started:g})",
+                deadline_s=self.timeout_s,
+            )
+        )
 
 
 def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
@@ -198,43 +463,15 @@ def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     If ``event`` fires (either way) within the window, the returned
     gate relays its value or exception. Otherwise the gate fails with
     :class:`~repro.errors.DeadlineExceeded` and ``event`` is cancelled
-    so queue owners stop holding capacity for the abandoned waiter.
+    so queue owners stop holding capacity for the abandoned waiter. The
+    deadline timer is created after ``event``, so a timeout ``event``
+    ending exactly at the deadline wins the tie.
     """
     if timeout_s < 0:
         raise SimulationError(f"negative deadline: {timeout_s}")
-    gate = sim.event()
-    timer = sim.timeout(timeout_s)
-    started = sim.now
-
-    def on_event(evt: Event) -> None:
-        if gate.triggered:
-            return
-        timer.cancel()
-        if evt._exception is not None:
-            gate.fail(evt._exception)
-        else:
-            gate.succeed(evt.value)
-
-    def on_timer(_evt: Event) -> None:
-        if gate.triggered:
-            return
-        event.cancel()
-        registry = (
-            sim.observability.registry
-            if sim.observability is not None
-            else None
-        )
-        if registry is not None:
-            registry.counter("resilience.deadline.expired").inc()
-        gate.fail(
-            DeadlineExceeded(
-                f"no result within {timeout_s:g}s (started t={started:g})",
-                deadline_s=timeout_s,
-            )
-        )
-
-    event.add_callback(on_event)
-    timer.add_callback(on_timer)
+    gate = _DeadlineGate(sim, event, timeout_s)
+    event.add_callback(gate._on_event)
+    gate.timer.add_callback(gate._on_timer)
     return gate
 
 
@@ -247,80 +484,19 @@ def hedge(
 ) -> Iterator[Event]:
     """Speculatively duplicate an operation; first completion wins.
 
-    A generator meant for ``yield from`` inside a process. The first
-    copy starts immediately; while no copy has finished, another starts
-    every ``delay_s`` until ``max_copies`` are running. The first copy
-    to finish supplies the result and every other copy is interrupted
-    (winner-takes-all). A copy that *fails* triggers an immediate
-    replacement launch while budget remains; if every launched copy
+    The generator form of :func:`hedge_events`, meant for ``yield from``
+    inside a process. Each copy is ``make_attempt()`` spawned as its own
+    process; a losing copy is interrupted. Returns a
+    :class:`HedgeOutcome` so callers can account for the overhead
+    (``launched`` copies) instead of hiding it; if every launched copy
     fails, the last failure is raised.
-
-    Returns a :class:`HedgeOutcome` so callers can account for the
-    overhead (``launched`` copies) instead of hiding it. With
-    observability attached, increments ``resilience.hedge.calls`` /
-    ``.extra_copies`` / ``.hedged_wins`` counters.
     """
-    if max_copies < 1:
-        raise SimulationError("hedge needs at least one copy")
-    if delay_s < 0:
-        raise SimulationError(f"negative hedge delay: {delay_s}")
-    registry = (
-        sim.observability.registry if sim.observability is not None else None
-    )
-    gate = sim.event()
-    handles: list = []
-    state = {"launched": 0, "pending": 0}
-    last_error: list = [None]
 
-    def launch() -> None:
-        index = state["launched"]
-        state["launched"] += 1
-        state["pending"] += 1
+    def launch(index: int) -> Tuple[Event, Callable[[Any], None]]:
         outcome = sim.event()
-        outcome.add_callback(_make_on_outcome(index))
-        handles.append(
-            sim.spawn(
-                _guarded(make_attempt(), outcome), name=f"{name}.copy{index}"
-            )
+        handle = sim.spawn(
+            _guarded(make_attempt(), outcome), name=f"{name}.copy{index}"
         )
+        return outcome, handle.interrupt
 
-    def _make_on_outcome(index: int):
-        def on_outcome(evt: Event) -> None:
-            if gate.triggered:
-                return
-            state["pending"] -= 1
-            if evt._exception is not None:
-                last_error[0] = evt._exception
-                if state["launched"] < max_copies:
-                    launch()  # failed copy: hedge immediately
-                elif state["pending"] == 0:
-                    gate.fail(last_error[0])
-                return
-            gate.succeed((index, evt.value))
-
-        return on_outcome
-
-    def on_timer(_evt: Event) -> None:
-        if gate.triggered or state["launched"] >= max_copies:
-            return
-        launch()
-        if state["launched"] < max_copies:
-            sim.timeout(delay_s).add_callback(on_timer)
-
-    launch()
-    if max_copies > 1:
-        sim.timeout(delay_s).add_callback(on_timer)
-
-    winner, value = yield gate
-    for index, handle in enumerate(handles):
-        if index != winner:
-            handle.interrupt(f"{name}: lost to copy {winner}")
-    if registry is not None:
-        registry.counter("resilience.hedge.calls").inc()
-        if state["launched"] > 1:
-            registry.counter("resilience.hedge.extra_copies").inc(
-                state["launched"] - 1
-            )
-        if winner > 0:
-            registry.counter("resilience.hedge.hedged_wins").inc()
-    return HedgeOutcome(value=value, winner=winner, launched=state["launched"])
+    return (yield hedge_events(sim, launch, delay_s, max_copies, name))

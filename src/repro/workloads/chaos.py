@@ -40,23 +40,24 @@ them. Overhead is reported as extra hedge copies and retry attempts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine import (
+    Event,
     FaultInjector,
     FaultSpec,
     RandomStream,
     Resource,
     RetryPolicy,
     Simulator,
-    hedge,
-    retry,
     with_deadline,
 )
 from repro.engine.faults import LINK_FLAP, STRAGGLER
-from repro.errors import FaultError, ModelError, RetryExhausted, TopologyError
+from repro.engine.resilience import ServiceCopy, hedge_events, retry_events
+from repro.errors import FaultError, ModelError, TopologyError
 
 #: Policies understood by the search part.
 SEARCH_POLICIES = ("off", "hedged")
@@ -198,43 +199,40 @@ def run_search_chaos(
     latencies: List[float] = []
     copies_launched = [0]
 
-    def serve_on(replica: str, base_s: float):
-        """One attempt on one replica: queue for a slot, then serve.
+    def service_s(replica: str, base_s: float) -> float:
+        """A copy's service time, sampled when it is granted a slot.
 
-        The slowdown is sampled when service *starts*, which is the
-        straggler model: a request that lands on a degraded replica is
-        slow end to end.
+        That is the straggler model: a request that starts on a
+        degraded replica is slow end to end.
         """
+        return base_s * injector.slowdown(replica)
+
+    def serve_on(replica: str, base_s: float) -> ServiceCopy:
+        """One copy on one replica: queue for a slot, serve, release."""
         copies_launched[0] += 1
-        yield pools[replica].acquire()
-        try:
-            yield sim.timeout(base_s * injector.slowdown(replica))
-        finally:
-            pools[replica].release()
-        return replica
+        return ServiceCopy(
+            sim, pools[replica], partial(service_s, replica, base_s)
+        )
 
-    def request(arrived_s: float, primary: int, base_s: float):
-        if policy == "off":
-            yield from serve_on(replicas[primary], base_s)
-        else:
-            copy = [0]
+    def launch(primary: int, base_s: float, copy: int):
+        """Hedge copy ``copy`` goes to the replica after the previous one."""
+        served = serve_on(replicas[(primary + copy) % N_REPLICAS], base_s)
+        return served, served.cancel
 
-            def attempt():
-                replica = replicas[(primary + copy[0]) % N_REPLICAS]
-                copy[0] += 1
-                return serve_on(replica, base_s)
-
-            yield from hedge(
-                sim, attempt, delay_s=hedge_delay_s, max_copies=2,
-                name="search.hedge",
-            )
+    def done(arrived_s: float, _finished) -> None:
         latencies.append(sim.now - arrived_s)
 
     def admit(index: int) -> None:
-        sim.spawn(
-            request(sim.now, int(primaries[index]), float(base_service_s[index])),
-            name=f"search.request{index}",
-        )
+        primary = int(primaries[index])
+        base_s = float(base_service_s[index])
+        if policy == "off":
+            finished = serve_on(replicas[primary], base_s)
+        else:
+            finished = hedge_events(
+                sim, partial(launch, primary, base_s),
+                delay_s=hedge_delay_s, max_copies=2, name="search.hedge",
+            )
+        finished.add_callback(partial(done, sim.now))
 
     sim.schedule_batch(arrivals_s, admit)
     sim.run()
@@ -367,44 +365,41 @@ def run_memory_chaos(
         return duration
 
     def request(arrived_s: float):
-        if policy == "off":
-            try:
-                duration = transfer_duration_s("mem-pool0")
-            except FaultError:
-                failures[0] += 1
-                return
-            yield sim.timeout(duration)
-            latencies.append(sim.now - arrived_s)
-            return
-
-        attempt_no = [0]
-
-        def attempt():
-            # Failover: odd attempts go to the replica pool.
-            pool = "mem-pool0" if attempt_no[0] % 2 == 0 else "mem-pool1"
-            attempt_no[0] += 1
-
-            def bounded():
-                # transfer_duration_s may raise FaultError; the retry
-                # machinery delivers it to the waiter via the outcome
-                # event, so it never escapes a bare process.
-                duration = transfer_duration_s(pool)
-                yield with_deadline(sim, sim.timeout(duration), deadline_s)
-                return pool
-
-            return bounded()
-
         try:
-            yield from retry(
-                sim, attempt, retry_policy, rng=backoff, name="memory.retry"
-            )
-        except RetryExhausted:
+            duration = transfer_duration_s("mem-pool0")
+        except FaultError:
             failures[0] += 1
             return
+        yield sim.timeout(duration)
         latencies.append(sim.now - arrived_s)
 
+    def attempt(number: int) -> Event:
+        """Attempt ``number`` of a resilient read, bounded by the deadline.
+
+        Failover: even attempts go to the replica pool. An unreachable
+        pool fails the attempt at once.
+        """
+        pool = "mem-pool0" if number % 2 else "mem-pool1"
+        try:
+            duration = transfer_duration_s(pool)
+        except FaultError as exc:
+            return sim.event().fail(exc)
+        return with_deadline(sim, sim.timeout(duration), deadline_s)
+
+    def done(arrived_s: float, read: Event) -> None:
+        if read._exception is not None:  # RetryExhausted
+            failures[0] += 1
+        else:
+            latencies.append(sim.now - arrived_s)
+
     def admit(index: int) -> None:
-        sim.spawn(request(sim.now), name=f"memory.req{index}")
+        if policy == "off":
+            sim.spawn(request(sim.now), name=f"memory.req{index}")
+            return
+        read = retry_events(
+            sim, attempt, retry_policy, rng=backoff, name="memory.retry"
+        )
+        read.add_callback(partial(done, sim.now))
 
     sim.schedule_batch(arrivals_s, admit)
     sim.run()

@@ -1,17 +1,24 @@
 """Tests for dynamic fault injection and the resilience primitives."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     FaultInjector,
     FaultSpec,
+    Interrupt,
     RandomStream,
+    Resource,
     RetryPolicy,
     Simulator,
     hedge,
     retry,
     with_deadline,
 )
+from repro.engine.resilience import ServiceCopy, hedge_events, retry_events
 from repro.engine.faults import (
     HOST_FAILURE,
     LINK_FLAP,
@@ -693,3 +700,298 @@ class TestChaosDeterminism:
         inputs = memory_inputs(200, seed=3)
         first = run_memory_chaos("resilient", seed=3, **inputs)
         assert run_memory_chaos("resilient", seed=3, **inputs) == first
+
+
+# ---------------------------------------------------------------------------
+# Event forms against generator forms.
+# ---------------------------------------------------------------------------
+#
+# Hypothesis draws the structure (capacities, how many calls, copies and
+# attempts, which attempts fail, whether a deadline applies) and a seed;
+# the times themselves come from that seed as continuous draws. The two
+# forms take different numbers of same-instant calendar hops to do the
+# same work (a process copy needs a spawn entry before it acquires), so
+# they agree wherever no two independent events share a timestamp; the
+# named cases below pin the ties that are part of the semantics.
+
+
+def _process_copy(sim, resource, duration):
+    """A hedged copy as a process: queue, serve, release."""
+    grant = resource.acquire()
+    try:
+        yield grant
+    except Interrupt:
+        if grant.triggered:  # granted in the same instant, never resumed
+            resource.release()
+        raise
+    try:
+        yield sim.timeout(duration)
+    finally:
+        resource.release()
+
+
+def _holder(sim, resource, start, hold):
+    yield sim.timeout(start)
+    yield resource.acquire()
+    yield sim.timeout(hold)
+    resource.release()
+
+
+def _record_states(sim, resource):
+    """Log ``(time, in_use, queue_length)`` whenever a settled instant
+    leaves the resource in a new state; returns the log."""
+    log = []
+    instant = [None]
+
+    def settle():
+        state = (resource.in_use, resource.queue_length)
+        if not log or log[-1][1:] != state:
+            log.append((instant[0],) + state)
+
+    def on_event(when, _entry):
+        if when != instant[0]:
+            settle()
+            instant[0] = when
+
+    sim.on_event = on_event
+    return log, settle
+
+
+def _run_hedged_calls(form, capacity, holders, calls):
+    """Hedged calls over one resource; returns (per-call results, states).
+
+    ``form`` is ``"event"`` (``hedge_events`` launching
+    :class:`ServiceCopy` chains) or ``"generator"`` (``hedge`` spawning
+    :func:`_process_copy` processes). Each call ``(arrival, delay,
+    durations)`` starts from a timeout callback at its arrival in both
+    forms and may launch one copy per duration.
+    """
+    sim = Simulator()
+    resource = Resource(sim, capacity=capacity)
+    for start, hold in holders:
+        sim.spawn(_holder(sim, resource, start, hold))
+    results = {}
+
+    def begin(index, delay, durations):
+        if form == "event":
+            def launch(copy):
+                served = ServiceCopy(sim, resource, lambda: durations[copy])
+                return served, served.cancel
+
+            def record(gate):
+                outcome = gate.value
+                results[index] = (sim.now, outcome.winner, outcome.launched)
+
+            gate = hedge_events(sim, launch, delay, max_copies=len(durations))
+            gate.add_callback(record)
+        else:
+            copies = iter(durations)
+
+            def driver():
+                outcome = yield from hedge(
+                    sim, lambda: _process_copy(sim, resource, next(copies)),
+                    delay, max_copies=len(durations),
+                )
+                results[index] = (sim.now, outcome.winner, outcome.launched)
+
+            sim.spawn(driver())
+
+    for index, (arrival, delay, durations) in enumerate(calls):
+        sim.timeout(arrival).add_callback(
+            lambda _evt, i=index, d=delay, ds=durations: begin(i, d, ds)
+        )
+    log, settle = _record_states(sim, resource)
+    sim.run()
+    settle()
+    return results, log
+
+
+def _event_attempt(sim, spec, deadline):
+    kind, duration = spec
+    if kind == "fault":
+        return sim.event().fail(RuntimeError("fault at start"))
+    if kind == "ok":
+        done = sim.timeout(duration, "ok")
+    else:
+        done = sim.event()
+        sim.timeout(duration).add_callback(
+            lambda _evt: done.fail(RuntimeError("failed"))
+        )
+    return done if deadline is None else with_deadline(sim, done, deadline)
+
+
+def _process_attempt(sim, spec, deadline):
+    kind, duration = spec
+    if kind == "fault":
+        raise RuntimeError("fault at start")
+    if deadline is None:
+        yield sim.timeout(duration)
+    else:
+        yield with_deadline(sim, sim.timeout(duration), deadline)
+    if kind == "fail":
+        raise RuntimeError("failed")
+    return "ok"
+
+
+def _run_retry(form, specs, deadline, policy):
+    """One retried call; returns (finish time, value or exhausted attempts)."""
+    sim = Simulator()
+    result = []
+    rng = RandomStream(7, "retry.backoff")
+    if form == "event":
+        def record(gate):
+            if gate._exception is not None:
+                result.append((sim.now, "exhausted", gate._exception.attempts))
+            else:
+                result.append((sim.now, gate.value))
+
+        retry_events(
+            sim, lambda n: _event_attempt(sim, specs[n - 1], deadline),
+            policy, rng=rng,
+        ).add_callback(record)
+    else:
+        attempts = iter(specs)
+
+        def driver():
+            try:
+                value = yield from retry(
+                    sim, lambda: _process_attempt(sim, next(attempts), deadline),
+                    policy, rng=rng,
+                )
+            except RetryExhausted as exc:
+                result.append((sim.now, "exhausted", exc.attempts))
+            else:
+                result.append((sim.now, value))
+
+        sim.spawn(driver())
+    sim.run()
+    return result
+
+
+class TestEventFormsMatchGeneratorForms:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        capacity=st.integers(min_value=1, max_value=3),
+        n_holders=st.integers(min_value=0, max_value=4),
+        copies_per_call=st.lists(st.integers(min_value=1, max_value=3),
+                                 min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hedge_over_a_resource(self, seed, capacity, n_holders,
+                                   copies_per_call):
+        draw = random.Random(seed).uniform
+        holders = [(draw(0, 3), draw(0.1, 2)) for _ in range(n_holders)]
+        calls = [
+            (draw(0, 3), draw(0.05, 1.5), [draw(0.1, 2) for _ in range(n)])
+            for n in copies_per_call
+        ]
+        event = _run_hedged_calls("event", capacity, holders, calls)
+        generator = _run_hedged_calls("generator", capacity, holders, calls)
+        assert event == generator
+        assert len(event[0]) == len(calls)
+        assert event[1][-1][1:] == (0, 0)  # no slot leaks, no waiter left
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kinds=st.lists(st.sampled_from(["fault", "fail", "ok"]),
+                       min_size=1, max_size=4),
+        with_deadline_s=st.booleans(),
+        jitter=st.sampled_from([0.0, 0.3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_retry(self, seed, kinds, with_deadline_s, jitter):
+        draw = random.Random(seed).uniform
+        specs = [(kind, draw(0.05, 2)) for kind in kinds]
+        deadline = draw(0.05, 2) if with_deadline_s else None
+        policy = RetryPolicy(max_attempts=len(specs),
+                             base_delay_s=draw(0.05, 1), jitter=jitter)
+        assert _run_retry("event", specs, deadline, policy) == _run_retry(
+            "generator", specs, deadline, policy
+        )
+
+    def test_deadline_tie_goes_to_the_attempt(self):
+        # The attempt's timeout is created before the deadline timer.
+        for form in ("event", "generator"):
+            assert _run_retry(
+                form, [("ok", 1.0)], 1.0, RetryPolicy(max_attempts=1)
+            ) == [(1.0, "ok")]
+
+    def test_loser_cancelled_while_queued_at_the_winners_time(self):
+        # One slot: copy 0 holds it; copy 1 (hedged at 1.0) queues behind
+        # it and leaves the queue when copy 0 finishes at 2.0.
+        for form in ("event", "generator"):
+            results, states = _run_hedged_calls(
+                form, 1, [], [(0.0, 1.0, [2.0, 0.5])]
+            )
+            assert results == {0: (2.0, 0, 2)}
+            assert states == [(None, 0, 0), (0.0, 1, 0), (1.0, 1, 1),
+                              (2.0, 0, 0)]
+
+    def test_loser_released_while_in_service_at_the_winners_time(self):
+        # Two slots: copy 0 straggles (5.0); copy 1, hedged at 1.0, wins
+        # at 1.5 and copy 0 gives its slot back at that same instant.
+        for form in ("event", "generator"):
+            results, states = _run_hedged_calls(
+                form, 2, [], [(0.0, 1.0, [5.0, 0.5])]
+            )
+            assert results == {0: (1.5, 1, 2)}
+            assert states == [(None, 0, 0), (0.0, 1, 0), (1.0, 2, 0),
+                              (1.5, 0, 0)]
+
+    def test_copy_finishing_at_the_hedge_time_loses_the_tie_to_the_timer(self):
+        # The hedge timer is created before copy 0's service, so at 1.0
+        # it launches copy 1 before copy 0's finish is seen.
+        for form in ("event", "generator"):
+            results, _ = _run_hedged_calls(form, 2, [], [(0.0, 1.0, [1.0, 3.0])])
+            assert results == {0: (1.0, 0, 2)}
+
+    def test_loser_granted_in_the_winners_instant_gives_the_slot_back(self):
+        # Two slots, filled by a holder and copy 0, both ending at 2.0:
+        # queued copy 1 is granted and abandoned in the same instant.
+        sim = Simulator()
+        resource = Resource(sim, capacity=2)
+        sim.spawn(_holder(sim, resource, 0.0, 2.0))
+        served = []
+
+        def launch(copy):
+            served.append(ServiceCopy(sim, resource, lambda: (2.0, 1.0)[copy]))
+            return served[-1], served[-1].cancel
+
+        gate = hedge_events(sim, launch, 0.5)
+        sim.run()
+        assert (gate.value.winner, gate.value.launched) == (0, 2)
+        assert served[1].cancelled and not served[1].triggered
+        assert (resource.in_use, resource.queue_length) == (0, 0)
+
+
+class TestChaosSpawnsNoProcessPerCopy:
+    """Hedged copies and retried attempts are event chains, not processes."""
+
+    @staticmethod
+    def _spawned(monkeypatch, run):
+        names = []
+        spawn = Simulator.spawn
+
+        def counting_spawn(sim, generator, name=""):
+            names.append(name)
+            return spawn(sim, generator, name)
+
+        monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+        run()
+        return names
+
+    def test_hedged_search_spawns_only_fault_processes(self, monkeypatch):
+        from repro.workloads.chaos import run_search_chaos, search_inputs
+
+        names = self._spawned(monkeypatch, lambda: run_search_chaos(
+            "hedged", seed=0, **search_inputs(600, seed=0)))
+        # One straggler schedule per odd replica.
+        assert names == [f"fault.straggler.replica{i}" for i in (1, 3, 5)]
+
+    def test_resilient_memory_spawns_only_fault_processes(self, monkeypatch):
+        from repro.workloads.chaos import memory_inputs, run_memory_chaos
+
+        names = self._spawned(monkeypatch, lambda: run_memory_chaos(
+            "resilient", seed=0, **memory_inputs(400, seed=0)))
+        assert len(names) == 4  # one flap schedule per spine uplink
+        assert all(name.startswith("fault.link-flap.") for name in names)
