@@ -72,6 +72,14 @@ class ModelError(ReproError):
     """Raised when an analytical model is given out-of-domain parameters."""
 
 
+class ConfigError(ModelError):
+    """Raised when a run's config names a key that no default has.
+
+    Running the shard again fails the same way, so the runner records
+    the first failure instead of spending its retry budget on it.
+    """
+
+
 class RegistryError(ReproError):
     """Raised for missing or duplicate entries in library registries."""
 

@@ -11,8 +11,9 @@ Conventions:
 - ``config`` holds *overrides*; each entrypoint merges them over its
   defaults (the benchmark suite's historical problem sizes) and records
   the merged, effective config in the result. A key that no default
-  names raises :class:`~repro.errors.ModelError`, so the shard comes
-  back ``error`` naming the unknown and the valid keys.
+  names raises :class:`~repro.errors.ConfigError`, so the shard comes
+  back ``error`` naming the unknown and the valid keys, after one
+  attempt.
 - ``seed`` is the grid seed. Entrypoints add it to their legacy base
   seed, so seed 0 reproduces the benchmark numbers bit for bit and
   different experiments at the same grid seed stay decorrelated.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-from repro.errors import ModelError
+from repro.errors import ConfigError
 from repro.runner.results import RunResult
 
 #: Per-experiment reduced problem sizes for smoke runs.
@@ -61,14 +62,14 @@ QUICK_CONFIGS: Dict[str, Dict[str, Any]] = {
 
 
 def _merge(defaults: Dict[str, Any], config: Mapping[str, Any]) -> Dict[str, Any]:
-    """Overrides over defaults; a key no default names is a ModelError.
+    """Overrides over defaults; a key no default names is a ConfigError.
 
     A misspelled override must fail its shard, not silently run the
     default and record the typo as if it had been applied.
     """
     unknown = sorted(set(config) - set(defaults), key=str)
     if unknown:
-        raise ModelError(
+        raise ConfigError(
             f"unknown config key(s): {', '.join(map(str, unknown))}; "
             f"valid keys: {', '.join(sorted(defaults))}"
         )

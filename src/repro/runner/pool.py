@@ -12,7 +12,9 @@ no callables cross the process boundary. A shard that raises is
 captured as an ``error`` result with its traceback; a shard that
 exceeds the per-run timeout has its worker terminated and is recorded
 as ``timeout``; both are retried up to ``retries`` times before the
-failure is accepted into the sweep.
+failure is accepted into the sweep. The exception is a
+:class:`~repro.errors.ConfigError` (a config key no default names):
+rerunning it cannot help, so its first ``error`` result is final.
 
 Hard worker death is a third, distinct failure class: the worker
 vanished (SIGKILL, OOM-kill, a segfault in native code) without
@@ -47,7 +49,7 @@ from multiprocessing import util as mp_util
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import RegistryError
+from repro.errors import ConfigError, RegistryError
 from repro.runner.results import RunResult
 
 #: Seconds between liveness polls of in-flight workers.
@@ -218,6 +220,18 @@ def run_shards(
         )
 
 
+#: How the last line of a captured traceback starts for a ConfigError.
+_CONFIG_ERROR_LINE = f"{ConfigError.__module__}.{ConfigError.__qualname__}:"
+
+
+def _retryable(result: RunResult) -> bool:
+    """Whether a failed attempt is worth another: not a ConfigError."""
+    if result.status != "error" or not result.error:
+        return True
+    last_line = result.error.rstrip().rsplit("\n", 1)[-1]
+    return not last_line.startswith(_CONFIG_ERROR_LINE)
+
+
 def _run_inline(shards, retries, on_complete, on_start) -> List[RunResult]:
     results: List[RunResult] = []
     for spec in sorted(shards, key=lambda s: s.index):
@@ -229,7 +243,7 @@ def _run_inline(shards, retries, on_complete, on_start) -> List[RunResult]:
             result = execute_shard(spec)
             result.attempts = attempt
             result.wall_s = time.perf_counter() - started
-            if result.ok:
+            if result.ok or not _retryable(result):
                 break
         if on_complete is not None:
             on_complete(spec, result)
@@ -386,7 +400,8 @@ class WorkerPool:
                 result.status == "crashed"
                 and crashes >= _CRASH_QUARANTINE_AT
             )
-            if not result.ok and not quarantined and flight.attempt <= retries:
+            if (not result.ok and not quarantined and _retryable(result)
+                    and flight.attempt <= retries):
                 queue.append((flight.spec, flight.attempt + 1))
                 return
             done[flight.spec.index] = result

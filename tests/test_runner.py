@@ -402,11 +402,25 @@ class TestFailurePaths:
     def test_misspelled_override_fails_the_shard(self):
         result = run_experiment("E4", config={"speeedup": 9.0}, seed=0)
         assert result.status == "error"
-        assert "ModelError: unknown config key(s): speeedup;" in result.error
+        assert "ConfigError: unknown config key(s): speeedup;" in result.error
         assert "valid keys: " in result.error and " speedup" in result.error
         spelled = run_experiment("E4", config={"speedup": 9.0}, seed=0)
         assert spelled.ok, spelled.error
         assert spelled.config["speedup"] == 9.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_config_key_is_not_retried(self, jobs):
+        grid = run_grid("E4", overrides=[{"speeedup": 9.0}], quick=True,
+                        use_cache=False, retries=1, jobs=jobs)
+        [result] = grid.results
+        assert result.status == "error"
+        assert "ConfigError: unknown config key(s)" in result.error
+        assert result.attempts == 1
+        assert grid.stats["retries"] == 0
+        # Any other error keeps its retry budget.
+        [other] = run_shards([_shard("failing_entrypoint", "T-ERR")],
+                             jobs=jobs, retries=1)
+        assert other.status == "error" and other.attempts == 2
 
     def test_invalid_pool_arguments_rejected(self):
         with pytest.raises(ValueError):
