@@ -22,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: One trace record: (when, seq, kind, node).
 TraceRecord = Tuple[float, int, str, str]
@@ -95,19 +96,35 @@ def merge_shard_traces(
     )
 
 
+def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    return (
+        f"{when!r}\t{seq}\t{kind}\t{node}\n"
+        for when, seq, kind, node in records
+    )
+
+
 def canonical_trace_lines(records: Iterable[TraceRecord]) -> List[str]:
     """The canonical one-line-per-record serialization of a trace.
 
     ``repr`` on floats is shortest-round-trip exact, so equal lines
     imply bit-for-bit equal timestamps.
     """
-    return [
-        f"{when!r}\t{seq}\t{kind}\t{node}\n"
-        for when, seq, kind, node in records
-    ]
+    return list(_trace_lines(records))
+
+
+#: Canonical lines hashed per ``sha256.update`` in :func:`trace_digest`.
+_DIGEST_CHUNK_LINES = 4096
 
 
 def trace_digest(records: Iterable[TraceRecord]) -> str:
-    """SHA-256 over the canonical serialization of ``records``."""
-    text = "".join(canonical_trace_lines(records))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """SHA-256 over the canonical serialization of ``records``.
+
+    The lines are hashed a fixed-size chunk at a time, so the digest
+    never holds the whole serialized trace in memory; it equals the
+    hash of the joined text.
+    """
+    digest = hashlib.sha256()
+    lines = _trace_lines(records)
+    while chunk := "".join(islice(lines, _DIGEST_CHUNK_LINES)):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
