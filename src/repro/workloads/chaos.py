@@ -14,7 +14,7 @@ Three parts, all deterministic given the seed:
 - :func:`run_search_chaos` -- an E2-style replicated search backend
   where some replicas intermittently straggle; policy ``"hedged"``
   issues a speculative second copy to another replica after a delay
-  (first-wins, loser interrupted), policy ``"off"`` rides out the
+  (first-wins, loser leaves the pool), policy ``"off"`` rides out the
   stragglers.
 - :func:`run_memory_chaos` -- E8-style reads from disaggregated memory
   pools over a :func:`~repro.network.topology.disaggregated_fabric`
@@ -169,8 +169,10 @@ def run_search_chaos(
     with ``schedule_batch``) and needs ``base_service_s[i]`` on replica
     ``primaries[i]`` (one of ``0 .. N_REPLICAS - 1``). With
     ``policy="hedged"`` a second copy goes to the *next* replica if the
-    primary has not answered within ``hedge_delay_s`` (losers are
-    interrupted and release their slot).
+    primary has not answered within ``hedge_delay_s`` (the loser leaves
+    its replica's queue or releases its slot when the winner finishes).
+    Copies are :class:`~repro.engine.resilience.ServiceCopy` event
+    chains, so no request is a process.
     Half the replicas carry a straggler fault schedule that stops
     starting new episodes at ``fault_end_s``, so hedging onto the
     neighbour recovers the tail whenever the neighbour is healthy.
