@@ -192,8 +192,7 @@ class ServiceCopy(Event):
 class _RetryCall(Event):
     """The gate of one :func:`retry_events` call, driving its own chain."""
 
-    __slots__ = ("launch", "policy", "rng", "name", "registry", "attempt",
-                 "_on_outcome_cb", "_start_cb")
+    __slots__ = ("launch", "policy", "rng", "name", "registry", "attempt")
 
     def __init__(self, sim, launch, policy, rng, name) -> None:
         Event.__init__(self, sim)
@@ -203,8 +202,6 @@ class _RetryCall(Event):
         self.name = name
         self.registry = _registry(sim)
         self.attempt = 0
-        self._on_outcome_cb = self._on_outcome
-        self._start_cb = self._start
 
     def _start(self, _backoff: Optional[Event] = None) -> None:
         if self._cancelled:
@@ -212,7 +209,7 @@ class _RetryCall(Event):
         self.attempt += 1
         if self.registry is not None:
             self.registry.counter("resilience.retry.attempts").inc()
-        self.launch(self.attempt).add_callback(self._on_outcome_cb)
+        self.launch(self.attempt).add_callback(self._on_outcome)
 
     def _on_outcome(self, outcome: Event) -> None:
         number = self.attempt
@@ -236,7 +233,7 @@ class _RetryCall(Event):
             self.fail(error)
             return
         self.sim.timeout(self.policy.delay_s(number, self.rng)).add_callback(
-            self._start_cb
+            self._start
         )
 
 
@@ -271,7 +268,7 @@ class _HedgeCall(Event):
     """The gate of one :func:`hedge_events` call, driving its own copies."""
 
     __slots__ = ("launch", "delay_s", "max_copies", "name", "copies",
-                 "pending", "last_error", "_on_outcome_cb")
+                 "pending", "last_error")
 
     def __init__(self, sim, launch, delay_s, max_copies, name) -> None:
         Event.__init__(self, sim)
@@ -282,13 +279,12 @@ class _HedgeCall(Event):
         self.copies: list = []  # (outcome, abandon) per launched copy
         self.pending = 0
         self.last_error: Optional[BaseException] = None
-        self._on_outcome_cb = self._on_outcome
 
     def _start(self) -> None:
         self.pending += 1
         copy = self.launch(len(self.copies))
         self.copies.append(copy)
-        copy[0].add_callback(self._on_outcome_cb)
+        copy[0].add_callback(self._on_outcome)
 
     def _on_outcome(self, outcome: Event) -> None:
         if self._triggered or self._cancelled:
@@ -420,43 +416,6 @@ def retry(
     return (yield retry_events(sim, launch, policy, rng, name))
 
 
-class _DeadlineGate(Event):
-    """The gate of one :func:`with_deadline` call."""
-
-    __slots__ = ("event", "timer", "timeout_s", "started")
-
-    def __init__(self, sim: Simulator, event: Event, timeout_s: float) -> None:
-        Event.__init__(self, sim)
-        self.event = event
-        self.timer = sim.timeout(timeout_s)
-        self.timeout_s = timeout_s
-        self.started = sim.now
-
-    def _on_event(self, evt: Event) -> None:
-        if self._triggered:
-            return
-        self.timer.cancel()
-        if evt._exception is not None:
-            self.fail(evt._exception)
-        else:
-            self.succeed(evt._value)
-
-    def _on_timer(self, _timer: Event) -> None:
-        if self._triggered:
-            return
-        self.event.cancel()
-        registry = _registry(self.sim)
-        if registry is not None:
-            registry.counter("resilience.deadline.expired").inc()
-        self.fail(
-            DeadlineExceeded(
-                f"no result within {self.timeout_s:g}s "
-                f"(started t={self.started:g})",
-                deadline_s=self.timeout_s,
-            )
-        )
-
-
 def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     """An event mirroring ``event`` but failing after ``timeout_s``.
 
@@ -469,9 +428,35 @@ def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     """
     if timeout_s < 0:
         raise SimulationError(f"negative deadline: {timeout_s}")
-    gate = _DeadlineGate(sim, event, timeout_s)
-    event.add_callback(gate._on_event)
-    gate.timer.add_callback(gate._on_timer)
+    gate = sim.event()
+    timer = sim.timeout(timeout_s)
+    started = sim.now
+
+    def on_event(evt: Event) -> None:
+        if gate.triggered:
+            return
+        timer.cancel()
+        if evt._exception is not None:
+            gate.fail(evt._exception)
+        else:
+            gate.succeed(evt.value)
+
+    def on_timer(_evt: Event) -> None:
+        if gate.triggered:
+            return
+        event.cancel()
+        registry = _registry(sim)
+        if registry is not None:
+            registry.counter("resilience.deadline.expired").inc()
+        gate.fail(
+            DeadlineExceeded(
+                f"no result within {timeout_s:g}s (started t={started:g})",
+                deadline_s=timeout_s,
+            )
+        )
+
+    event.add_callback(on_event)
+    timer.add_callback(on_timer)
     return gate
 
 
