@@ -323,9 +323,9 @@ class _HedgeCall(Event):
         launched = len(self.copies)
         if self._triggered or self._cancelled or launched >= self.max_copies:
             return
+        self._start()
         if launched + 1 < self.max_copies:
             self.sim.timeout(self.delay_s).add_callback(self._on_timer)
-        self._start()
 
 
 def hedge_events(
@@ -343,9 +343,9 @@ def hedge_events(
     copy still pending is abandoned at that same time (winner takes
     all). A copy that *fails* triggers an immediate replacement while
     budget remains; if every launched copy fails, the gate fails with
-    the last failure. Each hedge timer is created before the copy it
-    launches, so a copy finishing exactly at the hedge time loses the
-    tie to the timer, as it does when copies are processes.
+    the last failure. A copy's outcome reaches the gate one calendar
+    entry after the copy finishes, so a hedge timer due in that same
+    instant still launches its copy, which is then abandoned at once.
 
     With observability attached, increments ``resilience.hedge.calls`` /
     ``.extra_copies`` / ``.hedged_wins`` counters when the gate fires
@@ -356,9 +356,9 @@ def hedge_events(
     if delay_s < 0:
         raise SimulationError(f"negative hedge delay: {delay_s}")
     gate = _HedgeCall(sim, launch, delay_s, max_copies, name)
+    gate._start()
     if max_copies > 1:
         sim.timeout(delay_s).add_callback(gate._on_timer)
-    gate._start()
     return gate
 
 

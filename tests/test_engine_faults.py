@@ -938,9 +938,9 @@ class TestEventFormsMatchGeneratorForms:
             assert states == [(None, 0, 0), (0.0, 1, 0), (1.0, 2, 0),
                               (1.5, 0, 0)]
 
-    def test_copy_finishing_at_the_hedge_time_loses_the_tie_to_the_timer(self):
-        # The hedge timer is created before copy 0's service, so at 1.0
-        # it launches copy 1 before copy 0's finish is seen.
+    def test_copy_finishing_at_the_hedge_time_still_launches_the_hedge(self):
+        # Copy 0's finish at 1.0 reaches the gate one entry later, so the
+        # hedge timer due at 1.0 launches copy 1 first.
         for form in ("event", "generator"):
             results, _ = _run_hedged_calls(form, 2, [], [(0.0, 1.0, [1.0, 3.0])])
             assert results == {0: (1.0, 0, 2)}
