@@ -123,8 +123,6 @@ class HedgeOutcome:
     launched: int
 
 
-
-
 #: Starts attempt ``n`` (1-based) of :func:`retry_events`; returns the
 #: attempt's outcome event.
 RetryLaunch = Callable[[int], Event]
