@@ -29,9 +29,10 @@ submodules:
   :func:`simulate_fabric` / :func:`simulate_fabric_sharded` -- the
   sharded conservative-time engine and its reference fabric workload;
   from :mod:`repro.engine` and :mod:`repro.workloads`.
-- :class:`FaultInjector` / :class:`FaultSpec` and :func:`retry` /
-  :func:`hedge` / :func:`with_deadline` -- runtime fault injection and
-  the tail-tolerance primitives; from :mod:`repro.engine`.
+- :class:`FaultInjector` / :class:`FaultSpec` and :func:`with_deadline`
+  -- runtime fault injection and the deadline primitive; from
+  :mod:`repro.engine`, which also holds the event-chain retry and hedge
+  (``retry_events``, ``hedge_events``).
 - :func:`build_roadmap` -- the full roadmap pipeline;
   from :mod:`repro.core`.
 - :func:`generate_corpus` -- the calibrated 89-interview survey corpus;
@@ -72,9 +73,7 @@ from repro.engine import (
     RetryPolicy,
     ShardedSimulation,
     Simulator,
-    hedge,
     partition_fabric,
-    retry,
     with_deadline,
 )
 from repro.reporting import (
@@ -117,11 +116,9 @@ __all__ = [
     "execute_job",
     "generate_corpus",
     "get_experiment",
-    "hedge",
     "mc",
     "partition_fabric",
     "render_table",
-    "retry",
     "run_experiment",
     "run_grid",
     "run_trace",

@@ -55,27 +55,6 @@ class Cluster:
         """Number of attached servers."""
         return len(self.servers)
 
-    def total_price_usd(self) -> float:
-        """Bill of materials across all servers."""
-        return sum(s.price_usd for s in self.servers.values())
-
-    def total_peak_power_w(self) -> float:
-        """Peak power across all servers."""
-        return sum(s.peak_power_w for s in self.servers.values())
-
-    def total_idle_power_w(self) -> float:
-        """Idle power across all servers."""
-        return sum(s.idle_power_w for s in self.servers.values())
-
-    def devices_of_kind(self, kind) -> List[tuple]:
-        """(host, device) pairs for every device of ``kind``."""
-        out = []
-        for host in self.hosts:
-            for device in self.servers[host].devices:
-                if device.kind == kind:
-                    out.append((host, device))
-        return out
-
 
 def uniform_cluster(fabric: Fabric, server_factory) -> Cluster:
     """A cluster with identical servers on every fabric host."""

@@ -47,13 +47,6 @@ class BassModel:
         denominator = 1.0 + (q / p) * fraction
         return -math.log(numerator / denominator) / (p + q)
 
-    def peak_adoption_year(self) -> float:
-        """Time of maximum adoption rate (the Bass inflection point)."""
-        p, q = self.p, self.q
-        if q <= p:
-            return 0.0
-        return math.log(q / p) / (p + q)
-
 
 @dataclass(frozen=True)
 class LogisticModel:

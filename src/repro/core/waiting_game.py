@@ -88,15 +88,6 @@ class WaitingGameResult:
         """Whether adoption froze before reaching half the market."""
         return self.adoption_by_round[-1] < 0.5 * self.n_firms
 
-    @property
-    def takeoff_round(self) -> Optional[int]:
-        """First round where cumulative adoption passed 10% of firms."""
-        threshold = 0.1 * self.n_firms
-        for round_index, count in enumerate(self.adoption_by_round):
-            if count >= threshold:
-                return round_index
-        return None
-
 
 def simulate_waiting_game(
     config: WaitingGameConfig = WaitingGameConfig(),

@@ -9,7 +9,7 @@ resources, continuous containers and FIFO stores;
 :mod:`~repro.engine.randomness` provides reproducible variate streams;
 :mod:`~repro.engine.faults` injects deterministic runtime faults;
 :mod:`~repro.engine.resilience` provides retry/deadline/hedge
-primitives for tail-tolerant processes; and :mod:`~repro.engine.sharded`
+primitives as event chains; and :mod:`~repro.engine.sharded`
 runs one kernel per fabric shard under conservative time-window
 synchronization, bit-for-bit equivalent to a single-process run.
 """
@@ -33,8 +33,8 @@ from repro.engine.randomness import RandomStream
 from repro.engine.resilience import (
     HedgeOutcome,
     RetryPolicy,
-    hedge,
-    retry,
+    hedge_events,
+    retry_events,
     with_deadline,
 )
 from repro.engine.resources import Container, Resource, Store
@@ -44,7 +44,7 @@ from repro.engine.sharded import (
     ShardedSimulation,
     partition_fabric,
 )
-from repro.engine.sim import Event, Interrupt, ProcessHandle, Simulator, Timeout
+from repro.engine.sim import Event, ProcessHandle, Simulator, Timeout
 
 __all__ = [
     "Container",
@@ -57,7 +57,6 @@ __all__ = [
     "Gauge",
     "HedgeOutcome",
     "Histogram",
-    "Interrupt",
     "Observability",
     "ProcessHandle",
     "RandomStream",
@@ -72,8 +71,8 @@ __all__ = [
     "SpanLog",
     "Store",
     "Timeout",
-    "hedge",
+    "hedge_events",
     "partition_fabric",
-    "retry",
+    "retry_events",
     "with_deadline",
 ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.engine.randomness import RandomStream
 from repro.engine.sim import ProcessHandle, Simulator
@@ -161,7 +161,6 @@ class FaultInjector:
         self._down: set = set()
         self._slow: dict = {}
         self._open: List[Tuple[str, str, float]] = []
-        self._listeners: List[Callable[[str, str, str, float], None]] = []
 
     # -- wiring ------------------------------------------------------------
 
@@ -191,16 +190,6 @@ class FaultInjector:
             )
         return handles
 
-    def subscribe(
-        self, listener: Callable[[str, str, str, float], None]
-    ) -> None:
-        """Register ``listener(kind, target, phase, now)``.
-
-        ``phase`` is ``"down"`` when a fault lands and ``"up"`` when the
-        repair completes.
-        """
-        self._listeners.append(listener)
-
     # -- queries for workload models ---------------------------------------
 
     def is_down(self, target: str) -> bool:
@@ -210,10 +199,6 @@ class FaultInjector:
     def slowdown(self, target: str) -> float:
         """Service-time multiplier for ``target`` (1.0 when healthy)."""
         return self._slow.get(target, 1.0)
-
-    def active_fault_count(self) -> int:
-        """Number of faults currently in progress."""
-        return len(self._down) + len(self._slow)
 
     def outage_windows(
         self,
@@ -275,12 +260,10 @@ class FaultInjector:
             open_entry = (spec.kind, label, down_at)
             self._open.append(open_entry)
             self._count("injected", spec.kind)
-            self._notify(spec.kind, label, "down")
             yield sim.timeout(rng.exponential(spec.mttr_s))
             self._open.remove(open_entry)
             self._repair(spec, target)
             self._count("repaired", spec.kind)
-            self._notify(spec.kind, label, "up")
             event = FaultEvent(spec.kind, label, down_at, sim.now)
             self.events.append(event)
             observability = sim.observability
@@ -319,7 +302,3 @@ class FaultInjector:
         observability = self.sim.observability
         if observability is not None:
             observability.registry.counter(f"faults.{phase}.{kind}").inc()
-
-    def _notify(self, kind: str, label: str, phase: str) -> None:
-        for listener in self._listeners:
-            listener(kind, label, phase, self.sim.now)

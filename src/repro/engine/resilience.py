@@ -3,15 +3,15 @@
 The chaos experiments (X12, X17) need the classic tail-tolerance
 mechanisms as first-class, composable engine constructs:
 
-- :func:`retry_events` / :func:`retry` -- re-run a failing operation
-  under a :class:`RetryPolicy` (exponential backoff, cap, deterministic
+- :func:`retry_events` -- re-run a failing operation under a
+  :class:`RetryPolicy` (exponential backoff, cap, deterministic
   jitter);
 - :func:`with_deadline` -- wrap any :class:`~repro.engine.sim.Event`
   so the waiter gets :class:`~repro.errors.DeadlineExceeded` instead of
   blocking past a timeout;
-- :func:`hedge_events` / :func:`hedge` -- speculative duplicate
-  execution ("hedged requests"): launch a copy after a delay, first
-  completion wins, losers are abandoned.
+- :func:`hedge_events` -- speculative duplicate execution ("hedged
+  requests"): launch a copy after a delay, first completion wins,
+  losers are abandoned.
 
 Retry and hedge exist once, as *event chains*: the caller supplies a
 ``launch`` function that starts one attempt (or copy) and returns its
@@ -19,12 +19,9 @@ outcome event, and the primitive returns a gate event. Nothing is a
 process: backoffs and hedge delays are :class:`~repro.engine.sim.Timeout`
 callbacks and outcomes are callbacks on events. :class:`ServiceCopy` is
 the event form of "queue on a resource, hold it, release", the copy a
-hedged request launches. The generator forms :func:`retry` and
-:func:`hedge` are thin wrappers for code that runs attempts as
-processes: each attempt is spawned under :func:`_guarded`, the wrapper
-waits on the gate, and a losing copy is abandoned by interrupting its
-process. None of this touches the kernel's hot paths, so simulations
-that do not use them are bit-for-bit unchanged.
+hedged request launches; abandoning it leaves the pool at once. None of
+this touches the kernel's hot paths, so simulations that do not use
+them are bit-for-bit unchanged.
 
 Randomness is explicit: jitter only happens when the caller passes a
 :class:`~repro.engine.randomness.RandomStream`, which keeps every
@@ -34,38 +31,37 @@ Example
 -------
 >>> from repro.engine import Simulator
 >>> sim = Simulator()
->>> def flaky():
-...     yield sim.timeout(0.1)
-...     raise RuntimeError("transient")
+>>> def flaky(attempt):
+...     failure = sim.event()
+...     sim.timeout(0.1).add_callback(
+...         lambda _evt: failure.fail(RuntimeError("transient")))
+...     return failure
 >>> def driver(sim):
 ...     try:
-...         yield from retry(sim, flaky, RetryPolicy(max_attempts=2,
-...                                                  base_delay_s=0.5))
-...     except Exception as exc:
-...         return type(exc).__name__
+...         yield retry_events(sim, flaky, RetryPolicy(max_attempts=2,
+...                                                    base_delay_s=0.5))
+...     except RetryExhausted as exc:
+...         return exc.attempts
 >>> handle = sim.spawn(driver(sim))
 >>> sim.run()
 0.7
 >>> handle.value
-'RetryExhausted'
+2
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.engine.randomness import RandomStream
-from repro.engine.sim import Event, Interrupt, Process, Simulator
+from repro.engine.sim import Event, Simulator
 from repro.errors import DeadlineExceeded, RetryExhausted, SimulationError
-
-#: Factory producing a fresh attempt generator per call.
-AttemptFactory = Callable[[], Process]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential-backoff schedule for :func:`retry`.
+    """Exponential-backoff schedule for :func:`retry_events`.
 
     The delay after the ``n``-th failed attempt (1-based) is
     ``base_delay_s * multiplier ** (n - 1)``, capped at ``max_delay_s``.
@@ -111,7 +107,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class HedgeOutcome:
-    """Result of one :func:`hedge` call.
+    """Result of one :func:`hedge_events` call.
 
     ``launched`` counts every copy started (1 means the hedge never
     fired), so ``launched - 1`` is the extra-work overhead the caller
@@ -250,8 +246,8 @@ def retry_events(
     length starts attempt ``n + 1``. The gate fires with the successful
     attempt's value, or fails with :class:`~repro.errors.RetryExhausted`
     (its ``__cause__`` the last failure) once the budget is spent.
-    Cancelling the gate (its waiter was interrupted) stops the chain: no
-    further attempt starts.
+    Cancelling the gate (as :func:`with_deadline` does when it expires)
+    stops the chain: no further attempt starts.
 
     With observability attached to ``sim``, increments
     ``resilience.retry.attempts`` / ``.failures`` / ``.recovered`` /
@@ -360,60 +356,6 @@ def hedge_events(
     return gate
 
 
-def _guarded(generator: Process, outcome: Event) -> Process:
-    """Run ``generator`` and deliver its result or failure via ``outcome``.
-
-    The generator wrappers :func:`retry` and :func:`hedge` spawn each
-    attempt under this guard. Exceptions escaping a plain spawned
-    process would abort the whole run
-    (:class:`~repro.errors.ProcessFailure`); routing them through an
-    event instead lets the event forms observe failures without a
-    global ``on_process_error`` hook. An
-    :class:`~repro.engine.sim.Interrupt` (a cancelled hedge loser)
-    cancels the outcome and ends the copy silently.
-    """
-    try:
-        result = yield from generator
-    except Interrupt:
-        outcome.cancel()
-        return
-    except Exception as exc:  # noqa: BLE001 - delivered to the waiter
-        if not outcome.triggered:
-            outcome.fail(exc)
-        return
-    if not outcome.triggered:
-        outcome.succeed(result)
-
-
-def retry(
-    sim: Simulator,
-    make_attempt: AttemptFactory,
-    policy: RetryPolicy = RetryPolicy(),
-    rng: Optional[RandomStream] = None,
-    name: str = "retry",
-) -> Iterator[Event]:
-    """Run ``make_attempt()`` until it succeeds, backing off between tries.
-
-    The generator form of :func:`retry_events`, meant for ``yield from``
-    inside a process (or to be spawned directly). ``make_attempt`` must
-    return a *fresh* process generator per call; each attempt runs as
-    its own process so a crash inside it is contained. Returns the
-    successful attempt's value; raises
-    :class:`~repro.errors.RetryExhausted` (chaining the last error) when
-    the policy's budget is spent. Interrupts delivered to the retrying
-    process propagate unchanged, and no further attempt starts.
-    """
-
-    def launch(attempt: int) -> Event:
-        outcome = sim.event()
-        sim.spawn(
-            _guarded(make_attempt(), outcome), name=f"{name}.attempt{attempt}"
-        )
-        return outcome
-
-    return (yield retry_events(sim, launch, policy, rng, name))
-
-
 def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     """An event mirroring ``event`` but failing after ``timeout_s``.
 
@@ -456,30 +398,3 @@ def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     event.add_callback(on_event)
     timer.add_callback(on_timer)
     return gate
-
-
-def hedge(
-    sim: Simulator,
-    make_attempt: AttemptFactory,
-    delay_s: float,
-    max_copies: int = 2,
-    name: str = "hedge",
-) -> Iterator[Event]:
-    """Speculatively duplicate an operation; first completion wins.
-
-    The generator form of :func:`hedge_events`, meant for ``yield from``
-    inside a process. Each copy is ``make_attempt()`` spawned as its own
-    process; a losing copy is interrupted. Returns a
-    :class:`HedgeOutcome` so callers can account for the overhead
-    (``launched`` copies) instead of hiding it; if every launched copy
-    fails, the last failure is raised.
-    """
-
-    def launch(index: int) -> Tuple[Event, Callable[[Any], None]]:
-        outcome = sim.event()
-        handle = sim.spawn(
-            _guarded(make_attempt(), outcome), name=f"{name}.copy{index}"
-        )
-        return outcome, handle.interrupt
-
-    return (yield hedge_events(sim, launch, delay_s, max_copies, name))

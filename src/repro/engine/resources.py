@@ -9,8 +9,8 @@ Provides the classic trio used by queueing models:
 - :class:`Store` -- a FIFO queue of Python objects
   (e.g. request queues between service stages).
 
-All waiting is fair (FIFO) and deterministic. Waiters whose process was
-interrupted are *cancelled* and pruned, so capacity (or items) never
+All waiting is fair (FIFO) and deterministic. Waiters that gave up
+(their event was *cancelled*) are pruned, so capacity (or items) never
 leaks to a grant nobody will consume.
 
 Giving a primitive a ``name`` makes it self-describing: when the owning
@@ -111,9 +111,9 @@ class Resource:
     def release(self) -> None:
         """Return one server to the pool, waking the next waiter if any.
 
-        Waiters whose event was cancelled (their process was interrupted
-        while queued) are pruned instead of granted, so the server goes
-        to a live waiter or back to the pool -- never into the void.
+        Waiters whose event was cancelled (they gave up while queued) are
+        pruned instead of granted, so the server goes to a live waiter or
+        back to the pool -- never into the void.
         """
         if self._in_use <= 0:
             raise SimulationError("release without matching acquire")

@@ -56,17 +56,6 @@ class ShardPlan:
     boundary_links: Tuple[Tuple[str, str], ...]
     lookahead_s: float
 
-    def shard_nodes(self, shard: int) -> List[str]:
-        """All nodes owned by ``shard``, in sorted order."""
-        return sorted(n for n, s in self.owner.items() if s == shard)
-
-    def shard_sizes(self) -> List[int]:
-        """Node count per shard (index = shard id)."""
-        sizes = [0] * self.n_shards
-        for shard in self.owner.values():
-            sizes[shard] += 1
-        return sizes
-
 
 def _classify(nodes) -> str:
     """Which named topology family the node-name set belongs to."""

@@ -60,8 +60,8 @@ Pending events live in a *three-tier calendar*, split by ``_horizon``
   only moves forward) is sorted once with Timsort and becomes the next
   segment.
 - ``_low`` is a binary heap holding every entry scheduled *below* the
-  horizon after the refill: same-time entries (callback flushes, spawns,
-  interrupts) and, once a bulk arrival batch has pushed the horizon far
+  horizon after the refill: same-time entries (callback flushes and
+  spawns) and, once a bulk arrival batch has pushed the horizon far
   ahead, every hop and timeout due before its end. A heap push costs
   O(log pending-below-horizon) instead of the O(segment) memmove a
   sorted insert into ``_near`` would pay.
@@ -207,7 +207,9 @@ class Event:
         Cancelling an already-triggered event is a no-op. Queue owners
         (resources, containers, stores) prune cancelled events instead
         of granting to them, which prevents capacity leaking to waiters
-        whose process was interrupted.
+        that gave up (an expired
+        :func:`~repro.engine.resilience.with_deadline`, an abandoned
+        hedged copy).
         """
         if not self._triggered:
             self._cancelled = True
@@ -263,21 +265,13 @@ class ProcessHandle(Event):
     wait on each other: ``yield sim.spawn(child(sim))``.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "spawned_at",
-                 "finished_at", "steps", "_bound_step")
+    __slots__ = ("generator", "name", "spawned_at", "finished_at", "steps",
+                 "_bound_step")
 
     def __init__(self, sim: "Simulator", generator: Process, name: str = "") -> None:
-        # Slots set directly (no Event.__init__ frame): one handle per
-        # spawned process.
-        self.sim = sim
-        self._callback = None
-        self._triggered = False
-        self._value = None
-        self._exception = None
-        self._cancelled = False
+        Event.__init__(self, sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self.spawned_at = sim._now
         self.finished_at: Optional[float] = None
         self.steps = 0
@@ -311,11 +305,6 @@ class ProcessHandle(Event):
         in place whenever its resume entry would be the next one popped
         anyway (the inline-resume rule in the module docstring).
         """
-        if self._triggered:
-            return  # process already finished (e.g. via interrupt)
-        if fired is not None and fired is not self._waiting_on:
-            return  # stale wakeup from an event abandoned after an interrupt
-        self._waiting_on = None
         sim = self.sim
         observability = sim.observability
         if observability is None:
@@ -367,7 +356,6 @@ class ProcessHandle(Event):
                 f"process {self.name!r} yielded {type(target).__name__}, "
                 "expected an Event"
             )
-        self._waiting_on = target
         if (
             type(target) is Timeout
             and not target._triggered
@@ -409,65 +397,6 @@ class ProcessHandle(Event):
             process_name=self.name,
             sim_time=sim.now,
         ) from exc
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time."""
-        if self._triggered:
-            return
-        sim = self.sim
-        sim._push(
-            (sim._now, sim._seq_next(), _KIND_CALLBACK,
-             self._deliver_interrupt, cause)
-        )
-
-    def _deliver_interrupt(self, cause: Any) -> None:
-        if self._triggered:
-            return
-        abandoned = self._waiting_on
-        self._waiting_on = None  # abandon whatever we were waiting on
-        if (
-            abandoned is not None
-            and not abandoned.triggered
-            and not isinstance(abandoned, ProcessHandle)
-        ):
-            # Dead waiter: let resource queues skip it instead of
-            # granting capacity to a process that will never take it.
-            abandoned.cancel()
-        sim = self.sim
-        observability = sim.observability
-        if observability is not None:
-            observability._note_step(self)
-        previous = sim._active_process
-        sim._active_process = self
-        try:
-            target = self.generator.throw(Interrupt(cause))
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle the interrupt: it terminates.
-            self._finish(None)
-            return
-        except Exception as exc:
-            self._crash(exc)
-            return
-        finally:
-            sim._active_process = previous
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {type(target).__name__} "
-                "after interrupt, expected an Event"
-            )
-        self._waiting_on = target
-        target.add_callback(self._bound_step)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _NullSpan:
@@ -621,10 +550,6 @@ class Simulator:
         else:
             _heappush(self._low, entry)
 
-    def _schedule_call(self, call: Callable[[], None]) -> None:
-        """Schedule a zero-argument callable at the current time."""
-        self._push((self._now, self._seq_next(), _KIND_CALL, call, None))
-
     # -- public API --------------------------------------------------------
 
     def event(self) -> Event:
@@ -744,15 +669,10 @@ class Simulator:
     def spawn(self, generator: Process, name: str = "") -> ProcessHandle:
         """Start a new process and return its handle."""
         handle = ProcessHandle(self, generator, name)
-        now = self._now
-        entry = (now, self._seq_next(), _KIND_CALLBACK, handle._bound_step, None)
-        # Inline ``_push``: one spawn per request in the chaos workloads.
-        if now >= self._horizon:
-            self._far.append(entry)
-            if now < self._far_min:
-                self._far_min = now
-        else:
-            _heappush(self._low, entry)
+        self._push(
+            (self._now, self._seq_next(), _KIND_CALLBACK, handle._bound_step,
+             None)
+        )
         return handle
 
     def span(self, name: str, **tags: Any):
@@ -766,65 +686,6 @@ class Simulator:
         if observability is None:
             return _NULL_SPAN
         return observability.span(name, **tags)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event firing when *all* of ``events`` have fired.
-
-        Fires with the list of individual values, in input order. If any
-        input fails, the gate fails with the *first* failure instead of
-        silently succeeding without it.
-        """
-        pending = list(events)
-        gate = Event(self)
-        if not pending:
-            self._schedule_call(lambda: gate.succeed([]))
-            return gate
-        remaining = {"count": len(pending)}
-        values: list[Any] = [None] * len(pending)
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def on_fire(evt: Event) -> None:
-                if gate.triggered:
-                    return
-                if evt._exception is not None:
-                    gate.fail(evt._exception)
-                    return
-                values[index] = evt.value
-                remaining["count"] -= 1
-                if remaining["count"] == 0:
-                    gate.succeed(list(values))
-
-            return on_fire
-
-        for index, evt in enumerate(pending):
-            evt.add_callback(make_callback(index))
-        return gate
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event firing when the *first* of ``events`` fires.
-
-        Fires with a ``(index, value)`` tuple for the winner; if the
-        first event to fire failed, the gate fails with its exception.
-        """
-        pending = list(events)
-        if not pending:
-            raise SimulationError("any_of requires at least one event")
-        gate = Event(self)
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def on_fire(evt: Event) -> None:
-                if gate.triggered:
-                    return
-                if evt._exception is not None:
-                    gate.fail(evt._exception)
-                else:
-                    gate.succeed((index, evt.value))
-
-            return on_fire
-
-        for index, evt in enumerate(pending):
-            evt.add_callback(make_callback(index))
-        return gate
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.

@@ -173,11 +173,6 @@ class Plan:
     # -- introspection -------------------------------------------------------
 
     @property
-    def n_stages(self) -> int:
-        """Number of BSP stages (wide operators cut stage boundaries)."""
-        return 1 + sum(1 for op in self.operators if op.is_wide)
-
-    @property
     def n_shuffles(self) -> int:
         """Number of shuffles the plan performs."""
         return sum(1 for op in self.operators if op.is_wide)

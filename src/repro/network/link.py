@@ -92,8 +92,3 @@ class Link:
             raise ModelError(f"link {self.src}->{self.dst}: bad rate")
         if self.src == self.dst:
             raise ModelError(f"self-loop on {self.src}")
-
-    @property
-    def capacity_bytes_per_s(self) -> float:
-        """Payload capacity of the link."""
-        return self.rate_gbps * 1e9 / 8.0

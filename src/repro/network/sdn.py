@@ -91,22 +91,6 @@ class SdnController:
             raise TopologyError(f"unknown switch: {switch}")
         return self.tables[switch]
 
-    def install_path(self, path: List[str], match: str) -> int:
-        """Install forwarding rules for ``match`` along ``path``.
-
-        Returns the number of rules installed (one per on-path switch).
-        """
-        installed = 0
-        for previous, node, nxt in zip(path, path[1:], path[2:] + [None]):
-            if node not in self.tables:
-                continue  # hosts don't hold rules
-            out = nxt if nxt is not None else path[-1]
-            self.tables[node].install(
-                FlowRule(match=match, action=f"fwd:{out}")
-            )
-            installed += 1
-        return installed
-
     def policy_rollout_s(self, rules_per_switch: int) -> float:
         """Wall-clock time to push a policy to the whole fabric.
 
@@ -119,17 +103,6 @@ class SdnController:
         per_switch = rules_per_switch * self.rule_install_s
         waves = -(-n_switches // self.parallelism)  # ceil division
         return self.compile_s + waves * per_switch
-
-    def reactive_flow_setup_s(self, path: List[str], rtt_to_controller_s: float = 0.001) -> float:
-        """Latency of a reactive (first-packet) flow setup.
-
-        The first packet punts to the controller, which installs rules on
-        every on-path switch in parallel; subsequent packets fly.
-        """
-        on_path_switches = [n for n in path if n in self.tables]
-        if not on_path_switches:
-            raise TopologyError("path traverses no managed switch")
-        return rtt_to_controller_s + self.rule_install_s
 
 
 @dataclass

@@ -76,16 +76,6 @@ class SwitchModel:
                 f"{self.name}: branded switches bundle their NOS"
             )
 
-    @property
-    def capacity_gbps(self) -> float:
-        """Aggregate port capacity."""
-        return self.ports * self.port_gbps
-
-    @property
-    def acquisition_usd(self) -> float:
-        """Hardware plus NOS license."""
-        return self.hardware_usd + self.nos.usd_per_switch
-
     def tco(
         self,
         horizon_years: float,

@@ -158,22 +158,6 @@ class Fabric:
             and b not in self._down_nodes
         )
 
-    def node_is_up(self, node: str) -> bool:
-        """Whether ``node`` exists and is not currently failed."""
-        if node not in self.graph:
-            raise TopologyError(f"unknown node: {node}")
-        return node not in self._down_nodes
-
-    @property
-    def failed_links(self) -> List[Tuple[str, str]]:
-        """Sorted canonical keys of explicitly failed links."""
-        return sorted(self._down_links)
-
-    @property
-    def failed_nodes(self) -> List[str]:
-        """Sorted names of currently failed nodes."""
-        return sorted(self._down_nodes)
-
     def active_graph(self) -> nx.Graph:
         """The surviving topology: up nodes and up links only.
 
@@ -239,10 +223,6 @@ class Fabric:
     def degree(self, node: str) -> int:
         """Number of links at ``node``."""
         return self.graph.degree[node]
-
-    def total_capacity_gbps(self) -> float:
-        """Sum of link rates (one direction)."""
-        return sum(d["rate_gbps"] for _, _, d in self.graph.edges(data=True))
 
     def validate(self) -> None:
         """Check connectivity; raises :class:`TopologyError` when broken."""

@@ -107,16 +107,6 @@ class ComputeDevice:
         """Operational intensity (op/byte) at the roofline ridge point."""
         return self.peak_ops_per_s / self.mem_bw_bytes_per_s
 
-    @property
-    def ops_per_joule(self) -> float:
-        """Peak energy efficiency at TDP."""
-        return self.peak_ops_per_s / self.tdp_w
-
-    def supports(self, model: ProgrammingModel) -> bool:
-        """Whether code written against ``model`` can run on this device."""
-        prog = self.programmability
-        return model == prog.native_model or model in prog.portable_models
-
     def effective_peak(self, model: Optional[ProgrammingModel] = None) -> float:
         """Achievable op rate under a given programming model.
 

@@ -115,26 +115,6 @@ class MemoryHierarchy:
             f"capacity {self.total_capacity_bytes:.3g} B"
         )
 
-    def effective_bandwidth_bytes_per_s(self, working_set_bytes: float) -> float:
-        """Harmonic-mean bandwidth over the placed working set.
-
-        A scan touching every byte once proceeds at the weighted harmonic
-        mean of the level bandwidths -- the slowest level dominates once
-        the set spills.
-        """
-        placed = self.placement(working_set_bytes)
-        total = sum(amount for _, amount in placed)
-        time = sum(
-            amount / level.bandwidth_bytes_per_s for level, amount in placed
-        )
-        return total / time
-
-    def scan_time_s(self, working_set_bytes: float) -> float:
-        """Time for one full sequential pass over the working set."""
-        return working_set_bytes / self.effective_bandwidth_bytes_per_s(
-            working_set_bytes
-        )
-
 
 def default_hierarchy(with_nvm: bool = False) -> MemoryHierarchy:
     """The reference node hierarchy; NVM slots between DRAM and SSD (R5)."""

@@ -119,10 +119,6 @@ class AbstractionMatrix:
                 out[device.name] = 0.0
         return out
 
-    def device_count_reached(self, model: ProgrammingModel) -> int:
-        """How many devices the model can target at all."""
-        return sum(1 for v in self.coverage(model).values() if v > 0)
-
     def best_universal_model(self) -> tuple:
         """The model reaching the most devices (ties: higher mean fraction).
 

@@ -8,7 +8,7 @@ devices the scheduler can place work on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ModelError
 from repro.node.device import ComputeDevice, DeviceKind
@@ -77,48 +77,6 @@ class Server:
             + self.memory.total_cost_usd
             + self.chassis_usd
         )
-
-    @property
-    def peak_power_w(self) -> float:
-        """All devices at TDP plus chassis and NIC."""
-        return (
-            sum(d.tdp_w for d in self.devices)
-            + self.nic.power_w
-            + self.chassis_power_w
-        )
-
-    @property
-    def idle_power_w(self) -> float:
-        """All devices idle plus chassis and NIC."""
-        return (
-            sum(d.idle_w for d in self.devices)
-            + self.nic.power_w
-            + self.chassis_power_w
-        )
-
-    def power_at(self, device_utilizations: Optional[dict] = None) -> float:
-        """Power draw given per-device utilizations (name -> [0,1]).
-
-        Devices interpolate linearly between idle and TDP; absent devices
-        are assumed idle.
-        """
-        utils = device_utilizations or {}
-        power = self.nic.power_w + self.chassis_power_w
-        for device in self.devices:
-            u = utils.get(device.name, 0.0)
-            if not 0.0 <= u <= 1.0:
-                raise ModelError(
-                    f"utilization for {device.name} must be in [0, 1], got {u}"
-                )
-            power += device.idle_w + u * (device.tdp_w - device.idle_w)
-        return power
-
-    def find_device(self, name: str) -> ComputeDevice:
-        """Look up one of this server's devices by name."""
-        for device in self.devices:
-            if device.name == name:
-                return device
-        raise ModelError(f"server {self.name} has no device {name!r}")
 
 
 def commodity_server(cpu: ComputeDevice, nic_gbps: float = 10.0) -> Server:

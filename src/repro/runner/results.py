@@ -131,16 +131,6 @@ class GridResult:
         """Whether every shard completed cleanly."""
         return not self.failures
 
-    def result_for(self, experiment_id: str, seed: int = 0) -> RunResult:
-        """The first result matching ``(experiment_id, seed)``.
-
-        Raises ``KeyError`` when the grid holds no such shard.
-        """
-        for result in self.results:
-            if result.experiment_id == experiment_id and result.seed == seed:
-                return result
-        raise KeyError(f"no result for ({experiment_id!r}, seed={seed})")
-
     def to_dict(self) -> Dict[str, Any]:
         """The canonical document written to ``results.json``."""
         return {

@@ -56,16 +56,6 @@ class Schedule:
             raise SchedulingError("empty schedule")
         return max(a.finish_s for a in self.assignments.values())
 
-    def executor_busy_s(self) -> Dict[str, float]:
-        """Total busy time per executor."""
-        busy: Dict[str, float] = {}
-        for assignment in self.assignments.values():
-            name = assignment.executor.name
-            busy[name] = busy.get(name, 0.0) + (
-                assignment.finish_s - assignment.start_s
-            )
-        return busy
-
     def total_energy_j(self) -> float:
         """Active energy: each task's duration at its device's TDP."""
         return sum(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -166,16 +167,24 @@ class JobSpec:
         seeds = record.get("seeds", [0])
         _require(isinstance(seeds, (list, tuple)), "seeds must be a list")
         overrides = record.get("overrides", [{}])
-        _require(isinstance(overrides, (list, tuple)),
-                 "overrides must be a list")
+        _require(isinstance(overrides, (list, tuple))
+                 and all(isinstance(o, dict) for o in overrides),
+                 "overrides must be a list of objects")
         timeout_s = record.get("timeout_s", 600.0)
+        # An int beyond the float range would overflow float().
+        _require(timeout_s is None or isinstance(timeout_s, float)
+                 or (type(timeout_s) is int
+                     and abs(timeout_s) <= sys.float_info.max),
+                 "timeout_s must be a number or null")
+        retries = record.get("retries", 1)
+        _require(type(retries) is int, "retries must be an integer")
         return cls(
             experiments=tuple(experiments),
             seeds=tuple(seeds),
             overrides=tuple(dict(o) for o in overrides) or ({},),
             quick=bool(record.get("quick", False)),
             timeout_s=None if timeout_s is None else float(timeout_s),
-            retries=int(record.get("retries", 1)),
+            retries=retries,
         )
 
 

@@ -143,11 +143,3 @@ class Corpus:
             if candidate.company_id == company_id:
                 return candidate
         raise ModelError(f"unknown company: {company_id!r}")
-
-    def of_sector(self, sector: Sector) -> List[Company]:
-        """All companies in ``sector``."""
-        return [c for c in self.companies if c.sector == sector]
-
-    def interviews_for(self, company_id: str) -> List[Interview]:
-        """All interviews with one company."""
-        return [i for i in self.interviews if i.company_id == company_id]

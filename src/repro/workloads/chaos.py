@@ -41,6 +41,7 @@ them. Overhead is reported as extra hedge copies and retry attempts.
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +59,7 @@ from repro.engine import (
 from repro.engine.faults import LINK_FLAP, STRAGGLER
 from repro.engine.resilience import ServiceCopy, hedge_events, retry_events
 from repro.errors import FaultError, ModelError, TopologyError
+from repro.mc.traffic import poisson_inter_arrivals
 
 #: Policies understood by the search part.
 SEARCH_POLICIES = ("off", "hedged")
@@ -93,23 +95,6 @@ def _check_inputs(
     return len(arrivals_s)
 
 
-def _poisson_arrivals(
-    stream: RandomStream, n: int, rate_hz: float
-) -> List[float]:
-    """``n`` constant-rate Poisson arrival times, the first at 0.0.
-
-    Gaps are drawn one at a time and accumulated in plain Python, so the
-    times equal those of a source process that spawns a request and then
-    sleeps for one exponential gap.
-    """
-    times: List[float] = []
-    t = 0.0
-    for _ in range(n):
-        times.append(t)
-        t += stream.exponential(1.0 / rate_hz)
-    return times
-
-
 # ---------------------------------------------------------------------------
 # Part A: replicated search backend under stragglers (hedging).
 # ---------------------------------------------------------------------------
@@ -132,12 +117,14 @@ def search_inputs(
     replica only ever serves hedge copies from its neighbour. Faults
     stop starting at the nominal end of the stream, ``n_requests / qps``.
     """
+    gaps = poisson_inter_arrivals(
+        qps, n_requests, RandomStream(seed, "chaos.search.arrivals")
+    )
     placement = RandomStream(seed, "chaos.search.placement")
     service = RandomStream(seed, "chaos.search.service")
     return {
-        "arrivals_s": _poisson_arrivals(
-            RandomStream(seed, "chaos.search.arrivals"), n_requests, qps
-        ),
+        # The first request at 0.0; the slice keeps n = 0 empty.
+        "arrivals_s": list(accumulate(gaps[:-1], initial=0.0))[:n_requests],
         "primaries": [
             placement.integer(0, N_REPLICAS - 1) for _ in range(n_requests)
         ],
@@ -268,10 +255,11 @@ def memory_inputs(
     from ``chaos.memory.backoff``. Flaps stop starting at
     ``n_reads / read_rate_hz``.
     """
+    gaps = poisson_inter_arrivals(
+        read_rate_hz, n_reads, RandomStream(seed, "chaos.memory.arrivals")
+    )
     return {
-        "arrivals_s": _poisson_arrivals(
-            RandomStream(seed, "chaos.memory.arrivals"), n_reads, read_rate_hz
-        ),
+        "arrivals_s": list(accumulate(gaps[:-1], initial=0.0))[:n_reads],
         "fault_end_s": n_reads / read_rate_hz,
         "backoff_stream": "chaos.memory.backoff",
     }
@@ -366,15 +354,6 @@ def run_memory_chaos(
             durations[key] = duration
         return duration
 
-    def request(arrived_s: float):
-        try:
-            duration = transfer_duration_s("mem-pool0")
-        except FaultError:
-            failures[0] += 1
-            return
-        yield sim.timeout(duration)
-        latencies.append(sim.now - arrived_s)
-
     def attempt(number: int) -> Event:
         """Attempt ``number`` of a resilient read, bounded by the deadline.
 
@@ -394,13 +373,18 @@ def run_memory_chaos(
         else:
             latencies.append(sim.now - arrived_s)
 
-    def admit(index: int) -> None:
+    def admit(_index: int) -> None:
         if policy == "off":
-            sim.spawn(request(sim.now), name=f"memory.req{index}")
-            return
-        read = retry_events(
-            sim, attempt, retry_policy, rng=backoff, name="memory.retry"
-        )
+            try:
+                duration = transfer_duration_s("mem-pool0")
+            except FaultError:
+                failures[0] += 1
+                return
+            read = sim.timeout(duration)
+        else:
+            read = retry_events(
+                sim, attempt, retry_policy, rng=backoff, name="memory.retry"
+            )
         read.add_callback(partial(done, sim.now))
 
     sim.schedule_batch(arrivals_s, admit)

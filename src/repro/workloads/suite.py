@@ -65,13 +65,6 @@ class BenchmarkScore:
     energy_j: float
     n_output_records: int
 
-    @property
-    def records_per_joule(self) -> float:
-        """Energy efficiency of the run."""
-        if self.energy_j <= 0:
-            return float("inf")
-        return self.n_output_records / self.energy_j
-
 
 def _wordcount_dataset(scale: int) -> PartitionedDataset:
     docs = zipf_documents(200 * scale, 40, seed=9)

@@ -56,11 +56,9 @@ TOP_LEVEL_SURFACE = [
     "execute_job",
     "generate_corpus",
     "get_experiment",
-    "hedge",
     "mc",
     "partition_fabric",
     "render_table",
-    "retry",
     "run_experiment",
     "run_grid",
     "run_trace",

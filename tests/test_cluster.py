@@ -15,7 +15,7 @@ from repro.cluster import (
 from repro.engine import RandomStream
 from repro.errors import ModelError, TopologyError
 from repro.network import leaf_spine
-from repro.node import DeviceKind, accelerated_server, commodity_server, nvidia_k80, xeon_e5
+from repro.node import commodity_server, xeon_e5
 
 
 class TestCluster:
@@ -49,24 +49,6 @@ class TestCluster:
         )
         assert cluster.n_servers == 8
         assert cluster.hosts == sorted(cluster.fabric.hosts)
-
-    def test_totals(self):
-        cluster = uniform_cluster(
-            leaf_spine(2, 2, 2), lambda: commodity_server(xeon_e5())
-        )
-        one = commodity_server(xeon_e5())
-        assert cluster.total_price_usd() == pytest.approx(4 * one.price_usd)
-        assert cluster.total_peak_power_w() == pytest.approx(4 * one.peak_power_w)
-        assert cluster.total_idle_power_w() == pytest.approx(4 * one.idle_power_w)
-
-    def test_devices_of_kind(self):
-        cluster = uniform_cluster(
-            leaf_spine(2, 2, 2),
-            lambda: accelerated_server(xeon_e5(), nvidia_k80()),
-        )
-        gpus = cluster.devices_of_kind(DeviceKind.GPU)
-        assert len(gpus) == 4
-
 
 class TestResourceVector:
     def test_fits_in(self):

@@ -63,9 +63,6 @@ class TestAdoptionModels:
         years = model.years_to_fraction(0.5)
         assert model.cumulative_fraction(years) == pytest.approx(0.5, abs=1e-9)
 
-    def test_bass_peak_positive_when_imitation_dominates(self):
-        assert BassModel(p=0.02, q=0.4).peak_adoption_year() > 0
-
     def test_logistic_midpoint(self):
         model = LogisticModel(midpoint_years=5.0)
         assert model.cumulative_fraction(5.0) == pytest.approx(0.5)

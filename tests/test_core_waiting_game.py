@@ -81,14 +81,6 @@ class TestSimulation:
         with pytest.raises(ModelError):
             simulate_waiting_game(WaitingGameConfig(), seed_units=-1.0)
 
-    def test_takeoff_round_reported(self):
-        result = simulate_waiting_game(
-            WaitingGameConfig(), seed_units=150_000.0
-        )
-        assert result.takeoff_round is not None
-        assert result.final_adoption_fraction > 0.5
-
-
 class TestMinimumSeed:
     def test_minimum_seed_exists_and_separates(self):
         config = WaitingGameConfig()

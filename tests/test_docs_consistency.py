@@ -60,6 +60,17 @@ class TestExperimentDocs:
         assert not unregistered, f"benches not in the registry: {unregistered}"
 
 
+class TestReadmeCode:
+    def test_resilience_example_runs(self):
+        section = _read("README.md").split(
+            "### Fault injection & resilience policies", 1
+        )[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["read"].value == "ok"
+
+
 class TestExampleDocs:
     def test_every_example_in_readme(self):
         readme = _read("README.md")

@@ -8,7 +8,6 @@ import pytest
 
 from repro.engine import (
     Container,
-    Interrupt,
     Observability,
     Resource,
     Simulator,
@@ -23,49 +22,6 @@ from repro.node import (
     nvidia_k80,
     xeon_e5,
 )
-
-
-class TestAllOfAnyOfEdgeCases:
-    def test_all_of_with_prefired_events(self):
-        sim = Simulator()
-        fired = sim.event()
-        fired.succeed("already")
-        results = []
-
-        def waiter(sim):
-            values = yield sim.all_of([fired, sim.timeout(1.0, "late")])
-            results.append((sim.now, values))
-
-        sim.spawn(waiter(sim))
-        sim.run()
-        assert results == [(1.0, ["already", "late"])]
-
-    def test_any_of_with_prefired_event_wins_immediately(self):
-        sim = Simulator()
-        fired = sim.event()
-        fired.succeed("instant")
-        results = []
-
-        def waiter(sim):
-            winner = yield sim.any_of([sim.timeout(5.0), fired])
-            results.append((sim.now, winner))
-
-        sim.spawn(waiter(sim))
-        sim.run()
-        assert results == [(0.0, (1, "instant"))]
-
-    def test_nested_all_of(self):
-        sim = Simulator()
-        results = []
-
-        def waiter(sim):
-            inner = sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
-            outer = yield sim.all_of([inner, sim.timeout(3.0, "c")])
-            results.append((sim.now, outer))
-
-        sim.spawn(waiter(sim))
-        sim.run()
-        assert results == [(3.0, [["a", "b"], "c"])]
 
 
 class TestProcessReturnValues:
@@ -173,134 +129,8 @@ class TestRooflineWithProgrammingModels:
         assert native == portable  # both pinned to the bandwidth roof
 
 
-class TestInterruptEdgeCases:
-    """Pin the interrupt semantics the resilience primitives build on."""
-
-    def test_interrupt_already_finished_process_is_noop(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(1.0)
-            return "done"
-
-        handle = sim.spawn(quick(sim))
-        sim.run()
-        assert handle.triggered and handle.value == "done"
-        # Interrupting after completion must not disturb the result or
-        # schedule anything.
-        handle.interrupt("too late")
-        sim.run()
-        assert handle.value == "done"
-        assert handle.finished_at == 1.0
-
-    def test_interrupt_delivered_then_process_finishes_is_noop(self):
-        # Interrupt scheduled at the same timestamp the process finishes:
-        # delivery finds the handle triggered and does nothing.
-        sim = Simulator()
-        log = []
-
-        def worker(sim):
-            yield sim.timeout(1.0)
-            log.append("finished")
-
-        def interrupter(sim, target):
-            yield sim.timeout(1.0)
-            target.interrupt("race")
-
-        handle = sim.spawn(worker(sim))
-        sim.spawn(interrupter(sim, handle))
-        sim.run()
-        assert log == ["finished"]
-        assert handle.triggered
-
-    def test_any_of_loser_fires_later_without_redelivery(self):
-        sim = Simulator()
-        results = []
-
-        def waiter(sim):
-            winner = yield sim.any_of([sim.timeout(1.0, "fast"),
-                                       sim.timeout(5.0, "slow")])
-            results.append((sim.now, winner))
-            yield sim.timeout(10.0)
-            results.append((sim.now, "still alive"))
-
-        sim.spawn(waiter(sim))
-        sim.run()
-        # The losing timeout fired at t=5 into an already-triggered gate;
-        # the waiter was not woken a second time.
-        assert results == [(1.0, (0, "fast")), (11.0, "still alive")]
-
-    def test_interrupt_cancels_abandoned_plain_waiter(self):
-        # An interrupted process abandons the event it was waiting on;
-        # plain (non-process) events get cancelled so queue owners skip
-        # them. Pin both the cancellation and the harmless late fire.
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        order = []
-
-        def holder(sim):
-            yield resource.acquire()
-            yield sim.timeout(5.0)
-            resource.release()
-
-        def victim(sim):
-            try:
-                yield resource.acquire()
-                order.append("victim acquired")
-                resource.release()
-            except Interrupt as exc:
-                order.append(f"interrupted:{exc.cause}")
-
-        def bystander(sim):
-            yield sim.timeout(1.0)
-            yield resource.acquire()
-            order.append(("bystander acquired", sim.now))
-            resource.release()
-
-        sim.spawn(holder(sim))
-        victim_handle = sim.spawn(victim(sim))
-        sim.spawn(bystander(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(2.0)
-            victim_handle.interrupt("chaos")
-
-        sim.spawn(interrupter(sim))
-        sim.run()
-        # The victim's pending acquire was cancelled, so the grant at
-        # t=5 skipped it and went to the bystander.
-        assert order == ["interrupted:chaos", ("bystander acquired", 5.0)]
-        assert resource.in_use == 0
-
-    def test_interrupt_does_not_cancel_a_process_handle_waiter(self):
-        # Waiting on a child process and being interrupted must not
-        # cancel the child: it keeps running to completion.
-        sim = Simulator()
-        log = []
-
-        def child(sim):
-            yield sim.timeout(3.0)
-            log.append(("child done", sim.now))
-            return "result"
-
-        def parent(sim, child_handle):
-            try:
-                yield child_handle
-            except Interrupt:
-                log.append(("parent interrupted", sim.now))
-
-        child_handle = sim.spawn(child(sim))
-        parent_handle = sim.spawn(parent(sim, child_handle))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            parent_handle.interrupt()
-
-        sim.spawn(interrupter(sim))
-        sim.run()
-        assert log == [("parent interrupted", 1.0), ("child done", 3.0)]
-        assert not child_handle.cancelled
-        assert child_handle.value == "result"
+class TestCancelledEventEdgeCases:
+    """Pin what cancelling an event means: a hint, not a trigger."""
 
     def test_fail_on_cancelled_event_still_delivers(self):
         # cancel() is a hint to queue owners, not a trigger: a cancelled

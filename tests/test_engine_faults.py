@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from repro.engine import (
     FaultInjector,
     FaultSpec,
-    Interrupt,
     RandomStream,
     Resource,
     RetryPolicy,
     Simulator,
-    hedge,
-    retry,
+    hedge_events,
+    retry_events,
     with_deadline,
 )
-from repro.engine.resilience import ServiceCopy, hedge_events, retry_events
+from repro.engine.resilience import ServiceCopy
 from repro.engine.faults import (
     HOST_FAILURE,
     LINK_FLAP,
@@ -157,13 +156,9 @@ class TestInjectorSchedules:
         assert 8.0 in seen and 1.0 in seen
         assert injector.slowdown("w") == 1.0
 
-    def test_host_failure_tracked_and_listener_notified(self):
+    def test_host_failure_tracked(self):
         sim = Simulator()
         injector = FaultInjector(sim, seed=6)
-        phases = []
-        injector.subscribe(
-            lambda kind, label, phase, now: phases.append((label, phase))
-        )
         injector.install(
             FaultSpec(kind=HOST_FAILURE, targets=("host3",), mtbf_s=1.0,
                       mttr_s=0.5, max_faults=2)
@@ -180,7 +175,7 @@ class TestInjectorSchedules:
 
         sim.spawn(probe())
         sim.run()
-        assert phases == [("host3", "down"), ("host3", "up")] * 2
+        assert [event.target for event in injector.events] == ["host3"] * 2
         assert True in down_samples and False in down_samples
         assert not injector.is_down("host3")
         assert injector.outage_windows(HOST_FAILURE) == injector.events
@@ -206,7 +201,7 @@ class TestFabricIntegration:
         sim.run()
         assert False in states  # observed down mid-run
         assert fabric.link_is_up("leaf0", "spine0")  # repaired at the end
-        assert fabric.failed_links == []
+        assert fabric.active_graph() is fabric.graph  # nothing left down
 
     def test_link_flap_invalidates_flow_capacity_cache(self):
         from repro.network.flows import _fabric_link_capacities
@@ -311,61 +306,48 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.0)
 
 
+def _after(sim, delay_s, value=None, error=None):
+    """An event that fires ``delay_s`` from now with ``value`` or ``error``."""
+    if error is None:
+        return sim.timeout(delay_s, value)
+    outcome = sim.event()
+    sim.timeout(delay_s).add_callback(lambda _evt: outcome.fail(error))
+    return outcome
+
+
 class TestRetry:
     def test_first_try_success_costs_nothing(self):
         sim = Simulator()
-
-        def attempt():
-            yield sim.timeout(0.25)
-            return "ok"
-
-        def driver():
-            value = yield from retry(sim, attempt)
-            return value
-
-        handle = sim.spawn(driver())
+        gate = retry_events(sim, lambda _n: sim.timeout(0.25, "ok"))
         assert sim.run() == 0.25
-        assert handle.value == "ok"
+        assert gate.value == "ok"
 
     def test_recovers_after_transient_failures_with_backoff(self):
         sim = Simulator()
-        calls = [0]
 
-        def attempt():
-            calls[0] += 1
-            yield sim.timeout(0.1)
-            if calls[0] < 3:
-                raise RuntimeError("transient")
-            return calls[0]
+        def attempt(number):
+            if number < 3:
+                return _after(sim, 0.1, error=RuntimeError("transient"))
+            return _after(sim, 0.1, number)
 
-        def driver():
-            value = yield from retry(
-                sim, attempt,
-                RetryPolicy(max_attempts=5, base_delay_s=0.5, multiplier=2.0),
-            )
-            return value
-
-        handle = sim.spawn(driver())
+        gate = retry_events(
+            sim, attempt,
+            RetryPolicy(max_attempts=5, base_delay_s=0.5, multiplier=2.0),
+        )
         # 3 attempts x 0.1 plus backoffs 0.5 and 1.0 after the failures.
         assert sim.run() == pytest.approx(0.3 + 0.5 + 1.0)
-        assert handle.value == 3
+        assert gate.value == 3
 
     def test_exhaustion_raises_with_attempt_count_and_cause(self):
         sim = Simulator()
-
-        def attempt():
-            yield sim.timeout(0.01)
-            raise ValueError("always broken")
-
-        def driver():
-            try:
-                yield from retry(sim, attempt, RetryPolicy(max_attempts=3))
-            except RetryExhausted as exc:
-                return (exc.attempts, type(exc.__cause__).__name__)
-
-        handle = sim.spawn(driver())
+        gate = retry_events(
+            sim, lambda _n: _after(sim, 0.01, error=ValueError("always broken")),
+            RetryPolicy(max_attempts=3),
+        )
         sim.run()
-        assert handle.value == (3, "ValueError")
+        exc = gate._exception
+        assert isinstance(exc, RetryExhausted)
+        assert (exc.attempts, type(exc.__cause__).__name__) == (3, "ValueError")
 
 
 class TestWithDeadline:
@@ -414,108 +396,78 @@ class TestWithDeadline:
             with_deadline(sim, sim.event(), -1.0)
 
 
+def _hedge_copies(sim, copies, abandoned=None):
+    """A ``hedge_events`` launch: copy ``i`` is ``_after(sim, *copies[i])``;
+    abandoning it logs ``(i, now)`` to ``abandoned``."""
+
+    def launch(index):
+        def abandon(_cause):
+            abandoned.append((index, sim.now))
+
+        return _after(sim, *copies[index]), abandon
+
+    return launch
+
+
 class TestHedge:
     def test_fast_primary_never_hedges(self):
         sim = Simulator()
-
-        def attempt():
-            yield sim.timeout(0.1)
-            return "fast"
-
-        def driver():
-            outcome = yield from hedge(sim, attempt, delay_s=1.0)
-            return outcome
-
-        handle = sim.spawn(driver())
+        gate = hedge_events(sim, _hedge_copies(sim, [(0.1, "fast")]),
+                            delay_s=1.0)
         sim.run()
-        assert handle.value.value == "fast"
-        assert handle.value.winner == 0
-        assert handle.value.launched == 1
+        assert gate.value.value == "fast"
+        assert gate.value.winner == 0
+        assert gate.value.launched == 1
 
     def test_winner_takes_all_and_loser_is_cancelled(self):
         sim = Simulator()
-        counter = [0]
-        unwound = []
-
-        def make_attempt():
-            index = counter[0]
-            counter[0] += 1
-
-            def attempt(index=index):
-                try:
-                    # Copy 0 straggles; copy 1 is quick.
-                    yield sim.timeout(5.0 if index == 0 else 0.1)
-                    return index
-                finally:
-                    unwound.append((index, sim.now))
-
-            return attempt()
-
-        def driver():
-            outcome = yield from hedge(sim, make_attempt, delay_s=0.5)
-            return (sim.now, outcome)
-
-        handle = sim.spawn(driver())
+        abandoned = []
+        finish = []
+        # Copy 0 straggles; copy 1 is quick.
+        gate = hedge_events(
+            sim, _hedge_copies(sim, [(5.0, 0), (0.1, 1)], abandoned),
+            delay_s=0.5,
+        )
+        gate.add_callback(lambda _gate: finish.append(sim.now))
         sim.run()
-        finish, outcome = handle.value
+        outcome = gate.value
         assert (outcome.winner, outcome.value, outcome.launched) == (1, 1, 2)
-        # Hedge fired at 0.5 and won at 0.6; the loser's finally ran at
-        # 0.6 when it was interrupted, not at its natural 5.0 completion.
-        assert finish == pytest.approx(0.6)
-        assert unwound == [(1, pytest.approx(0.6)), (0, pytest.approx(0.6))]
+        # Hedge fired at 0.5 and won at 0.6; the loser was abandoned at
+        # 0.6, not left to its natural 5.0 completion.
+        assert finish == [pytest.approx(0.6)]
+        assert abandoned == [(0, pytest.approx(0.6))]
 
     def test_failed_copy_triggers_immediate_replacement(self):
         sim = Simulator()
-        counter = [0]
-
-        def make_attempt():
-            index = counter[0]
-            counter[0] += 1
-
-            def attempt(index=index):
-                yield sim.timeout(0.1)
-                if index == 0:
-                    raise RuntimeError("copy 0 dies")
-                return index
-
-            return attempt()
-
-        def driver():
-            outcome = yield from hedge(sim, make_attempt, delay_s=9.0)
-            return (sim.now, outcome)
-
-        handle = sim.spawn(driver())
+        finish = []
+        gate = hedge_events(
+            sim,
+            _hedge_copies(sim, [(0.1, None, RuntimeError("copy 0 dies")),
+                                (0.1, 1)]),
+            delay_s=9.0,
+        )
+        gate.add_callback(lambda _gate: finish.append(sim.now))
         sim.run()
-        finish, outcome = handle.value
         # Replacement launched at 0.1 (not at the 9.0 hedge delay).
-        assert finish == pytest.approx(0.2)
-        assert outcome.winner == 1
-        assert outcome.launched == 2
+        assert finish == [pytest.approx(0.2)]
+        assert gate.value.winner == 1
+        assert gate.value.launched == 2
 
     def test_all_copies_failing_raises_last_error(self):
         sim = Simulator()
-
-        def attempt():
-            yield sim.timeout(0.1)
-            raise ValueError("down")
-
-        def driver():
-            try:
-                yield from hedge(sim, attempt, delay_s=0.05, max_copies=3)
-            except ValueError:
-                return "all failed"
-
-        handle = sim.spawn(driver())
+        down = [(0.1, None, ValueError(f"down {i}")) for i in range(3)]
+        gate = hedge_events(sim, _hedge_copies(sim, down), delay_s=0.05,
+                            max_copies=3)
         sim.run()
-        assert handle.value == "all failed"
+        assert isinstance(gate._exception, ValueError)
 
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            next(iter(hedge(sim, lambda: iter(()), delay_s=0.1,
-                            max_copies=0)))
+            hedge_events(sim, _hedge_copies(sim, []), delay_s=0.1,
+                         max_copies=0)
         with pytest.raises(SimulationError):
-            next(iter(hedge(sim, lambda: iter(()), delay_s=-0.1)))
+            hedge_events(sim, _hedge_copies(sim, []), delay_s=-0.1)
 
 
 class TestSchedulerOutages:
@@ -703,9 +655,12 @@ class TestChaosDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Event forms against generator forms.
+# Event forms against process forms.
 # ---------------------------------------------------------------------------
 #
+# The reference runs each hedged copy or retried attempt as a process:
+# ``hedge_events``/``retry_events`` drive launches that spawn
+# :func:`_process_copy`/:func:`_process_attempt` under :func:`_spawned`.
 # Hypothesis draws the structure (capacities, how many calls, copies and
 # attempts, which attempts fail, whether a deadline applies) and a seed;
 # the times themselves come from that seed as continuous draws. The two
@@ -715,19 +670,59 @@ class TestChaosDeterminism:
 # named cases below pin the ties that are part of the semantics.
 
 
-def _process_copy(sim, resource, duration):
-    """A hedged copy as a process: queue, serve, release."""
-    grant = resource.acquire()
-    try:
-        yield grant
-    except Interrupt:
-        if grant.triggered:  # granted in the same instant, never resumed
-            resource.release()
-        raise
-    try:
-        yield sim.timeout(duration)
-    finally:
+def _spawned(sim, generator):
+    """Spawn ``generator``; returns an event with its result or failure."""
+    outcome = sim.event()
+
+    def guarded():
+        try:
+            result = yield from generator
+        except Exception as exc:  # noqa: BLE001 - delivered to the gate
+            outcome.fail(exc)
+            return
+        outcome.succeed(result)
+
+    sim.spawn(guarded())
+    return outcome
+
+
+class _CopyState:
+    """What a process copy shares with the launch that can abandon it."""
+
+    def __init__(self):
+        self.grant = None
+        self.abandoned = False
+
+
+def _process_copy(sim, resource, duration, state):
+    """A hedged copy as a process: queue, serve, release.
+
+    An abandoned copy returns at its next step without touching the
+    resource again: :func:`_abandon_copy` already dequeued it or gave
+    its slot back.
+    """
+    if state.abandoned:
+        return
+    state.grant = resource.acquire()
+    yield state.grant
+    if state.abandoned:
+        return
+    yield sim.timeout(duration)
+    if not state.abandoned:
         resource.release()
+
+
+def _abandon_copy(resource, state):
+    """Abandon a process copy: cancel its queued acquire, or release the
+    slot it holds."""
+    state.abandoned = True
+    grant = state.grant
+    if grant is None:
+        return  # not stepped yet
+    if grant.triggered:
+        resource.release()
+    else:
+        grant.cancel()
 
 
 def _holder(sim, resource, start, hold):
@@ -760,11 +755,11 @@ def _record_states(sim, resource):
 def _run_hedged_calls(form, capacity, holders, calls):
     """Hedged calls over one resource; returns (per-call results, states).
 
-    ``form`` is ``"event"`` (``hedge_events`` launching
-    :class:`ServiceCopy` chains) or ``"generator"`` (``hedge`` spawning
-    :func:`_process_copy` processes). Each call ``(arrival, delay,
-    durations)`` starts from a timeout callback at its arrival in both
-    forms and may launch one copy per duration.
+    Each call is a ``hedge_events`` gate whose copies are
+    :class:`ServiceCopy` chains (``form="event"``) or
+    :func:`_process_copy` processes (``form="process"``). Each call
+    ``(arrival, delay, durations)`` starts from a timeout callback at
+    its arrival and may launch one copy per duration.
     """
     sim = Simulator()
     resource = Resource(sim, capacity=capacity)
@@ -773,28 +768,22 @@ def _run_hedged_calls(form, capacity, holders, calls):
     results = {}
 
     def begin(index, delay, durations):
-        if form == "event":
-            def launch(copy):
+        def launch(copy):
+            if form == "event":
                 served = ServiceCopy(sim, resource, lambda: durations[copy])
                 return served, served.cancel
+            state = _CopyState()
+            outcome = _spawned(
+                sim, _process_copy(sim, resource, durations[copy], state)
+            )
+            return outcome, lambda _cause: _abandon_copy(resource, state)
 
-            def record(gate):
-                outcome = gate.value
-                results[index] = (sim.now, outcome.winner, outcome.launched)
+        def record(gate):
+            outcome = gate.value
+            results[index] = (sim.now, outcome.winner, outcome.launched)
 
-            gate = hedge_events(sim, launch, delay, max_copies=len(durations))
-            gate.add_callback(record)
-        else:
-            copies = iter(durations)
-
-            def driver():
-                outcome = yield from hedge(
-                    sim, lambda: _process_copy(sim, resource, next(copies)),
-                    delay, max_copies=len(durations),
-                )
-                results[index] = (sim.now, outcome.winner, outcome.launched)
-
-            sim.spawn(driver())
+        gate = hedge_events(sim, launch, delay, max_copies=len(durations))
+        gate.add_callback(record)
 
     for index, (arrival, delay, durations) in enumerate(calls):
         sim.timeout(arrival).add_callback(
@@ -834,41 +823,35 @@ def _process_attempt(sim, spec, deadline):
 
 
 def _run_retry(form, specs, deadline, policy):
-    """One retried call; returns (finish time, value or exhausted attempts)."""
+    """One retried call; returns (finish time, value or exhausted attempts).
+
+    Attempts are event chains (``form="event"``) or
+    :func:`_process_attempt` processes (``form="process"``); retry never
+    abandons an attempt, so a process needs no way to be stopped.
+    """
     sim = Simulator()
     result = []
-    rng = RandomStream(7, "retry.backoff")
-    if form == "event":
-        def record(gate):
-            if gate._exception is not None:
-                result.append((sim.now, "exhausted", gate._exception.attempts))
-            else:
-                result.append((sim.now, gate.value))
 
-        retry_events(
-            sim, lambda n: _event_attempt(sim, specs[n - 1], deadline),
-            policy, rng=rng,
-        ).add_callback(record)
-    else:
-        attempts = iter(specs)
+    def launch(number):
+        spec = specs[number - 1]
+        if form == "event":
+            return _event_attempt(sim, spec, deadline)
+        return _spawned(sim, _process_attempt(sim, spec, deadline))
 
-        def driver():
-            try:
-                value = yield from retry(
-                    sim, lambda: _process_attempt(sim, next(attempts), deadline),
-                    policy, rng=rng,
-                )
-            except RetryExhausted as exc:
-                result.append((sim.now, "exhausted", exc.attempts))
-            else:
-                result.append((sim.now, value))
+    def record(gate):
+        if gate._exception is not None:
+            result.append((sim.now, "exhausted", gate._exception.attempts))
+        else:
+            result.append((sim.now, gate.value))
 
-        sim.spawn(driver())
+    retry_events(
+        sim, launch, policy, rng=RandomStream(7, "retry.backoff")
+    ).add_callback(record)
     sim.run()
     return result
 
 
-class TestEventFormsMatchGeneratorForms:
+class TestEventFormsMatchProcessForms:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         capacity=st.integers(min_value=1, max_value=3),
@@ -886,8 +869,8 @@ class TestEventFormsMatchGeneratorForms:
             for n in copies_per_call
         ]
         event = _run_hedged_calls("event", capacity, holders, calls)
-        generator = _run_hedged_calls("generator", capacity, holders, calls)
-        assert event == generator
+        process = _run_hedged_calls("process", capacity, holders, calls)
+        assert event == process
         assert len(event[0]) == len(calls)
         assert event[1][-1][1:] == (0, 0)  # no slot leaks, no waiter left
 
@@ -906,12 +889,12 @@ class TestEventFormsMatchGeneratorForms:
         policy = RetryPolicy(max_attempts=len(specs),
                              base_delay_s=draw(0.05, 1), jitter=jitter)
         assert _run_retry("event", specs, deadline, policy) == _run_retry(
-            "generator", specs, deadline, policy
+            "process", specs, deadline, policy
         )
 
     def test_deadline_tie_goes_to_the_attempt(self):
         # The attempt's timeout is created before the deadline timer.
-        for form in ("event", "generator"):
+        for form in ("event", "process"):
             assert _run_retry(
                 form, [("ok", 1.0)], 1.0, RetryPolicy(max_attempts=1)
             ) == [(1.0, "ok")]
@@ -919,7 +902,7 @@ class TestEventFormsMatchGeneratorForms:
     def test_loser_cancelled_while_queued_at_the_winners_time(self):
         # One slot: copy 0 holds it; copy 1 (hedged at 1.0) queues behind
         # it and leaves the queue when copy 0 finishes at 2.0.
-        for form in ("event", "generator"):
+        for form in ("event", "process"):
             results, states = _run_hedged_calls(
                 form, 1, [], [(0.0, 1.0, [2.0, 0.5])]
             )
@@ -930,7 +913,7 @@ class TestEventFormsMatchGeneratorForms:
     def test_loser_released_while_in_service_at_the_winners_time(self):
         # Two slots: copy 0 straggles (5.0); copy 1, hedged at 1.0, wins
         # at 1.5 and copy 0 gives its slot back at that same instant.
-        for form in ("event", "generator"):
+        for form in ("event", "process"):
             results, states = _run_hedged_calls(
                 form, 2, [], [(0.0, 1.0, [5.0, 0.5])]
             )
@@ -941,7 +924,7 @@ class TestEventFormsMatchGeneratorForms:
     def test_copy_finishing_at_the_hedge_time_still_launches_the_hedge(self):
         # Copy 0's finish at 1.0 reaches the gate one entry later, so the
         # hedge timer due at 1.0 launches copy 1 first.
-        for form in ("event", "generator"):
+        for form in ("event", "process"):
             results, _ = _run_hedged_calls(form, 2, [], [(0.0, 1.0, [1.0, 3.0])])
             assert results == {0: (1.0, 0, 2)}
 
@@ -965,7 +948,8 @@ class TestEventFormsMatchGeneratorForms:
 
 
 class TestChaosSpawnsNoProcessPerCopy:
-    """Hedged copies and retried attempts are event chains, not processes."""
+    """Requests, hedged copies and retried attempts are event chains,
+    not processes."""
 
     @staticmethod
     def _spawned(monkeypatch, run):
@@ -980,18 +964,20 @@ class TestChaosSpawnsNoProcessPerCopy:
         run()
         return names
 
-    def test_hedged_search_spawns_only_fault_processes(self, monkeypatch):
+    @pytest.mark.parametrize("policy", ["off", "hedged"])
+    def test_search_spawns_only_fault_processes(self, monkeypatch, policy):
         from repro.workloads.chaos import run_search_chaos, search_inputs
 
         names = self._spawned(monkeypatch, lambda: run_search_chaos(
-            "hedged", seed=0, **search_inputs(600, seed=0)))
+            policy, seed=0, **search_inputs(600, seed=0)))
         # One straggler schedule per odd replica.
         assert names == [f"fault.straggler.replica{i}" for i in (1, 3, 5)]
 
-    def test_resilient_memory_spawns_only_fault_processes(self, monkeypatch):
+    @pytest.mark.parametrize("policy", ["off", "resilient"])
+    def test_memory_spawns_only_fault_processes(self, monkeypatch, policy):
         from repro.workloads.chaos import memory_inputs, run_memory_chaos
 
         names = self._spawned(monkeypatch, lambda: run_memory_chaos(
-            "resilient", seed=0, **memory_inputs(400, seed=0)))
+            policy, seed=0, **memory_inputs(400, seed=0)))
         assert len(names) == 4  # one flap schedule per spine uplink
         assert all(name.startswith("fault.link-flap.") for name in names)

@@ -1,9 +1,8 @@
 """Tests for the observability layer and the engine correctness fixes.
 
-The four regression classes (gate failure propagation, creation-relative
-utilization, dead-waiter pruning, process-failure wrapping) all fail on
-the pre-observability kernel; they pin the bugfixes that shipped with
-the tracing layer.
+The three regression classes (creation-relative utilization, dead-waiter
+pruning, process-failure wrapping) all fail on the pre-observability
+kernel; they pin the bugfixes that shipped with the tracing layer.
 """
 
 import json
@@ -14,83 +13,15 @@ from repro.engine import (
     Counter,
     Gauge,
     Histogram,
-    Interrupt,
     Observability,
     Registry,
     Resource,
     Simulator,
     SpanLog,
     Store,
+    with_deadline,
 )
-from repro.errors import ProcessFailure, SimulationError
-
-
-class TestGateFailurePropagation:
-    """Regression: all_of/any_of used to swallow failed events."""
-
-    def test_all_of_fails_when_member_fails(self):
-        sim = Simulator()
-        boom = ValueError("boom")
-        caught = []
-
-        def proc(sim):
-            ok = sim.timeout(1.0)
-            bad = sim.event()
-            sim._schedule_at(0.5, lambda: bad.fail(boom))
-            try:
-                yield sim.all_of([ok, bad])
-            except ValueError as exc:
-                caught.append((sim.now, exc))
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert caught and caught[0][1] is boom
-        # The gate fails as soon as the failure fires, not at the end.
-        assert caught[0][0] == pytest.approx(0.5)
-
-    def test_all_of_still_succeeds_without_failures(self):
-        sim = Simulator()
-        got = []
-
-        def proc(sim):
-            values = yield sim.all_of(
-                [sim.timeout(1.0, "a"), sim.timeout(2.0, "b")]
-            )
-            got.append(values)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert got == [["a", "b"]]
-
-    def test_any_of_fails_when_first_event_fails(self):
-        sim = Simulator()
-        boom = RuntimeError("first")
-        caught = []
-
-        def proc(sim):
-            bad = sim.event()
-            sim._schedule_at(0.5, lambda: bad.fail(boom))
-            try:
-                yield sim.any_of([bad, sim.timeout(2.0)])
-            except RuntimeError as exc:
-                caught.append(exc)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert caught == [boom]
-
-    def test_any_of_winner_success_unaffected_by_later_failure(self):
-        sim = Simulator()
-        got = []
-
-        def proc(sim):
-            bad = sim.event()
-            sim._schedule_at(5.0, lambda: bad.fail(RuntimeError("late")))
-            got.append((yield sim.any_of([sim.timeout(1.0, "fast"), bad])))
-
-        sim.spawn(proc(sim))
-        sim.run(until=2.0)
-        assert got == [(0, "fast")]
+from repro.errors import DeadlineExceeded, ProcessFailure, SimulationError
 
 
 class TestUtilizationFromCreation:
@@ -131,7 +62,7 @@ class TestUtilizationFromCreation:
 
 
 class TestDeadWaiterPruning:
-    """Regression: a freed server handed to an interrupted waiter leaked."""
+    """Regression: a freed server handed to a waiter that gave up leaked."""
 
     def test_interrupted_waiter_does_not_leak_capacity(self):
         sim = Simulator()
@@ -145,26 +76,22 @@ class TestDeadWaiterPruning:
 
         def impatient(sim):
             try:
-                yield pool.acquire()
+                # The deadline cancels the queued acquire when it expires.
+                yield with_deadline(sim, pool.acquire(), 5.0)
                 progress.append("impatient-acquired")
                 pool.release()
-            except Interrupt:
+            except DeadlineExceeded:
                 progress.append("impatient-gave-up")
 
         def patient(sim):
+            yield sim.timeout(5.0)
             yield pool.acquire()
             progress.append(("patient-acquired", sim.now))
             pool.release()
 
         sim.spawn(holder(sim))
-        waiter = sim.spawn(impatient(sim))
-
-        def canceller(sim):
-            yield sim.timeout(5.0)
-            waiter.interrupt("deadline")
-            sim.spawn(patient(sim))
-
-        sim.spawn(canceller(sim))
+        sim.spawn(impatient(sim))
+        sim.spawn(patient(sim))
         sim.run(until=100.0)
         # Pre-fix the freed server went to the dead waiter and ``patient``
         # deadlocked forever; now it is granted at t=10.

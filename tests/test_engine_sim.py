@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Interrupt, Simulator
+from repro.engine import Simulator
 from repro.errors import SimulationError
 
 
@@ -127,50 +127,6 @@ class TestProcessComposition:
         sim.run()
         assert results == [(2.0, 42)]
 
-    def test_all_of_waits_for_slowest(self):
-        sim = Simulator()
-        results = []
-
-        def parent(sim):
-            values = yield sim.all_of(
-                [sim.timeout(1.0, "a"), sim.timeout(4.0, "b"), sim.timeout(2.0, "c")]
-            )
-            results.append((sim.now, values))
-
-        sim.spawn(parent(sim))
-        sim.run()
-        assert results == [(4.0, ["a", "b", "c"])]
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        results = []
-
-        def parent(sim):
-            values = yield sim.all_of([])
-            results.append((sim.now, values))
-
-        sim.spawn(parent(sim))
-        sim.run()
-        assert results == [(0.0, [])]
-
-    def test_any_of_returns_winner(self):
-        sim = Simulator()
-        results = []
-
-        def parent(sim):
-            winner = yield sim.any_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-            results.append((sim.now, winner))
-
-        sim.spawn(parent(sim))
-        sim.run()
-        assert results == [(1.0, (1, "fast"))]
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.any_of([])
-
-
 class TestEvents:
     def test_manual_event_succeed(self):
         sim = Simulator()
@@ -231,57 +187,6 @@ class TestEvents:
         sim.spawn(bad(sim))
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        sim = Simulator()
-        log = []
-
-        def victim(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                log.append((sim.now, intr.cause))
-
-        def attacker(sim, handle):
-            yield sim.timeout(2.0)
-            handle.interrupt("preempted")
-
-        handle = sim.spawn(victim(sim))
-        sim.spawn(attacker(sim, handle))
-        sim.run()
-        assert log == [(2.0, "preempted")]
-
-    def test_interrupt_after_completion_is_noop(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(1.0)
-
-        handle = sim.spawn(quick(sim))
-        sim.run()
-        handle.interrupt("too late")
-        sim.run()  # must not raise
-        assert handle.triggered
-
-    def test_unhandled_interrupt_terminates_process(self):
-        sim = Simulator()
-        after = []
-
-        def victim(sim):
-            yield sim.timeout(100.0)
-            after.append("unreachable")
-
-        def attacker(sim, handle):
-            yield sim.timeout(1.0)
-            handle.interrupt()
-
-        handle = sim.spawn(victim(sim))
-        sim.spawn(attacker(sim, handle))
-        sim.run()
-        assert handle.triggered
-        assert not after
 
 
 class TestSchedulingGuards:

@@ -83,7 +83,6 @@ class TestPlanBuilding:
             .sort_by(lambda x: x)
         )
         assert plan.n_shuffles == 2
-        assert plan.n_stages == 3
 
     def test_empty_plan_rejected_at_run(self):
         with pytest.raises(PlanError):

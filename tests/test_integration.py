@@ -23,6 +23,7 @@ from repro.frameworks import (
     greedy_time,
 )
 from repro.network import (
+    FlowRule,
     LegacyManagement,
     SdnController,
     ecmp_paths,
@@ -144,7 +145,11 @@ class TestNetworkToOperations:
         installed = 0
         for src, dst in zip(hosts[:4], hosts[8:12]):
             path = ecmp_paths(fabric, src, dst)[0]
-            installed += controller.install_path(path, match=f"{src}->{dst}")
+            for switch in path[1:-1]:  # every hop between the two hosts
+                controller.table(switch).install(
+                    FlowRule(match=f"{src}->{dst}", action="fwd")
+                )
+                installed += 1
         assert installed >= 4 * 3  # at least tor-agg-core per path
         # The speedup claim composes with the real fabric.
         legacy_s = LegacyManagement().policy_rollout_s(len(fabric.switches))

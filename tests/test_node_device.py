@@ -33,14 +33,14 @@ def _minimal_device(**overrides) -> ComputeDevice:
     return ComputeDevice(**params)
 
 
+def _ops_per_joule(device):
+    """Peak energy efficiency at TDP."""
+    return device.peak_ops_per_s / device.tdp_w
+
 class TestComputeDevice:
     def test_ridge_intensity(self):
         dev = _minimal_device(peak_ops_per_s=1e12, mem_bw_bytes_per_s=1e11)
         assert dev.ridge_intensity == pytest.approx(10.0)
-
-    def test_ops_per_joule(self):
-        dev = _minimal_device(peak_ops_per_s=1e12, tdp_w=100.0)
-        assert dev.ops_per_joule == pytest.approx(1e10)
 
     def test_idle_above_tdp_rejected(self):
         with pytest.raises(ModelError):
@@ -49,17 +49,6 @@ class TestComputeDevice:
     def test_zero_peak_rejected(self):
         with pytest.raises(ModelError):
             _minimal_device(peak_ops_per_s=0.0)
-
-    def test_supports_native_and_portable(self):
-        dev = _minimal_device(
-            programmability=Programmability(
-                ProgrammingModel.CUDA, 4.0,
-                portable_models=(ProgrammingModel.OPENCL,),
-            )
-        )
-        assert dev.supports(ProgrammingModel.CUDA)
-        assert dev.supports(ProgrammingModel.OPENCL)
-        assert not dev.supports(ProgrammingModel.HDL)
 
     def test_effective_peak_native_vs_portable(self):
         dev = _minimal_device(
@@ -120,15 +109,15 @@ class TestCatalogShape:
 
     def test_fpga_energy_efficiency_beats_cpu_and_gpu(self):
         # §V.B R4: specialized hardware promises 10x energy efficiency.
-        fpga = arria10_fpga()
-        assert fpga.ops_per_joule > 5 * xeon_e5().ops_per_joule
-        assert fpga.ops_per_joule > nvidia_k80().ops_per_joule
+        fpga = _ops_per_joule(arria10_fpga())
+        assert fpga > 5 * _ops_per_joule(xeon_e5())
+        assert fpga > _ops_per_joule(nvidia_k80())
 
     def test_neuromorphic_is_the_ops_per_joule_champion(self):
         neuro = truenorth_neuro()
         for dev in default_registry():
             if dev.name != neuro.name:
-                assert neuro.ops_per_joule > dev.ops_per_joule
+                assert _ops_per_joule(neuro) > _ops_per_joule(dev)
 
     def test_fpga_port_effort_is_the_worst_mainstream_barrier(self):
         # §IV.C: HDL is the hardest mainstream model; neuromorphic worse still.
@@ -150,4 +139,4 @@ class TestCatalogShape:
         )
 
     def test_cpu_supports_opencl_portably(self):
-        assert xeon_e5().supports(ProgrammingModel.OPENCL)
+        assert xeon_e5().effective_peak(ProgrammingModel.OPENCL) > 0

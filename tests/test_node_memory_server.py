@@ -14,7 +14,6 @@ from repro.node import (
     accelerated_server,
     achievable_throughput_fraction,
     arria10_fpga,
-    commodity_server,
     default_hierarchy,
     default_registry,
     dram,
@@ -48,30 +47,6 @@ class TestMemoryHierarchy:
         with pytest.raises(ModelError):
             h.placement(2 * units.GB)
 
-    def test_effective_bandwidth_degrades_on_spill(self):
-        h = default_hierarchy()
-        fast = h.effective_bandwidth_bytes_per_s(100 * units.GB)
-        spilled = h.effective_bandwidth_bytes_per_s(1000 * units.GB)
-        assert fast == pytest.approx(dram().bandwidth_bytes_per_s)
-        assert spilled < fast / 5
-
-    def test_nvm_tier_softens_the_spill_cliff(self):
-        # Recommendation 5: NVM integration. Spilling 1 TB hurts much
-        # less when an NVM tier sits between DRAM and SSD.
-        plain = default_hierarchy(with_nvm=False)
-        with_nvm = default_hierarchy(with_nvm=True)
-        ws = 1000 * units.GB
-        assert with_nvm.effective_bandwidth_bytes_per_s(ws) > (
-            2 * plain.effective_bandwidth_bytes_per_s(ws)
-        )
-
-    def test_scan_time_consistent_with_bandwidth(self):
-        h = default_hierarchy()
-        ws = 500 * units.GB
-        assert h.scan_time_s(ws) == pytest.approx(
-            ws / h.effective_bandwidth_bytes_per_s(ws)
-        )
-
     def test_total_cost_positive(self):
         assert default_hierarchy().total_cost_usd > 0
 
@@ -96,26 +71,6 @@ class TestServer:
         srv = accelerated_server(xeon_e5(), nvidia_k80(), count=2)
         assert srv.cpu.name == "xeon-e5"
         assert len(srv.accelerators) == 2
-
-    def test_power_interpolates_between_idle_and_tdp(self):
-        srv = commodity_server(xeon_e5())
-        idle = srv.power_at({})
-        half = srv.power_at({"xeon-e5": 0.5})
-        full = srv.power_at({"xeon-e5": 1.0})
-        assert idle == pytest.approx(srv.idle_power_w)
-        assert full == pytest.approx(srv.peak_power_w)
-        assert half == pytest.approx((idle + full) / 2)
-
-    def test_power_rejects_bad_utilization(self):
-        srv = commodity_server(xeon_e5())
-        with pytest.raises(ModelError):
-            srv.power_at({"xeon-e5": 2.0})
-
-    def test_find_device(self):
-        srv = accelerated_server(xeon_e5(), arria10_fpga())
-        assert srv.find_device("arria10-fpga").kind.value == "fpga"
-        with pytest.raises(ModelError):
-            srv.find_device("ghost")
 
     def test_accelerator_count_validated(self):
         with pytest.raises(ModelError):

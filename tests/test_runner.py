@@ -630,16 +630,6 @@ class TestGridResult:
         assert document["n_runs"] == 1
         assert document["results"][0]["experiment"] == "E4"
 
-    def test_result_for_lookup(self):
-        grid = GridResult(results=[
-            RunResult(experiment_id="E4", seed=0),
-            RunResult(experiment_id="E4", seed=1),
-        ])
-        assert grid.result_for("E4", 1).seed == 1
-        with pytest.raises(KeyError):
-            grid.result_for("E9")
-
-
 # ---------------------------------------------------------------------------
 # CLI
 

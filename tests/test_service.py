@@ -487,6 +487,22 @@ class TestMalformedRequests:
         )
         assert registry.counter("service.errors").value == 1
 
+    @pytest.mark.parametrize("job", [
+        {"experiments": ["E4"], "timeout_s": "abc"},
+        {"experiments": ["E4"], "overrides": [3]},
+    ], ids=["timeout-not-a-number", "override-not-an-object"])
+    def test_malformed_job_field(self, service, job):
+        handle, client, registry = service()
+        body = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "job": job}
+        ).encode()
+        self._assert_bad_request(
+            handle, client,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body,
+        )
+        assert registry.counter("service.errors").value == 1
+
     def test_overlong_content_length_is_payload_too_large(self, service):
         handle, client, registry = service()
         status, body = _raw_exchange(

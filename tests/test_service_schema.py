@@ -1,8 +1,11 @@
 """The versioned wire contract: specs, envelopes, version gating."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServiceError
 from repro.service.schema import (
@@ -119,6 +122,31 @@ class TestSubmitRequest:
         record["client_id"] = ""
         with pytest.raises(ServiceError):
             decode_submit_request(json.dumps(record))
+
+    @given(
+        field=st.sampled_from([f.name for f in fields(JobSpec)]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(),
+            lambda children: st.lists(children)
+            | st.dictionaries(st.text(), children),
+            max_leaves=8,
+        ),
+    )
+    @example(field="timeout_s", value=10**400)
+    @example(field="timeout_s", value="abc")
+    @example(field="overrides", value=[3])
+    @example(field="retries", value=float("inf"))
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_in_a_job_field_decodes_or_is_a_service_error(
+        self, field, value
+    ):
+        record = SubmitRequest(job=JobSpec(experiments=("E2",))).to_dict()
+        record["job"][field] = value
+        try:
+            decode_submit_request(json.dumps(record))
+        except ServiceError as exc:
+            assert (exc.code, exc.status) == ("bad-request", 400)
 
 
 class TestJobResult:
