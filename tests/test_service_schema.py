@@ -137,7 +137,7 @@ class TestSubmitRequest:
     @example(field="timeout_s", value="abc")
     @example(field="overrides", value=[3])
     @example(field="retries", value=float("inf"))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_any_json_in_a_job_field_decodes_or_is_a_service_error(
         self, field, value
     ):
