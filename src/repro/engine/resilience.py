@@ -372,7 +372,7 @@ def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
     timer = sim.timeout(timeout_s)
     started = sim.now
 
-    def on_event(evt: Event) -> None:
+    def on_result(evt: Event) -> None:
         if gate.triggered:
             return
         timer.cancel()
@@ -395,6 +395,6 @@ def with_deadline(sim: Simulator, event: Event, timeout_s: float) -> Event:
             )
         )
 
-    event.add_callback(on_event)
+    event.add_callback(on_result)
     timer.add_callback(on_timer)
     return gate

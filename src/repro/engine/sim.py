@@ -39,12 +39,14 @@ skipped entry would have been the very next one popped and the
   fired (a free :class:`~repro.engine.resources.Resource` grant, a
   pre-succeeded event, a finished child's handle),
   :meth:`ProcessHandle._step` resumes the generator in a loop instead
-  of pushing its resume entry. This rule is off while an ``on_event``
-  hook is set, so the hook still sees every entry, and on the
-  observability path.
+  of pushing its resume entry. This rule is off on the observability
+  path.
 
-Both rules make :attr:`Simulator.events_processed` count fewer entries
-than a kernel without them; no simulated time, value or order moves.
+Both rules hold under :meth:`Simulator.run` with or without an
+``until`` horizon -- there is one dispatch loop, and the horizon costs
+one comparison per popped entry. Both make
+:attr:`Simulator.events_processed` count fewer entries than a kernel
+without them; no simulated time, value or order moves.
 
 Pending events live in a *three-tier calendar*, split by ``_horizon``
 (the largest timestamp of the last sorted batch):
@@ -75,8 +77,9 @@ Observability is opt-in: attach a
 :class:`~repro.engine.observability.Observability` (pass it to the
 constructor, or build the simulator inside ``with obs:``) and
 ``sim.span(...)`` records spans, processes are
-accounted per name, and the ``on_event`` / ``on_process_error`` hooks
-fire. Without one, the extra cost is a few ``is None`` checks per event.
+accounted per name, and process errors are noted before the
+``on_process_error`` hook runs. Without one, the extra cost is a few
+``is None`` checks per event.
 
 Example
 -------
@@ -88,6 +91,7 @@ Example
 >>> _ = sim.spawn(worker(sim, "a", 2.0))
 >>> _ = sim.spawn(worker(sim, "b", 1.0))
 >>> sim.run()
+2.0
 >>> log
 [(1.0, 'b'), (2.0, 'a')]
 """
@@ -323,8 +327,7 @@ class ProcessHandle(Event):
                 except Exception as exc:
                     self._crash(exc)
                     return
-                if (not isinstance(target, Event) or not target._triggered
-                        or sim.on_event is not None):
+                if not isinstance(target, Event) or not target._triggered:
                     break  # a wait (or a non-event, rejected below)
                 # Already fired: the resume entry add_callback would push
                 # at `now` pops straight back unless another entry is due
@@ -428,11 +431,6 @@ class Simulator:
 
     Attributes
     ----------
-    on_event:
-        Optional hook ``(when, entry) -> None`` invoked before every
-        scheduled heap entry executes; ``entry`` is the raw
-        ``(when, seq, kind, a, b)`` queue tuple. Sampled once when
-        :meth:`run` starts, so set it before running.
     on_process_error:
         Optional hook ``(handle, exc) -> bool`` invoked when an
         exception escapes a process generator; return truthy to mark the
@@ -464,7 +462,6 @@ class Simulator:
         self._seq_next = self._sequence.__next__
         self._event_count = 0
         self.observability: Any = None
-        self.on_event: Optional[Callable[[float, tuple], None]] = None
         self.on_process_error: Optional[
             Callable[[ProcessHandle, BaseException], bool]
         ] = None
@@ -483,10 +480,9 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of scheduled heap entries executed so far.
 
-        For speed the fast run loop accumulates this locally and folds
-        it back in when :meth:`run` returns (or raises); reads from
-        *inside* a callback may lag until then unless an ``on_event``
-        hook is set, which forces exact per-entry accounting.
+        For speed the run loop accumulates this locally and folds it
+        back in when :meth:`run` returns (or raises); reads from
+        *inside* a callback may lag until then.
         """
         return self._event_count
 
@@ -690,126 +686,91 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Returns the final clock value. With neither an ``until`` horizon
-        nor an ``on_event`` hook the loop takes a specialised fast path:
-        entries are popped directly and the event counter is folded back
-        in on exit (exact per-entry accounting is preserved whenever the
-        hook is set).
+        Returns the final clock value. Entries at exactly ``until`` still
+        run; the first entry beyond it stays in the calendar, and the
+        clock then reads ``until`` unless it is already later (it never
+        moves back). The event counter is folded back in on exit.
         """
         near = self._near  # stable identity; only contents mutate
         low = self._low
         far = self._far
-        on_event = self.on_event  # read once; set hooks before run()
         seq_next = self._seq_next
         push = self._push
+        stop = _INF if until is None else until
         popped = 0
         try:
-            if on_event is None and until is None:
-                # Fast path: no horizon checks, no hook dispatch, local
-                # event counting. The head cursor is re-read every
-                # iteration so nested run() calls (a callback that
-                # re-enters the loop) stay correct.
-                while True:
-                    head = self._head
-                    if head < len(near):
-                        entry = near[head]
-                        if low and low[0] < entry:
-                            entry = _heappop(low)
-                        else:
-                            head += 1
-                            self._head = head
-                    elif low:
+            # The head cursor is re-read every iteration so nested run()
+            # calls (a callback that re-enters the loop) stay correct.
+            # An entry beyond ``stop`` stays in the calendar: the sorted
+            # segment's head is checked before it advances, and a heap
+            # entry is pushed back (one push per run(until=...) call
+            # instead of a peek before every heap pop).
+            while True:
+                head = self._head
+                if head < len(near):
+                    entry = near[head]
+                    if low and low[0] < entry:
                         entry = _heappop(low)
-                    elif far:
-                        self._refill()
-                        entry = near[0]
-                        head = self._head = 1
+                        when = entry[0]
+                        if when > stop:
+                            _heappush(low, entry)
+                            break
                     else:
-                        break
-                    popped += 1
-                    self._now = when = entry[0]
-                    kind = entry[2]
-                    if kind == 1:  # _KIND_TIMEOUT -- trigger inline
-                        # Checked first: inline dispatch keeps most
-                        # callback entries out of the calendar, so
-                        # timeout entries dominate what actually pops.
-                        evt = entry[3]
-                        if evt._triggered:
-                            raise SimulationError("event already triggered")
-                        evt._triggered = True
-                        # Inline Event._flush: schedule waiters at `when`.
-                        callback = evt._callback
-                        if callback is not None:
-                            evt._callback = None
-                            if callback.__class__ is list:
-                                for cb in callback:
-                                    push((when, seq_next(), 2, cb, evt))
-                            elif (near[head][0] if head < len(near)
-                                  else self._far_min) > when and not (
-                                      low and low[0][0] <= when):
-                                # No other entry is due at `when` (the
-                                # overflow minimum is inf when empty, and
-                                # only matters once the sorted segment
-                                # has drained), so the callback entry we
-                                # would push would pop straight back
-                                # off. Dispatch it directly -- relative
-                                # sequence order (and therefore every
-                                # tie-break) is unchanged.
-                                callback(evt)
-                            else:
-                                push((when, seq_next(), 2, callback, evt))
-                    elif kind == 2:  # _KIND_CALLBACK: a(b)
-                        entry[3](entry[4])
-                    else:  # _KIND_CALL
-                        entry[3]()
-            else:
-                while True:
-                    head = self._head
-                    if head < len(near):
-                        entry = near[head]
-                        from_low = low and low[0] < entry
-                        if from_low:
-                            entry = low[0]
-                    elif low:
-                        entry = low[0]
-                        from_low = True
-                    elif far:
-                        self._refill()
-                        head = 0
-                        entry = near[0]
-                        from_low = False
-                    else:
-                        break
+                        when = entry[0]
+                        if when > stop:
+                            break
+                        head += 1
+                        self._head = head
+                elif low:
+                    entry = _heappop(low)
                     when = entry[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return self._now
-                    if from_low:
-                        _heappop(low)
-                    else:
-                        self._head = head + 1
-                    self._now = when
-                    self._event_count += 1
-                    if on_event is not None:
-                        on_event(when, entry)
-                    kind = entry[2]
-                    if kind == 2:
-                        entry[3](entry[4])
-                    elif kind == 1:
-                        evt = entry[3]
-                        if evt._triggered:
-                            raise SimulationError("event already triggered")
-                        evt._triggered = True
-                        callback = evt._callback
-                        if callback is not None:
-                            evt._callback = None
-                            if callback.__class__ is list:
-                                for cb in callback:
-                                    push((when, seq_next(), 2, cb, evt))
-                            else:
-                                push((when, seq_next(), 2, callback, evt))
-                    else:
-                        entry[3]()
+                    if when > stop:
+                        _heappush(low, entry)
+                        break
+                elif far:
+                    self._refill()
+                    entry = near[0]
+                    when = entry[0]
+                    if when > stop:
+                        break
+                    head = self._head = 1
+                else:
+                    break
+                popped += 1
+                self._now = when
+                kind = entry[2]
+                if kind == 1:  # _KIND_TIMEOUT -- trigger inline
+                    # Checked first: inline dispatch keeps most callback
+                    # entries out of the calendar, so timeout entries
+                    # dominate what actually pops.
+                    evt = entry[3]
+                    if evt._triggered:
+                        raise SimulationError("event already triggered")
+                    evt._triggered = True
+                    # Inline Event._flush: schedule waiters at `when`.
+                    callback = evt._callback
+                    if callback is not None:
+                        evt._callback = None
+                        if callback.__class__ is list:
+                            for cb in callback:
+                                push((when, seq_next(), 2, cb, evt))
+                        elif (near[head][0] if head < len(near)
+                              else self._far_min) > when and not (
+                                  low and low[0][0] <= when):
+                            # No other entry is due at `when` (the
+                            # overflow minimum is inf when empty, and only
+                            # matters once the sorted segment has
+                            # drained), so the callback entry we would
+                            # push would pop straight back off. Dispatch
+                            # it directly -- relative sequence order (and
+                            # therefore every tie-break) is unchanged.
+                            callback(evt)
+                        else:
+                            push((when, seq_next(), 2, callback, evt))
+                elif kind == 2:  # _KIND_CALLBACK: a(b)
+                    entry[3](entry[4])
+                else:  # _KIND_CALL
+                    entry[3]()
         finally:
             # Incremental so a nested run() (a callback that re-enters
             # the loop) keeps the total exact.

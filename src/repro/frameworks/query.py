@@ -92,7 +92,7 @@ class Query:
     ...      .group_by("sector", Aggregation("sum", "amount", "total")))
     >>> plan = q.compile()
     >>> [op.kind for op in plan.operators]
-    ['filter', 'map', 'reduce_by_key', 'map']
+    ['filter', 'map', 'group_by_key', 'map']
     """
 
     predicates: Tuple[Predicate, ...] = ()

@@ -178,11 +178,13 @@ class JobSpec:
                  "timeout_s must be a number or null")
         retries = record.get("retries", 1)
         _require(type(retries) is int, "retries must be an integer")
+        quick = record.get("quick", False)
+        _require(isinstance(quick, bool), "quick must be a boolean")
         return cls(
             experiments=tuple(experiments),
             seeds=tuple(seeds),
             overrides=tuple(dict(o) for o in overrides) or ({},),
-            quick=bool(record.get("quick", False)),
+            quick=quick,
             timeout_s=None if timeout_s is None else float(timeout_s),
             retries=retries,
         )
@@ -219,10 +221,12 @@ class SubmitRequest:
         client_id = record.get("client_id", "anonymous")
         _require(isinstance(client_id, str) and client_id,
                  "client_id must be a non-empty string")
+        use_cache = record.get("use_cache", True)
+        _require(isinstance(use_cache, bool), "use_cache must be a boolean")
         return cls(
             job=JobSpec.from_dict(record.get("job")),
             client_id=client_id,
-            use_cache=bool(record.get("use_cache", True)),
+            use_cache=use_cache,
             schema_version=version,
         )
 
@@ -292,11 +296,17 @@ class JobResult:
         """Decode a wire-form result."""
         _require(isinstance(record, dict), "job result must be an object")
         check_schema_version(record.get("schema_version", SCHEMA_VERSION))
+        job_id = record.get("job_id", "")
+        _require(isinstance(job_id, str), "job_id must be a string")
+        document = record.get("document", {})
+        _require(isinstance(document, dict), "document must be an object")
+        stats = record.get("stats", {})
+        _require(isinstance(stats, dict), "stats must be an object")
         return cls(
-            job_id=str(record.get("job_id", "")),
+            job_id=job_id,
             status=record.get("status", "ok"),
-            document=dict(record.get("document", {})),
-            stats=dict(record.get("stats", {})),
+            document=dict(document),
+            stats=dict(stats),
             schema_version=record.get("schema_version", SCHEMA_VERSION),
         )
 

@@ -5,9 +5,10 @@ EXPERIMENTS.md must track it, and the README's inventory claims must
 stay true. These tests fail when docs drift from code.
 """
 
+import doctest
+import importlib
 import pathlib
 import re
-
 
 from repro.reporting import EXPERIMENTS
 
@@ -69,6 +70,22 @@ class TestReadmeCode:
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
         assert namespace["read"].value == "ok"
+
+
+class TestDocstringExamples:
+    def test_every_module_example_runs(self):
+        package = ROOT / "src" / "repro"
+        modules = sorted(
+            ".".join(path.relative_to(package.parent).with_suffix("").parts)
+            for path in package.rglob("*.py")
+            if ">>>" in path.read_text()
+        )
+        assert modules, "no docstring examples found"
+        failed = [
+            name for name in modules
+            if doctest.testmod(importlib.import_module(name)).failed
+        ]
+        assert not failed, f"docstring examples fail in: {failed}"
 
 
 class TestExampleDocs:

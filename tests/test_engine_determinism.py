@@ -14,7 +14,7 @@ output. These tests pin that down three ways:
 - randomized processes that yield events which have already fired
   (free resource grants, pre-fired events, finished children) -- the
   case the kernel resumes inline -- trace identically to the reference
-  kernel, and an ``on_event`` hook still sees every reference entry.
+  kernel.
 """
 
 import contextlib
@@ -149,22 +149,12 @@ def _resume_plan(seed):
     ], rng.randint(1, 3)
 
 
-def _resume_trace(sim_cls, resource_cls, seed, count_entries=False):
-    """(time, label) trace of processes that often yield fired events.
-
-    Returns ``(trace, hook_entries)``; ``hook_entries`` is ``None``
-    unless an ``on_event`` hook counted the popped entries.
-    """
+def _resume_trace(sim_cls, resource_cls, seed):
+    """(time, label) trace of processes that often yield fired events."""
     plans, capacity = _resume_plan(seed)
     sim = sim_cls()
     pool = resource_cls(sim, capacity=capacity)
     trace = []
-    entries = [0]
-    if count_entries:
-        def hook(_when, _entry):
-            entries[0] += 1
-
-        sim.on_event = hook
 
     def child(label, delay):
         yield sim.timeout(delay)
@@ -208,27 +198,15 @@ def _resume_trace(sim_cls, resource_cls, seed, count_entries=False):
     for k, plan in enumerate(plans):
         sim.spawn(worker(k, plan), name=f"w{k}")
     sim.run()
-    return trace, entries[0] if count_entries else None
+    return trace
 
 
 class TestInlineResume:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_fired_event_yields_trace_like_reference(self, seed):
-        production, _ = _resume_trace(Simulator, Resource, seed)
-        reference, _ = _resume_trace(_perfref.Simulator, _perfref.Resource,
-                                     seed)
-        assert production == reference
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_on_event_hook_sees_every_reference_entry(self, seed):
-        # With a hook set the kernel resumes nothing inline, so the hook
-        # sees exactly the entries the reference kernel pops.
-        production = _resume_trace(Simulator, Resource, seed,
-                                   count_entries=True)
-        reference = _resume_trace(_perfref.Simulator, _perfref.Resource,
-                                  seed, count_entries=True)
+        production = _resume_trace(Simulator, Resource, seed)
+        reference = _resume_trace(_perfref.Simulator, _perfref.Resource, seed)
         assert production == reference
 
     def test_fired_yields_resume_without_a_calendar_entry(self):

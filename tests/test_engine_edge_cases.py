@@ -346,8 +346,9 @@ class _HeapModelKernel:
 
     It mirrors the :class:`Simulator` contract the calendar tiers must
     not change -- sequence numbering, ``run(until)`` semantics, and the
-    fast loop's inline dispatch of a lone timeout waiter when nothing
-    else is due at the same time -- with a single heap and no tiers.
+    run loop's inline dispatch of a lone timeout waiter when nothing
+    else is due at the same time (with or without a horizon) -- with a
+    single heap and no tiers.
     """
 
     def __init__(self):
@@ -378,7 +379,7 @@ class _HeapModelKernel:
             self.events_processed += 1
             if handle is None:
                 callback(payload)
-            elif until is None and not (heap and heap[0][0] <= when):
+            elif not (heap and heap[0][0] <= when):
                 handle.callback(handle)  # inline: no entry, no seq
             else:
                 heapq.heappush(heap, (when, next(self._seq), None,

@@ -733,23 +733,16 @@ def _holder(sim, resource, start, hold):
 
 
 def _record_states(sim, resource):
-    """Log ``(time, in_use, queue_length)`` whenever a settled instant
-    leaves the resource in a new state; returns the log."""
-    log = []
-    instant = [None]
-
-    def settle():
+    """Run ``sim`` one instant at a time and log ``(time, in_use,
+    queue_length)`` whenever a settled instant leaves the resource in a
+    new state; the log opens with the pre-run ``(None, ...)`` sample."""
+    log = [(None, resource.in_use, resource.queue_length)]
+    while (instant := sim.peek()) is not None:
+        sim.run(until=instant)
         state = (resource.in_use, resource.queue_length)
-        if not log or log[-1][1:] != state:
-            log.append((instant[0],) + state)
-
-    def on_event(when, _entry):
-        if when != instant[0]:
-            settle()
-            instant[0] = when
-
-    sim.on_event = on_event
-    return log, settle
+        if log[-1][1:] != state:
+            log.append((instant,) + state)
+    return log
 
 
 def _run_hedged_calls(form, capacity, holders, calls):
@@ -789,10 +782,8 @@ def _run_hedged_calls(form, capacity, holders, calls):
         sim.timeout(arrival).add_callback(
             lambda _evt, i=index, d=delay, ds=durations: begin(i, d, ds)
         )
-    log, settle = _record_states(sim, resource)
-    sim.run()
-    settle()
-    return results, log
+    states = _record_states(sim, resource)
+    return results, states
 
 
 def _event_attempt(sim, spec, deadline):

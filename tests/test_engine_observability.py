@@ -376,20 +376,6 @@ class TestEngineIntegration:
         assert stats["completions"] == 3
         assert stats["sim_time"] == pytest.approx(9.0)
 
-    def test_on_event_hook_sees_every_callback(self):
-        sim = Simulator()
-        times = []
-        sim.on_event = lambda when, call: times.append(when)
-
-        def proc(sim):
-            yield sim.timeout(1.0)
-            yield sim.timeout(2.0)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert times == sorted(times)
-        assert len(times) == sim.events_processed
-
     def test_snapshot_includes_engine_totals(self):
         obs = Observability()
         sim = Simulator(observability=obs)

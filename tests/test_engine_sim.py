@@ -22,6 +22,25 @@ class TestClock:
         assert sim.run(until=5.0) == 5.0
         assert sim.now == 5.0
 
+    def test_run_until_in_the_past_keeps_the_clock(self):
+        sim = Simulator(start=10.0)
+        sim.timeout(1.0)
+        assert sim.run(until=5.0) == 10.0
+        assert sim.peek() == 11.0
+
+    def test_lone_timeout_waiter_dispatches_inline_under_until(self):
+        # One dispatch loop: the lone-waiter rule holds under a horizon
+        # too, so the callback runs without a calendar entry of its own,
+        # and the entry beyond the horizon stays pending.
+        sim = Simulator()
+        seen = []
+        sim.timeout(1.0).add_callback(lambda _evt: seen.append(sim.now))
+        later = sim.timeout(10.0)
+        assert sim.run(until=5.0) == 5.0
+        assert seen == [1.0]
+        assert sim.events_processed == 1
+        assert sim.peek() == 10.0 and not later.triggered
+
 
 class TestTimeout:
     def test_timeout_advances_clock(self):

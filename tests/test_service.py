@@ -487,14 +487,10 @@ class TestMalformedRequests:
         )
         assert registry.counter("service.errors").value == 1
 
-    @pytest.mark.parametrize("job", [
-        {"experiments": ["E4"], "timeout_s": "abc"},
-        {"experiments": ["E4"], "overrides": [3]},
-    ], ids=["timeout-not-a-number", "override-not-an-object"])
-    def test_malformed_job_field(self, service, job):
+    def _assert_submit_rejected(self, service, request):
         handle, client, registry = service()
         body = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "job": job}
+            {"schema_version": SCHEMA_VERSION, **request}
         ).encode()
         self._assert_bad_request(
             handle, client,
@@ -502,6 +498,23 @@ class TestMalformedRequests:
             % len(body) + body,
         )
         assert registry.counter("service.errors").value == 1
+
+    @pytest.mark.parametrize("job", [
+        {"experiments": ["E4"], "timeout_s": "abc"},
+        {"experiments": ["E4"], "overrides": [3]},
+        {"experiments": ["E4"], "quick": "no"},
+    ], ids=["timeout-not-a-number", "override-not-an-object",
+            "quick-not-a-bool"])
+    def test_malformed_job_field(self, service, job):
+        self._assert_submit_rejected(service, {"job": job})
+
+    @pytest.mark.parametrize("field", [
+        {"use_cache": "no"},
+    ], ids=["use-cache-not-a-bool"])
+    def test_malformed_request_field(self, service, field):
+        self._assert_submit_rejected(
+            service, {"job": {"experiments": ["E4"]}, **field}
+        )
 
     def test_overlong_content_length_is_payload_too_large(self, service):
         handle, client, registry = service()

@@ -164,6 +164,18 @@ class TestJobResult:
         with pytest.raises(ServiceError):
             JobResult(job_id="x", status="exploded", document={})
 
+    @pytest.mark.parametrize("field, value", [
+        ("document", [1]), ("stats", "ab"), ("job_id", 7),
+    ], ids=["document-not-an-object", "stats-not-an-object",
+            "job-id-not-a-string"])
+    def test_malformed_reply_field_rejected(self, field, value):
+        # A malformed server reply surfaces as a ServiceError, never a
+        # bare TypeError/ValueError from dict().
+        record = JobResult(job_id="x", status="ok", document={}).to_dict()
+        record[field] = value
+        with pytest.raises(ServiceError):
+            JobResult.from_dict(record)
+
 
 class TestEnvelopes:
     def test_error_envelope_roundtrip(self):
