@@ -314,7 +314,6 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     from repro.client import ServiceClient
     from repro.errors import ServiceError
-    from repro.runner.results import GridResult
 
     config = _parse_set_overrides(args.set)
     client = ServiceClient(
@@ -348,11 +347,11 @@ def _cmd_submit(args) -> int:
                         print(f"  {event.get('message', '')}", flush=True)
             print(f"wrote event stream to {events_path}")
         result = client.result(job_id, timeout_s=args.wait_s)
+        grid = result.grid()
     except ServiceError as error:
         print(f"error [{error.code}]: {error}", file=sys.stderr)
         return 2
 
-    grid = GridResult.from_dict(result.document)
     out_path = grid.write_json(Path(args.out_dir) / "results.json")
     print(f"wrote {out_path}")
     _emit_summary(

@@ -30,6 +30,7 @@ import time
 import urllib.parse
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from repro.core.records import loads
 from repro.engine.resilience import RetryPolicy
 from repro.errors import ServiceError
 from repro.service import wire
@@ -134,13 +135,7 @@ class ServiceClient:
             ) from exc
         finally:
             connection.close()
-        try:
-            decoded = json.loads(text) if text.strip() else {}
-        except ValueError as exc:
-            raise ServiceError(
-                f"{method} {path}: non-JSON response ({status})",
-                code="connection", status=status,
-            ) from exc
+        decoded = loads(text, f"{method} {path} reply") if text.strip() else {}
         if status >= 400 or "error" in decoded:
             raise envelope_error(decoded, status=status)
         return decoded
@@ -331,7 +326,7 @@ class ServiceClient:
                     continue
                 if opcode != wire.OP_TEXT:
                     continue
-                yield json.loads(payload.decode("utf-8"))
+                yield loads(payload, f"event frame for {job_id}")
         except (OSError, EOFError) as exc:
             raise ServiceError(
                 f"event stream for {job_id} failed: {exc}", code="connection"

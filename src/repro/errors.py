@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors.
+
+    A shard that fails with one fails the same way on every rerun of its
+    config and seed, so the runner's pool records the first failure
+    instead of spending its retry budget on it.
+    """
 
 
 class SimulationError(ReproError):
@@ -42,9 +47,9 @@ class DeadlineExceeded(SimulationError):
 class RetryExhausted(SimulationError):
     """All attempts of a retried operation failed.
 
-    Raised by :func:`repro.engine.resilience.retry` once the policy's
-    attempt budget is spent; the last attempt's exception is chained as
-    ``__cause__``.
+    Raised by :func:`repro.engine.resilience.retry_events` once the
+    policy's attempt budget is spent; the last attempt's exception is
+    chained as ``__cause__``.
     """
 
     def __init__(self, message: str, attempts: int = 0) -> None:
@@ -73,11 +78,7 @@ class ModelError(ReproError):
 
 
 class ConfigError(ModelError):
-    """Raised when a run's config names a key that no default has.
-
-    Running the shard again fails the same way, so the runner records
-    the first failure instead of spending its retry budget on it.
-    """
+    """Raised when a run's config names a key that no default has."""
 
 
 class RegistryError(ReproError):
@@ -114,3 +115,18 @@ class ServiceError(ReproError):
         super().__init__(message)
         self.code = code
         self.status = status
+
+
+class RecordError(ServiceError):
+    """A record read from outside the process does not decode.
+
+    Raised by :func:`repro.core.records.decode` for a job spec, submit
+    request, job result, results document, cache entry or journal row
+    that is not JSON, not an object, lacks a required field or holds a
+    value of the wrong kind; the message names the record and the
+    failing field. A ``bad-request`` with status 400, so the service
+    answers it with its error envelope unchanged.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message, code="bad-request", status=400)

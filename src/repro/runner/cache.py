@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.core.atomicio import atomic_write_text
-from repro.errors import RegistryError
+from repro.core.records import loads
+from repro.errors import RecordError, RegistryError
 from repro.runner.results import RunResult
 
 #: Memoized module-name -> source-hash entries (source files do not
@@ -125,20 +126,21 @@ class ResultCache:
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None on a miss.
 
-        A present-but-undecodable entry is quarantined (renamed to
+        A present entry that does not decode -- not UTF-8 JSON, nested
+        too deeply, or a record :meth:`RunResult.from_dict` rejects; any
+        :class:`~repro.errors.RecordError` -- is quarantined (renamed to
         ``<key>.corrupt``) rather than left in place or deleted, then
         reported as a miss.
         """
         path = self._path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            blob = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
         try:
-            record = json.loads(text)
-            result = RunResult.from_dict(record)
-        except (ValueError, KeyError, TypeError, RecursionError):
+            result = RunResult.from_dict(loads(blob, "cache entry"))
+        except RecordError:
             self._quarantine(path)
             self.misses += 1
             return None

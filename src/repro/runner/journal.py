@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import JournalError
+from repro.core.records import REQUIRED, Fields, decode, of
+from repro.errors import JournalError, RecordError
 from repro.runner.results import RunResult
 
 #: Identifier of the journal line format.
@@ -47,6 +48,10 @@ JOURNAL_SCHEMA = "repro.runner/journal/v1"
 
 #: Hex digits of the SHA-256 digest stored per record.
 _CRC_HEX = 16
+
+#: The fields :func:`replay_grid` reads from a ``shard-done`` record.
+_SHARD_DONE: Fields = {"index": (of(int), REQUIRED),
+                       "result": (of(dict), REQUIRED)}
 
 
 def _payload_json(record: Dict[str, Any]) -> str:
@@ -211,8 +216,10 @@ def replay_grid(
     later records for the same index win (a resumed-then-interrupted
     journal can legitimately contain several ``grid-start`` marks).
     Returns an empty map when no journal exists. Raises
-    :class:`~repro.errors.JournalError` on identity mismatch or rows
-    that do not decode to results.
+    :class:`~repro.errors.JournalError` on identity mismatch, on a shard
+    index outside the grid, and on a ``shard-done`` row whose ``index``
+    (an int) or ``result`` (a :class:`RunResult` record) does not decode
+    -- the :class:`~repro.errors.RecordError` is chained as its cause.
     """
     replay = read_journal(path)
     if not replay.records:
@@ -232,12 +239,13 @@ def replay_grid(
     done: Dict[int, RunResult] = {}
     for record in replay.of_kind("shard-done"):
         try:
-            index = int(record["index"])
-            result = RunResult.from_dict(record["result"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shard = decode(record, "shard-done record", _SHARD_DONE)
+            result = RunResult.from_dict(shard["result"])
+        except RecordError as exc:
             raise JournalError(
                 f"journal {path}: undecodable shard-done record: {exc}"
             ) from exc
+        index = shard["index"]
         if not 0 <= index < total:
             raise JournalError(
                 f"journal {path}: shard index {index} outside grid of "

@@ -11,10 +11,13 @@ names its entrypoint as a dotted ``"module:function"`` path -- the
 no callables cross the process boundary. A shard that raises is
 captured as an ``error`` result with its traceback; a shard that
 exceeds the per-run timeout has its worker terminated and is recorded
-as ``timeout``; both are retried up to ``retries`` times before the
-failure is accepted into the sweep. The exception is a
-:class:`~repro.errors.ConfigError` (a config key no default names):
-rerunning it cannot help, so its first ``error`` result is final.
+as ``timeout``. The retry rule goes by type: a shard that raised one of
+the library's own errors (:class:`~repro.errors.ReproError`, say a
+:class:`~repro.errors.ConfigError` or a
+:class:`~repro.errors.ModelError`) fails the same way on every rerun
+of its config and seed, so that first ``error`` result is final; any
+other exception, and every timeout or crash, is retried up to
+``retries`` times before the failure is accepted into the sweep.
 
 Hard worker death is a third, distinct failure class: the worker
 vanished (SIGKILL, OOM-kill, a segfault in native code) without
@@ -49,7 +52,7 @@ from multiprocessing import util as mp_util
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import ConfigError, RegistryError
+from repro.errors import RegistryError, ReproError
 from repro.runner.results import RunResult
 
 #: Seconds between liveness polls of in-flight workers.
@@ -101,7 +104,11 @@ def resolve_entrypoint(path: str) -> Callable[..., RunResult]:
 
 
 def execute_shard(spec: ShardSpec) -> RunResult:
-    """Run one shard to a :class:`RunResult`, capturing any traceback."""
+    """Run one shard to a :class:`RunResult`, capturing any traceback.
+
+    A failure is ``retryable`` unless it is a
+    :class:`~repro.errors.ReproError`.
+    """
     try:
         fn = resolve_entrypoint(spec.entrypoint)
         result = fn(dict(spec.config), spec.seed)
@@ -116,13 +123,14 @@ def execute_shard(spec: ShardSpec) -> RunResult:
                 f"{result.experiment_id!r}, expected {spec.experiment_id!r}"
             )
         return result
-    except Exception:
+    except Exception as exc:
         return RunResult(
             experiment_id=spec.experiment_id,
             seed=spec.seed,
             config=dict(spec.config),
             status="error",
             error=traceback.format_exc(),
+            retryable=not isinstance(exc, ReproError),
         )
 
 
@@ -220,18 +228,6 @@ def run_shards(
         )
 
 
-#: How the last line of a captured traceback starts for a ConfigError.
-_CONFIG_ERROR_LINE = f"{ConfigError.__module__}.{ConfigError.__qualname__}:"
-
-
-def _retryable(result: RunResult) -> bool:
-    """Whether a failed attempt is worth another: not a ConfigError."""
-    if result.status != "error" or not result.error:
-        return True
-    last_line = result.error.rstrip().rsplit("\n", 1)[-1]
-    return not last_line.startswith(_CONFIG_ERROR_LINE)
-
-
 def _run_inline(shards, retries, on_complete, on_start) -> List[RunResult]:
     results: List[RunResult] = []
     for spec in sorted(shards, key=lambda s: s.index):
@@ -243,7 +239,7 @@ def _run_inline(shards, retries, on_complete, on_start) -> List[RunResult]:
             result = execute_shard(spec)
             result.attempts = attempt
             result.wall_s = time.perf_counter() - started
-            if result.ok or not _retryable(result):
+            if result.ok or not result.retryable:
                 break
         if on_complete is not None:
             on_complete(spec, result)
@@ -400,7 +396,7 @@ class WorkerPool:
                 result.status == "crashed"
                 and crashes >= _CRASH_QUARANTINE_AT
             )
-            if (not result.ok and not quarantined and _retryable(result)
+            if (not result.ok and not quarantined and result.retryable
                     and flight.attempt <= retries):
                 queue.append((flight.spec, flight.attempt + 1))
                 return

@@ -15,6 +15,10 @@ only deterministic fields are written, so the same grid produces
 byte-identical ``results.json`` regardless of worker count or cache
 state. Wall-clock timings and cache provenance are runtime-only
 attributes, deliberately excluded.
+
+Both records decode through :func:`repro.core.records.decode` against
+their ``FIELDS`` tables: a cache entry, journal row or reply document
+that does not decode raises :class:`~repro.errors.RecordError`.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.core.atomicio import atomic_write_json
+from repro.core.records import REQUIRED, Fields, decode, list_of, of, one_of
 
 #: The terminal shard states. ``crashed`` means the shard repeatedly
 #: killed its worker process and was quarantined by the pool.
@@ -42,7 +47,10 @@ class RunResult:
     their own base seeds so seed 0 reproduces the benchmark-suite
     numbers exactly. ``cached`` and ``wall_s`` describe *this* process's
     view of the run (was it served from the on-disk cache, how long did
-    it take) and are never serialized.
+    it take) and are never serialized. So is ``retryable``: false when
+    the shard failed with a :class:`~repro.errors.ReproError`, which a
+    rerun of the same config and seed raises again, so the pool does not
+    retry it.
     """
 
     experiment_id: str
@@ -54,6 +62,18 @@ class RunResult:
     attempts: int = 1
     cached: bool = field(default=False, compare=False)
     wall_s: float = field(default=0.0, compare=False)
+    retryable: bool = field(default=True, compare=False)
+
+    #: The wire fields (the keys of :meth:`to_dict`).
+    FIELDS: ClassVar[Fields] = {
+        "experiment": (of(str), REQUIRED),
+        "seed": (of(int), REQUIRED),
+        "config": (of(dict), {}),
+        "status": (one_of(*RUN_STATUSES), "ok"),
+        "attempts": (of(int), 1),
+        "error": (of(str, type(None)), None),
+        "metrics": (of(dict), {}),
+    }
 
     def __post_init__(self) -> None:
         if self.status not in RUN_STATUSES:
@@ -69,9 +89,9 @@ class RunResult:
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic plain-dict form (the ``results.json`` row).
 
-        Excludes runtime-only fields (``cached``, ``wall_s``) so
-        serialized results are identical whether recomputed or replayed
-        from cache, at any worker count.
+        Excludes runtime-only fields (``cached``, ``wall_s``,
+        ``retryable``) so serialized results are identical whether
+        recomputed or replayed from cache, at any worker count.
         """
         return {
             "experiment": self.experiment_id,
@@ -85,16 +105,14 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            experiment_id=record["experiment"],
-            seed=int(record["seed"]),
-            config=dict(record.get("config", {})),
-            metrics=dict(record.get("metrics", {})),
-            status=record.get("status", "ok"),
-            error=record.get("error"),
-            attempts=int(record.get("attempts", 1)),
-        )
+        """Rebuild a result from :meth:`to_dict` output.
+
+        Raises :class:`~repro.errors.RecordError` for a record that does
+        not decode against :attr:`FIELDS`.
+        """
+        run = decode(record, "run result", cls.FIELDS)
+        run["experiment_id"] = run.pop("experiment")
+        return cls(**run)
 
     def canonical_json(self) -> str:
         """Sorted-keys JSON of :meth:`to_dict` (cache payload format)."""
@@ -112,6 +130,16 @@ class GridResult:
 
     results: List[RunResult] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)
+
+    #: The wire fields. The header fields are checked but not used:
+    #: they are derived from the rows.
+    FIELDS: ClassVar[Fields] = {
+        "schema": (one_of(RESULTS_SCHEMA), REQUIRED),
+        "n_runs": (of(int), 0),
+        "n_ok": (of(int), 0),
+        "experiments": (list_of(of(str)), []),
+        "results": (list_of(of(dict)), []),
+    }
 
     def __len__(self) -> int:
         return len(self.results)
@@ -149,17 +177,12 @@ class GridResult:
         derived from the rows, so a round trip through
         :meth:`to_dict` -> :meth:`from_dict` -> :meth:`write_json`
         reproduces the serialized document byte for byte -- the property
-        the service client relies on. Raises ``ValueError`` on a schema
-        mismatch.
+        the service client relies on. Raises
+        :class:`~repro.errors.RecordError` on a schema mismatch or any
+        row that does not decode.
         """
-        schema = document.get("schema")
-        if schema != RESULTS_SCHEMA:
-            raise ValueError(
-                f"unknown results schema {schema!r}; expected {RESULTS_SCHEMA!r}"
-            )
-        return cls(
-            results=[RunResult.from_dict(r) for r in document.get("results", [])]
-        )
+        grid = decode(document, "results document", cls.FIELDS)
+        return cls(results=[RunResult.from_dict(r) for r in grid["results"]])
 
     def write_json(self, path: "str | Path") -> Path:
         """Atomically write the canonical merged document to ``path``.

@@ -10,6 +10,13 @@ with :data:`SCHEMA_VERSION`. The compatibility rule is semver-style on
 - **minor** skew is accepted -- minor bumps may only *add* optional
   fields, and decoders ignore unknown keys.
 
+Each record states its wire fields once, as a ``FIELDS`` table decoded
+by :func:`repro.core.records.decode`: any malformed record -- not an
+object, a required field missing, a value of the wrong kind -- raises
+:class:`~repro.errors.RecordError`, the 400 ``bad-request`` envelope on
+the wire. The schema version is checked first, so a peer with the wrong
+major version gets ``unsupported-version`` whatever else it sent.
+
 :class:`JobSpec` is the content-addressed unit of work: an
 ``(experiments x seeds x config-overrides)`` grid plus its execution
 policy (quick sizes, per-run timeout, retry budget). Its
@@ -29,11 +36,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.core.records import (
+    REAL,
+    REQUIRED,
+    Check,
+    Fields,
+    decode,
+    list_of,
+    loads,
+    of,
+    one_of,
+)
+from repro.errors import RecordError, ServiceError
 
 #: The wire-format version: ``MAJOR.MINOR``. Peers must match MAJOR.
 #: 1.1 added the ``recovered`` job state (crash-recovery re-admission).
@@ -45,22 +62,16 @@ SCHEMA_VERSION = "1.1"
 JOB_STATES = ("queued", "recovered", "running", "done", "failed")
 
 
-def _require(condition: bool, message: str) -> None:
-    """Raise a ``bad-request`` :class:`ServiceError` unless ``condition``."""
-    if not condition:
-        raise ServiceError(message, code="bad-request", status=400)
-
-
 def check_schema_version(version: Any) -> str:
     """Validate a peer's ``schema_version`` against :data:`SCHEMA_VERSION`.
 
     Returns the version string when the major components match; raises
-    an ``unsupported-version`` :class:`ServiceError` otherwise.
+    an ``unsupported-version`` :class:`ServiceError` otherwise, and a
+    :class:`~repro.errors.RecordError` when it is not a non-empty string.
     """
-    _require(isinstance(version, str) and version, "schema_version missing")
-    major = version.split(".", 1)[0]
-    ours = SCHEMA_VERSION.split(".", 1)[0]
-    if major != ours:
+    if not isinstance(version, str) or not version:
+        raise RecordError("schema_version missing")
+    if version.split(".", 1)[0] != SCHEMA_VERSION.split(".", 1)[0]:
         raise ServiceError(
             f"schema_version {version!r} is incompatible with "
             f"{SCHEMA_VERSION!r} (major must match)",
@@ -68,6 +79,14 @@ def check_schema_version(version: Any) -> str:
             status=400,
         )
     return version
+
+
+#: The version field every record checks first.
+_VERSION = Check(check_schema_version, "a MAJOR.MINOR version")
+
+_INT = of(int)
+_NAME = Check(lambda name: isinstance(name, str) and name != "",
+              "a non-empty string")
 
 
 def stable_json(payload: Any) -> str:
@@ -84,7 +103,8 @@ class JobSpec:
     ``overrides`` is a tuple of config dicts, each crossed with every
     experiment and seed. ``quick`` layers the registered smoke-test
     problem sizes under the overrides. ``timeout_s`` / ``retries`` are
-    the per-shard execution policy.
+    the per-shard execution policy. A direct construction is checked
+    against the same table as the wire form.
     """
 
     experiments: Tuple[str, ...]
@@ -94,28 +114,27 @@ class JobSpec:
     timeout_s: Optional[float] = 600.0
     retries: int = 1
 
+    #: The wire fields. An absent or empty ``overrides`` decodes to
+    #: ``({},)``, one run per experiment and seed with no overrides.
+    FIELDS: ClassVar[Fields] = {
+        "experiments": (list_of(_NAME), REQUIRED),
+        "seeds": (list_of(_INT), [0]),
+        "overrides": (list_of(of(dict)), []),
+        "quick": (of(bool), False),
+        "timeout_s": (
+            Check(lambda t: t is None or (REAL.test(t) and t > 0),
+                  "a positive number or null"),
+            600.0,
+        ),
+        "retries": (Check(lambda r: _INT.test(r) and r >= 0,
+                          "an integer >= 0"), 1),
+    }
+
     def __post_init__(self) -> None:
-        _require(bool(self.experiments), "experiments must be non-empty")
-        _require(
-            all(isinstance(e, str) and e for e in self.experiments),
-            "experiments must be non-empty strings",
-        )
-        _require(bool(self.seeds), "seeds must be non-empty")
-        _require(
-            all(isinstance(s, int) and not isinstance(s, bool)
-                for s in self.seeds),
-            "seeds must be integers",
-        )
-        _require(bool(self.overrides), "overrides must be non-empty")
-        _require(
-            all(isinstance(o, dict) for o in self.overrides),
-            "overrides must be config dicts",
-        )
-        _require(self.retries >= 0, "retries must be >= 0")
-        _require(
-            self.timeout_s is None or self.timeout_s > 0,
-            "timeout_s must be positive or null",
-        )
+        decode(self.__dict__, "job spec", self.FIELDS)
+        for name in ("experiments", "seeds", "overrides"):
+            if not getattr(self, name):
+                raise RecordError(f"job spec field {name!r} must be non-empty")
 
     def canonical(self) -> "JobSpec":
         """The registry-resolved form job identity is computed over.
@@ -129,16 +148,7 @@ class JobSpec:
         resolved = tuple(
             e.experiment_id for e in resolve_experiments(list(self.experiments))
         )
-        if resolved == self.experiments:
-            return self
-        return JobSpec(
-            experiments=resolved,
-            seeds=self.seeds,
-            overrides=self.overrides,
-            quick=self.quick,
-            timeout_s=self.timeout_s,
-            retries=self.retries,
-        )
+        return replace(self, experiments=resolved)
 
     def job_id(self) -> str:
         """SHA-256 hex digest of the canonicalized spec (coalescing key)."""
@@ -147,46 +157,24 @@ class JobSpec:
         ).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict wire form."""
-        return {
-            "experiments": list(self.experiments),
-            "seeds": list(self.seeds),
-            "overrides": [dict(o) for o in self.overrides],
-            "quick": self.quick,
-            "timeout_s": self.timeout_s,
-            "retries": self.retries,
-        }
+        """Plain-dict wire form: the :attr:`FIELDS`, tuples as lists."""
+        wire = {name: getattr(self, name) for name in self.FIELDS}
+        return {**wire, "experiments": list(self.experiments),
+                "seeds": list(self.seeds),
+                "overrides": [dict(o) for o in self.overrides]}
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "JobSpec":
         """Decode and validate a wire-form spec (unknown keys ignored)."""
-        _require(isinstance(record, dict), "job spec must be an object")
-        experiments = record.get("experiments")
-        _require(isinstance(experiments, (list, tuple)),
-                 "experiments must be a list")
-        seeds = record.get("seeds", [0])
-        _require(isinstance(seeds, (list, tuple)), "seeds must be a list")
-        overrides = record.get("overrides", [{}])
-        _require(isinstance(overrides, (list, tuple))
-                 and all(isinstance(o, dict) for o in overrides),
-                 "overrides must be a list of objects")
-        timeout_s = record.get("timeout_s", 600.0)
-        # An int beyond the float range would overflow float().
-        _require(timeout_s is None or isinstance(timeout_s, float)
-                 or (type(timeout_s) is int
-                     and abs(timeout_s) <= sys.float_info.max),
-                 "timeout_s must be a number or null")
-        retries = record.get("retries", 1)
-        _require(type(retries) is int, "retries must be an integer")
-        quick = record.get("quick", False)
-        _require(isinstance(quick, bool), "quick must be a boolean")
+        spec = decode(record, "job spec", cls.FIELDS)
+        timeout_s = spec["timeout_s"]
         return cls(
-            experiments=tuple(experiments),
-            seeds=tuple(seeds),
-            overrides=tuple(dict(o) for o in overrides) or ({},),
-            quick=quick,
+            experiments=tuple(spec["experiments"]),
+            seeds=tuple(spec["seeds"]),
+            overrides=tuple(spec["overrides"]) or ({},),
+            quick=spec["quick"],
             timeout_s=None if timeout_s is None else float(timeout_s),
-            retries=retries,
+            retries=spec["retries"],
         )
 
 
@@ -204,45 +192,32 @@ class SubmitRequest:
     use_cache: bool = True
     schema_version: str = SCHEMA_VERSION
 
+    #: The wire fields; the version is checked before the others.
+    FIELDS: ClassVar[Fields] = {
+        "schema_version": (_VERSION, REQUIRED),
+        "client_id": (_NAME, "anonymous"),
+        "use_cache": (of(bool), True),
+        "job": (of(dict), REQUIRED),
+    }
+
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict wire form."""
-        return {
-            "schema_version": self.schema_version,
-            "client_id": self.client_id,
-            "use_cache": self.use_cache,
-            "job": self.job.to_dict(),
-        }
+        """Plain-dict wire form: the :attr:`FIELDS`, the job as its own."""
+        wire = {name: getattr(self, name) for name in self.FIELDS}
+        return {**wire, "job": self.job.to_dict()}
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "SubmitRequest":
         """Decode and validate a wire-form request."""
-        _require(isinstance(record, dict), "submit request must be an object")
-        version = check_schema_version(record.get("schema_version"))
-        client_id = record.get("client_id", "anonymous")
-        _require(isinstance(client_id, str) and client_id,
-                 "client_id must be a non-empty string")
-        use_cache = record.get("use_cache", True)
-        _require(isinstance(use_cache, bool), "use_cache must be a boolean")
-        return cls(
-            job=JobSpec.from_dict(record.get("job")),
-            client_id=client_id,
-            use_cache=use_cache,
-            schema_version=version,
-        )
+        request = decode(record, "submit request", cls.FIELDS)
+        request["job"] = JobSpec.from_dict(request["job"])
+        return cls(**request)
 
 
 def decode_submit_request(text: "str | bytes") -> SubmitRequest:
     """Parse a JSON request body into a validated :class:`SubmitRequest`."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    try:
-        record = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ServiceError(
-            f"request body is not valid JSON: {exc}",
-            code="bad-request", status=400,
-        ) from exc
-    return SubmitRequest.from_dict(record)
+    return SubmitRequest.from_dict(loads(text, "submit request"))
 
 
 @dataclass
@@ -264,9 +239,17 @@ class JobResult:
     stats: Dict[str, Any] = field(default_factory=dict)
     schema_version: str = SCHEMA_VERSION
 
+    #: The wire fields, also checked on direct construction.
+    FIELDS: ClassVar[Fields] = {
+        "schema_version": (_VERSION, SCHEMA_VERSION),
+        "job_id": (of(str), ""),
+        "status": (one_of("ok", "failed"), "ok"),
+        "stats": (of(dict), {}),
+        "document": (of(dict), {}),
+    }
+
     def __post_init__(self) -> None:
-        _require(self.status in ("ok", "failed"),
-                 f"job status must be ok|failed, got {self.status!r}")
+        decode(self.__dict__, "job result", self.FIELDS)
 
     @property
     def ok(self) -> bool:
@@ -282,33 +265,13 @@ class JobResult:
         return grid
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict wire form."""
-        return {
-            "schema_version": self.schema_version,
-            "job_id": self.job_id,
-            "status": self.status,
-            "stats": dict(self.stats),
-            "document": self.document,
-        }
+        """Plain-dict wire form: the :attr:`FIELDS`."""
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "JobResult":
         """Decode a wire-form result."""
-        _require(isinstance(record, dict), "job result must be an object")
-        check_schema_version(record.get("schema_version", SCHEMA_VERSION))
-        job_id = record.get("job_id", "")
-        _require(isinstance(job_id, str), "job_id must be a string")
-        document = record.get("document", {})
-        _require(isinstance(document, dict), "document must be an object")
-        stats = record.get("stats", {})
-        _require(isinstance(stats, dict), "stats must be an object")
-        return cls(
-            job_id=job_id,
-            status=record.get("status", "ok"),
-            document=dict(document),
-            stats=dict(stats),
-            schema_version=record.get("schema_version", SCHEMA_VERSION),
-        )
+        return cls(**decode(record, "job result", cls.FIELDS))
 
 
 def error_envelope(code: str, message: str) -> Dict[str, Any]:
@@ -319,14 +282,23 @@ def error_envelope(code: str, message: str) -> Dict[str, Any]:
     }
 
 
+#: The ``error`` object of an error envelope.
+_ERROR_FIELDS: Fields = {
+    "code": (of(str), "error"),
+    "message": (of(str), "service error"),
+}
+
+
 def envelope_error(payload: Dict[str, Any], status: int = 0) -> ServiceError:
-    """Rebuild the :class:`ServiceError` a received envelope describes."""
-    detail = payload.get("error") or {}
-    return ServiceError(
-        str(detail.get("message", "service error")),
-        code=str(detail.get("code", "error")),
-        status=status,
+    """Rebuild the :class:`ServiceError` a received envelope describes.
+
+    Raises :class:`~repro.errors.RecordError` when the envelope's
+    ``error`` is not an object of string ``code`` and ``message``.
+    """
+    detail = decode(
+        payload.get("error") or {}, "error envelope", _ERROR_FIELDS
     )
+    return ServiceError(detail["message"], code=detail["code"], status=status)
 
 
 def job_envelope(

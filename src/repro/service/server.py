@@ -266,7 +266,7 @@ class ExperimentService:
         for job_id, record in pending.items():
             try:
                 submit = SubmitRequest.from_dict(record.get("request"))
-            except (ServiceError, ReproError, TypeError):
+            except ReproError:
                 self.registry.counter("service.recover_skipped").inc()
                 continue
             job = Job(job_id, submit)

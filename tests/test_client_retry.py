@@ -1,16 +1,27 @@
-"""ServiceClient transient-failure retry with exponential backoff.
+"""ServiceClient transient-failure retry, and malformed replies.
 
 Only transport failures (``code="connection"``) retry: an error
 envelope the server actually produced is an answer, not an outage.
 ``retry_policy=None`` (the ``repro submit --no-retry`` escape hatch)
-fails fast on the first failure.
+fails fast on the first failure. A reply the client cannot decode --
+a body that is not a JSON object, an error envelope of the wrong
+shape, a non-JSON event frame, a results document that does not
+decode -- is a :class:`~repro.errors.RecordError` (a ``bad-request``
+:class:`~repro.errors.ServiceError`, not retried), never a bare
+``TypeError``/``ValueError``/``AttributeError``.
 """
+
+import re
+import socket
+import threading
 
 import pytest
 
 from repro.client import DEFAULT_RETRY_POLICY, ServiceClient
 from repro.engine.resilience import RetryPolicy
 from repro.errors import ServiceError
+from repro.service import wire
+from repro.service.schema import JobResult
 
 
 @pytest.fixture
@@ -127,3 +138,90 @@ class TestCliWiring:
             for a in range(1, DEFAULT_RETRY_POLICY.max_attempts)
         )
         assert 1.0 <= total <= 5.0
+
+
+def _canned_http_reply(monkeypatch, status, body):
+    """Make every ``http.client`` round trip answer ``status``/``body``."""
+
+    class Connection:
+        def __init__(self, *args, **kwargs):
+            self.status = status
+
+        def request(self, *args, **kwargs):
+            pass
+
+        def getresponse(self):
+            return self
+
+        def read(self):
+            return body
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr("repro.client.http.client.HTTPConnection",
+                        Connection)
+
+
+class TestMalformedReplies:
+    def test_body_that_is_not_an_object(self, monkeypatch):
+        _canned_http_reply(monkeypatch, 200, b"5")
+        client = ServiceClient("http://127.0.0.1:1")
+        with pytest.raises(ServiceError, match="must be an object") as info:
+            client.health()
+        # An answer, not an outage: it fails at once, without a retry.
+        assert info.value.code == "bad-request"
+
+    def test_error_envelope_that_is_not_an_object(self, monkeypatch):
+        _canned_http_reply(monkeypatch, 500, b'{"error": "boom"}')
+        client = ServiceClient("http://127.0.0.1:1", retry_policy=None)
+        with pytest.raises(ServiceError) as info:
+            client.health()
+        assert info.value.code == "bad-request"
+
+    def test_event_frame_that_is_not_json(self):
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+
+        def answer():
+            conn, _ = server.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(4096)
+                key = re.search(rb"Sec-WebSocket-Key: (\S+)", request)
+                conn.sendall(
+                    wire.websocket_handshake_response(key.group(1).decode())
+                )
+                conn.sendall(wire.encode_frame(b"not json"))
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            with pytest.raises(ServiceError, match="not valid JSON"):
+                list(client.stream_events("job", timeout_s=10.0))
+        finally:
+            thread.join(10.0)
+            server.close()
+        assert not thread.is_alive()
+
+    def test_submit_reports_an_undecodable_document(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.setattr(ServiceClient, "submit", lambda self, *a, **k: {
+            "job_id": "j", "state": "queued",
+        })
+        monkeypatch.setattr(
+            ServiceClient, "result",
+            lambda self, job_id, timeout_s=0.0: JobResult(
+                job_id=job_id, status="ok", document={"schema": "other/v9"},
+            ),
+        )
+        code = main(["submit", "E4", "--server", "http://127.0.0.1:1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error [bad-request]" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()

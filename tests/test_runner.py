@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.observability import Registry
-from repro.errors import RegistryError
+from repro.errors import ModelError, RegistryError
 from repro.reporting import get_experiment, run_trace
 from repro.runner import (
     QUICK_CONFIGS,
@@ -58,6 +58,11 @@ def ok_entrypoint(config, seed):
 def failing_entrypoint(config, seed):
     """Always raises, to exercise the error-capture path."""
     raise ValueError("synthetic failure for the retry test")
+
+
+def model_error_entrypoint(config, seed):
+    """Raises a library error, which every rerun would raise again."""
+    raise ModelError("out-of-domain parameter for the retry-rule test")
 
 
 def sleepy_entrypoint(config, seed):
@@ -421,6 +426,15 @@ class TestFailurePaths:
         [other] = run_shards([_shard("failing_entrypoint", "T-ERR")],
                              jobs=jobs, retries=1)
         assert other.status == "error" and other.attempts == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_error_runs_once(self, jobs):
+        [result] = run_shards([_shard("model_error_entrypoint", "T-MODEL")],
+                              jobs=jobs, retries=2)
+        assert result.status == "error"
+        assert "repro.errors.ModelError: out-of-domain" in result.error
+        assert result.attempts == 1
+        assert not result.retryable
 
     def test_invalid_pool_arguments_rejected(self):
         with pytest.raises(ValueError):

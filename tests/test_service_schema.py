@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ServiceError
+from repro.errors import RecordError, ServiceError
 from repro.service.schema import (
     SCHEMA_VERSION,
     JobResult,
@@ -124,7 +124,10 @@ class TestSubmitRequest:
             decode_submit_request(json.dumps(record))
 
     @given(
-        field=st.sampled_from([f.name for f in fields(JobSpec)]),
+        field=st.sampled_from(
+            [("job", f.name) for f in fields(JobSpec)]
+            + [(None, name) for name in SubmitRequest.FIELDS]
+        ),
         value=st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats()
             | st.text(),
@@ -133,20 +136,56 @@ class TestSubmitRequest:
             max_leaves=8,
         ),
     )
-    @example(field="timeout_s", value=10**400)
-    @example(field="timeout_s", value="abc")
-    @example(field="overrides", value=[3])
-    @example(field="retries", value=float("inf"))
+    @example(field=("job", "timeout_s"), value=10**400)
+    @example(field=("job", "timeout_s"), value="abc")
+    @example(field=("job", "overrides"), value=[3])
+    @example(field=("job", "retries"), value=float("inf"))
+    @example(field=(None, "job"), value=[])
+    @example(field=(None, "schema_version"), value="99.0")
     @settings(max_examples=100, deadline=None)
-    def test_any_json_in_a_job_field_decodes_or_is_a_service_error(
+    def test_any_json_anywhere_decodes_or_is_a_record_error(
         self, field, value
     ):
         record = SubmitRequest(job=JobSpec(experiments=("E2",))).to_dict()
-        record["job"][field] = value
+        parent, name = field
+        (record[parent] if parent else record)[name] = value
         try:
             decode_submit_request(json.dumps(record))
-        except ServiceError as exc:
+        except RecordError as exc:
             assert (exc.code, exc.status) == ("bad-request", 400)
+        except ServiceError as exc:
+            # Only a wrong major version has its own code.
+            assert name == "schema_version"
+            assert (exc.code, exc.status) == ("unsupported-version", 400)
+
+    @given(
+        experiments=st.lists(st.text(min_size=1, max_size=4), min_size=1,
+                             max_size=3),
+        seeds=st.lists(st.integers(), min_size=1, max_size=3),
+        overrides=st.lists(
+            st.dictionaries(st.text(max_size=4), st.integers() | st.text()),
+            min_size=1, max_size=2,
+        ),
+        quick=st.booleans(),
+        timeout_s=st.none() | st.floats(min_value=1e-3, max_value=1e9),
+        retries=st.integers(min_value=0, max_value=5),
+        client_id=st.text(min_size=1, max_size=6),
+        use_cache=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_request_round_trips(
+        self, experiments, seeds, overrides, quick, timeout_s, retries,
+        client_id, use_cache,
+    ):
+        request = SubmitRequest(
+            job=JobSpec(
+                experiments=tuple(experiments), seeds=tuple(seeds),
+                overrides=tuple(overrides), quick=quick,
+                timeout_s=timeout_s, retries=retries,
+            ),
+            client_id=client_id, use_cache=use_cache,
+        )
+        assert decode_submit_request(json.dumps(request.to_dict())) == request
 
 
 class TestJobResult:
