@@ -175,7 +175,7 @@ def _parse_set_overrides(pairs) -> dict:
 
 def _cmd_run(args) -> int:
     from repro.engine.observability import Registry
-    from repro.errors import RegistryError
+    from repro.errors import ReproError
     from repro.reporting import render_table
     from repro.runner import run_grid
 
@@ -200,7 +200,7 @@ def _cmd_run(args) -> int:
             quick=args.quick,
             resume=args.resume,
         )
-    except RegistryError as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -314,6 +314,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     from repro.client import ServiceClient
     from repro.errors import ServiceError
+    from repro.service.schema import decode_job
 
     config = _parse_set_overrides(args.set)
     client = ServiceClient(
@@ -321,7 +322,7 @@ def _cmd_submit(args) -> int:
         **({"retry_policy": None} if args.no_retry else {}),
     )
     try:
-        envelope = client.submit(
+        envelope = decode_job(client.submit(
             args.experiments,
             seeds=args.seeds,
             overrides=[config] if config else None,
@@ -329,7 +330,7 @@ def _cmd_submit(args) -> int:
             timeout_s=args.timeout_s,
             retries=args.retries,
             use_cache=not args.no_cache,
-        )
+        ))
         job_id = envelope["job_id"]
         print(f"job {job_id} {envelope['state']} at {client.base_url}")
         if args.events_out is not None:

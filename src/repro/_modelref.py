@@ -39,12 +39,10 @@ __all__ = [
     "reference_cost_per_unit_curve",
     "reference_hhi",
     "reference_npv_sweep",
-    "reference_payback_sweep",
     "reference_sampled_market_shares",
     "reference_sampled_unit_costs",
     "reference_session_lengths",
     "reference_theme_statistics",
-    "reference_tornado",
 ]
 
 
@@ -151,51 +149,6 @@ def reference_npv_sweep(
             cash / (1.0 + rate) ** year for year, cash in enumerate(flows)
         )
     return out
-
-
-def reference_payback_sweep(
-    params: Mapping[str, np.ndarray], n_samples: int, horizon_years: int
-) -> np.ndarray:
-    """Scalar payback interpolation per sample; NaN when never repaid."""
-    out = np.full(n_samples, np.nan)
-    for i in range(n_samples):
-        flows = _reference_cashflows(_roi_sample(params, i), horizon_years)
-        cumulative = 0.0
-        for year, cash in enumerate(flows):
-            previous = cumulative
-            cumulative += cash
-            if cumulative >= 0.0 and year > 0:
-                if cash <= 0:
-                    out[i] = float(year)
-                else:
-                    out[i] = year - 1 + (-previous / cash)
-                break
-    return out
-
-
-def reference_tornado(
-    base: Mapping[str, float],
-    ranges: Sequence[Tuple[str, float, float]],
-    horizon_years: int,
-) -> List[Tuple[str, float, float]]:
-    """One-at-a-time NPV sweep, two scalar model calls per parameter."""
-    bars = []
-    for parameter, low, high in ranges:
-        outputs = []
-        for value in (low, high):
-            sample = dict(ROI_DEFAULTS)
-            sample.update(base)
-            sample[parameter] = value
-            flows = _reference_cashflows(sample, horizon_years)
-            rate = sample["discount_rate"]
-            outputs.append(
-                sum(
-                    cash / (1.0 + rate) ** year
-                    for year, cash in enumerate(flows)
-                )
-            )
-        bars.append((parameter, outputs[0], outputs[1]))
-    return bars
 
 
 # ---------------------------------------------------------------------------

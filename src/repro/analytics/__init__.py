@@ -1,6 +1,7 @@
-"""Analytics building blocks: k-means and naive Bayes, tokenization,
-relational operators, PageRank and connected components, plus the
-accelerated-building-block registry of Recommendation 10."""
+"""Analytics building blocks: k-means and naive Bayes, tokenization and
+classification metrics, plus the accelerated-building-block registry of
+Recommendation 10. Relational queries live in
+:mod:`repro.frameworks.query`."""
 
 from repro.analytics.bayes import (
     MultinomialNaiveBayes,
@@ -11,10 +12,6 @@ from repro.analytics.blocks import (
     BuildingBlock,
     best_device_for_block,
     default_blocks,
-)
-from repro.analytics.graph import (
-    connected_components,
-    pagerank,
 )
 from repro.analytics.metrics import (
     accuracy,
@@ -27,18 +24,8 @@ from repro.analytics.ml import (
 from repro.analytics.nlp import (
     tokenize,
 )
-from repro.analytics.relational import (
-    AGGREGATES,
-    group_aggregate,
-    hash_join,
-    limit,
-    order_by,
-    project,
-    select,
-)
 
 __all__ = [
-    "AGGREGATES",
     "BlockCost",
     "BlockRegistry",
     "BuildingBlock",
@@ -47,15 +34,7 @@ __all__ = [
     "accuracy",
     "best_device_for_block",
     "confusion_matrix",
-    "connected_components",
     "default_blocks",
-    "group_aggregate",
-    "hash_join",
     "kmeans",
-    "limit",
-    "order_by",
-    "pagerank",
-    "project",
-    "select",
     "tokenize",
 ]

@@ -38,6 +38,7 @@ from repro.service.schema import (
     JobResult,
     JobSpec,
     SubmitRequest,
+    decode_job,
     envelope_error,
 )
 
@@ -159,8 +160,8 @@ class ServiceClient:
         return list(self._request("GET", "/v1/jobs").get("jobs", []))
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        """One job's status envelope (embeds the result when done)."""
-        return self._request("GET", f"/v1/jobs/{job_id}")
+        """One job's decoded status envelope (embeds the result when done)."""
+        return decode_job(self._request("GET", f"/v1/jobs/{job_id}"))
 
     def events(self, job_id: str) -> List[Dict[str, Any]]:
         """The job's event backlog via plain GET (no streaming)."""
@@ -191,8 +192,10 @@ class ServiceClient:
     # -- job submission ----------------------------------------------------
 
     def submit_request(self, request: SubmitRequest) -> Dict[str, Any]:
-        """Submit a prebuilt request; returns the job's status envelope."""
-        return self._request("POST", "/v1/jobs", request.to_dict())
+        """Submit a prebuilt request; returns the decoded job envelope."""
+        return decode_job(
+            self._request("POST", "/v1/jobs", request.to_dict())
+        )
 
     def submit(
         self,
@@ -233,11 +236,11 @@ class ServiceClient:
         deadline = time.monotonic() + timeout_s
         while True:
             envelope = self.job(job_id)
-            if envelope.get("state") in ("done", "failed"):
+            if envelope["state"] in ("done", "failed"):
                 return envelope
             if time.monotonic() >= deadline:
                 raise ServiceError(
-                    f"job {job_id} still {envelope.get('state')!r} after "
+                    f"job {job_id} still {envelope['state']!r} after "
                     f"{timeout_s}s", code="timeout",
                 )
             time.sleep(poll_interval_s)
@@ -253,7 +256,7 @@ class ServiceClient:
         record = envelope.get("result")
         if record is None:
             raise ServiceError(
-                f"job {job_id} {envelope.get('state')}: "
+                f"job {job_id} {envelope['state']}: "
                 f"{envelope.get('error_detail') or 'no result document'}",
                 code="job-failed",
             )

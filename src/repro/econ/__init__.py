@@ -18,7 +18,6 @@ from repro.econ.roi import (
     breakeven_speedup,
     breakeven_utilization,
     npv,
-    payback_period_years,
 )
 from repro.econ.sensitivity import (
     SensitivityRange,
@@ -66,7 +65,6 @@ __all__ = [
     "euroserver_reference_design",
     "learning_curve_price",
     "npv",
-    "payback_period_years",
     "scaled_area_mm2",
     "server_tco",
     "tornado",

@@ -9,7 +9,6 @@ design projects and software ports so those claims become computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from repro.econ.silicon import ProcessNode
 from repro.errors import ModelError
@@ -92,16 +91,6 @@ class ChipProject:
             + self.ip_licensing_usd
             + self.software_cost_usd
         )
-
-    def breakdown(self) -> Dict[str, float]:
-        """Itemized NRE for reporting."""
-        return {
-            "design": self.design_cost_usd,
-            "verification": self.verification_cost_usd,
-            "masks": self.mask_cost_usd,
-            "ip_licensing": self.ip_licensing_usd,
-            "software": self.software_cost_usd,
-        }
 
     def amortized_usd_per_unit(self, volume_units: float) -> float:
         """NRE per shipped unit at ``volume_units`` lifetime volume."""

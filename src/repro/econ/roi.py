@@ -26,24 +26,6 @@ def npv(cashflows_usd: List[float], discount_rate: float) -> float:
     )
 
 
-def payback_period_years(cashflows_usd: List[float]) -> Optional[float]:
-    """Years until cumulative cashflow turns non-negative.
-
-    Interpolates within the breakeven year; returns ``None`` if the
-    investment never pays back within the given horizon.
-    """
-    cumulative = 0.0
-    for year, cash in enumerate(cashflows_usd):
-        previous = cumulative
-        cumulative += cash
-        if cumulative >= 0.0 and year > 0:
-            if cash <= 0:
-                return float(year)
-            # Fraction of the year needed to close the remaining gap.
-            return year - 1 + (-previous / cash)
-    return None
-
-
 @dataclass(frozen=True)
 class AcceleratorInvestment:
     """Inputs to the accelerator-adoption ROI decision.
@@ -114,10 +96,6 @@ class AcceleratorInvestment:
         flows = self.cashflows()
         gain = sum(flows[1:])
         return (gain - self.upfront_cost_usd) / self.upfront_cost_usd
-
-    def payback_years(self) -> Optional[float]:
-        """Payback period; ``None`` when the horizon never breaks even."""
-        return payback_period_years(self.cashflows())
 
     def worthwhile(self) -> bool:
         """The adoption decision: positive NPV within the horizon."""

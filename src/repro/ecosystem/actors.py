@@ -53,10 +53,6 @@ class Initiative:
         if not self.scopes:
             raise ModelError(f"{self.name}: needs at least one scope")
 
-    def covers(self, area: ScopeArea) -> bool:
-        """Whether the initiative claims ``area``."""
-        return area in self.scopes
-
 
 #: The §III landscape: who handles what (from the paper's text).
 INITIATIVE_CATALOG: Dict[str, Initiative] = {

@@ -2,8 +2,8 @@
 
 The kernel follows the SimPy model: processes are generators yielding
 :class:`~repro.engine.sim.Event` objects; :class:`~repro.engine.sim.Simulator`
-owns the virtual clock. :mod:`~repro.engine.resources` adds counted
-resources, continuous containers and FIFO stores;
+owns the virtual clock. :mod:`~repro.engine.resources` adds the
+counted :class:`~repro.engine.resources.Resource`;
 :mod:`~repro.engine.observability` adds span tracing, a metrics registry
 (counters/gauges/histograms) and engine hooks;
 :mod:`~repro.engine.randomness` provides reproducible variate streams;
@@ -37,7 +37,7 @@ from repro.engine.resilience import (
     retry_events,
     with_deadline,
 )
-from repro.engine.resources import Container, Resource, Store
+from repro.engine.resources import Resource
 from repro.engine.sharded import (
     ShardPlan,
     ShardedRunResult,
@@ -47,7 +47,6 @@ from repro.engine.sharded import (
 from repro.engine.sim import Event, ProcessHandle, Simulator, Timeout
 
 __all__ = [
-    "Container",
     "Counter",
     "Event",
     "FAULT_KINDS",
@@ -69,7 +68,6 @@ __all__ = [
     "Simulator",
     "Span",
     "SpanLog",
-    "Store",
     "Timeout",
     "hedge_events",
     "partition_fabric",

@@ -59,11 +59,6 @@ class Span:
             return 0.0
         return self.end - self.start
 
-    @property
-    def closed(self) -> bool:
-        """Whether the span has been finished."""
-        return self.end is not None
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation (the ``trace.jsonl`` row)."""
         record: Dict[str, Any] = {

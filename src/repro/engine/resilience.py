@@ -98,12 +98,6 @@ class RetryPolicy:
             delay *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return delay
 
-    def schedule(
-        self, n_failures: int, rng: Optional[RandomStream] = None
-    ) -> list:
-        """The first ``n_failures`` backoff delays, in order."""
-        return [self.delay_s(i, rng) for i in range(1, n_failures + 1)]
-
 
 @dataclass(frozen=True)
 class HedgeOutcome:

@@ -1,28 +1,22 @@
-"""Shared-resource primitives for the simulation kernel.
+"""The shared-resource primitive of the simulation kernel.
 
-Provides the classic trio used by queueing models:
-
-- :class:`Resource` -- a counted server pool with a FIFO wait queue
-  (e.g. CPU cores, FPGA slots).
-- :class:`Container` -- a continuous quantity with put/get
-  (e.g. buffer bytes, power budget).
-- :class:`Store` -- a FIFO queue of Python objects
-  (e.g. request queues between service stages).
+:class:`Resource` is a counted server pool with a FIFO wait queue
+(e.g. CPU cores, FPGA slots), the one primitive the queueing models use.
 
 All waiting is fair (FIFO) and deterministic. Waiters that gave up
-(their event was *cancelled*) are pruned, so capacity (or items) never
-leaks to a grant nobody will consume.
+(their event was *cancelled*) are pruned, so capacity never leaks to a
+grant nobody will consume.
 
-Giving a primitive a ``name`` makes it self-describing: when the owning
+Giving a resource a ``name`` makes it self-describing: when the owning
 simulator has an attached
 :class:`~repro.engine.observability.Observability`, every state change
-publishes queue-length / occupancy / level gauges under that name.
+publishes queue-length / occupancy gauges under that name.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque, Optional
 
 from repro.engine.sim import Event, Simulator
 from repro.errors import SimulationError
@@ -127,179 +121,5 @@ class Resource:
             waiter.succeed(self)
         else:
             self._in_use -= 1
-        if self.name is not None:
-            self._publish()
-
-
-class Container:
-    """A continuous quantity (bytes, joules, dollars) with blocking get.
-
-    ``put`` never blocks unless a ``capacity`` ceiling is set; ``get``
-    blocks until enough quantity is available. Waiters are served FIFO,
-    and a large ``get`` at the head of the queue blocks smaller ones
-    behind it (no overtaking), which keeps behaviour deterministic.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        initial: float = 0.0,
-        capacity: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        if initial < 0:
-            raise SimulationError(f"negative initial level: {initial}")
-        if capacity is not None and initial > capacity:
-            raise SimulationError("initial level exceeds capacity")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._level = float(initial)
-        self._getters: Deque[tuple[float, Event]] = deque()
-        self._putters: Deque[tuple[float, Event]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Quantity currently stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; fires when it fits under the capacity ceiling."""
-        if amount < 0:
-            raise SimulationError(f"negative put: {amount}")
-        evt = Event(self.sim)
-        self._putters.append((amount, evt))
-        self._drain()
-        return evt
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; fires when available."""
-        if amount < 0:
-            raise SimulationError(f"negative get: {amount}")
-        evt = Event(self.sim)
-        self._getters.append((amount, evt))
-        self._drain()
-        return evt
-
-    def _publish(self) -> None:
-        if self.name is None:
-            return
-        observability = self.sim.observability
-        if observability is None:
-            return
-        now = observability.now
-        registry = observability.registry
-        registry.gauge(f"{self.name}.level").set(now, self._level)
-        registry.gauge(f"{self.name}.waiting_get").set(
-            now, float(len(self._getters))
-        )
-        registry.gauge(f"{self.name}.waiting_put").set(
-            now, float(len(self._putters))
-        )
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and self._putters[0][1]._cancelled:
-                self._putters.popleft()
-            if self._putters:
-                amount, evt = self._putters[0]
-                if self.capacity is None or self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    evt.succeed(amount)
-                    progressed = True
-            while self._getters and self._getters[0][1]._cancelled:
-                self._getters.popleft()
-            if self._getters:
-                amount, evt = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    evt.succeed(amount)
-                    progressed = True
-        if self.name is not None:
-            self._publish()
-
-
-class Store:
-    """A FIFO queue of arbitrary items with blocking get.
-
-    An optional ``capacity`` makes ``put`` block when full, modelling
-    bounded buffers (backpressure).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Any, Event]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Enqueue ``item``; fires once it is accepted into the buffer."""
-        evt = Event(self.sim)
-        self._putters.append((item, evt))
-        self._drain()
-        return evt
-
-    def get(self) -> Event:
-        """Dequeue the oldest item; fires with the item."""
-        evt = Event(self.sim)
-        self._getters.append(evt)
-        self._drain()
-        return evt
-
-    def _publish(self) -> None:
-        if self.name is None:
-            return
-        observability = self.sim.observability
-        if observability is None:
-            return
-        now = observability.now
-        registry = observability.registry
-        registry.gauge(f"{self.name}.items").set(now, float(len(self._items)))
-        registry.gauge(f"{self.name}.waiting_get").set(
-            now, float(len(self._getters))
-        )
-        registry.gauge(f"{self.name}.waiting_put").set(
-            now, float(len(self._putters))
-        )
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # Accept queued puts while there is room, skipping puts whose
-            # producer abandoned them (the item must not enter the buffer).
-            while self._putters and self._putters[0][1]._cancelled:
-                self._putters.popleft()
-            if self._putters and (
-                self.capacity is None or len(self._items) < self.capacity
-            ):
-                item, evt = self._putters.popleft()
-                self._items.append(item)
-                evt.succeed(item)
-                progressed = True
-            # Serve queued gets while items exist, skipping dead getters
-            # (an item granted to one would be lost forever).
-            while self._getters and self._getters[0]._cancelled:
-                self._getters.popleft()
-            if self._getters and self._items:
-                evt = self._getters.popleft()
-                evt.succeed(self._items.popleft())
-                progressed = True
         if self.name is not None:
             self._publish()

@@ -208,9 +208,9 @@ class Event:
     def cancel(self) -> None:
         """Mark a still-pending event as abandoned by its waiter.
 
-        Cancelling an already-triggered event is a no-op. Queue owners
-        (resources, containers, stores) prune cancelled events instead
-        of granting to them, which prevents capacity leaking to waiters
+        Cancelling an already-triggered event is a no-op. A queue owner
+        (:class:`~repro.engine.resources.Resource`) prunes cancelled
+        events instead of granting to them, which prevents capacity leaking to waiters
         that gave up (an expired
         :func:`~repro.engine.resilience.with_deadline`, an abandoned
         hedged copy).
@@ -485,11 +485,6 @@ class Simulator:
         *inside* a callback may lag until then.
         """
         return self._event_count
-
-    @property
-    def active_process(self) -> Optional[ProcessHandle]:
-        """The process currently being stepped (``None`` between steps)."""
-        return self._active_process
 
     # -- scheduling primitives -------------------------------------------
 

@@ -78,7 +78,13 @@ class ModelError(ReproError):
 
 
 class ConfigError(ModelError):
-    """Raised when a run's config names a key that no default has."""
+    """Raised for a run setting out of its domain.
+
+    A run's config naming a key no default has, or a runner setting
+    that cannot be honoured: a worker or seed count below 1, a negative
+    retry budget, a non-positive timeout, or a resume without a cache
+    dir.
+    """
 
 
 class RegistryError(ReproError):

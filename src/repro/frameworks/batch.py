@@ -186,19 +186,6 @@ class BatchExecutor:
             ]
             parts = [p for p in parts if p] or [[]]
             return PartitionedDataset(parts, record_bytes=dataset.record_bytes)
-        if operator.kind == "distinct":
-            shuffled = dataset.repartition_by_key(lambda r: r, n)
-
-            def dedupe(partition: List[Any]) -> List[Any]:
-                seen = set()
-                out = []
-                for record in partition:
-                    if record not in seen:
-                        seen.add(record)
-                        out.append(record)
-                return out
-
-            return shuffled.map_partitions(dedupe)
         raise PlanError(f"not a wide operator: {operator.kind}")
 
     # -- driver ----------------------------------------------------------------

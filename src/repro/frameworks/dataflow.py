@@ -2,7 +2,7 @@
 
 A :class:`Plan` is a chain of operators over a source dataset. Narrow
 operators (map, filter, flat_map) run partition-local; wide operators
-(reduce_by_key, group_by_key, sort_by, distinct) force a shuffle -- the
+(reduce_by_key, group_by_key, sort_by) force a shuffle -- the
 framework behaviour §IV.C describes.
 
 Each operator can name the :mod:`building block <repro.analytics.blocks>`
@@ -19,7 +19,7 @@ from repro.errors import PlanError
 
 #: Operator kinds and their width.
 NARROW_KINDS = ("map", "filter", "flat_map", "broadcast_join")
-WIDE_KINDS = ("reduce_by_key", "group_by_key", "sort_by", "distinct")
+WIDE_KINDS = ("reduce_by_key", "group_by_key", "sort_by")
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class Operator:
             self.fn is None
         ):
             raise PlanError(f"{self.kind} requires fn")
-        if self.kind in WIDE_KINDS and self.kind != "distinct" and (
-            self.key_fn is None
-        ):
+        if self.kind in WIDE_KINDS and self.key_fn is None:
             raise PlanError(f"{self.kind} requires key_fn")
         if self.kind == "broadcast_join":
             if self.key_fn is None or self.fn is None:
@@ -165,10 +163,6 @@ class Plan:
         return self._extend(
             Operator("sort_by", key_fn=key_fn, block=block, label=label)
         )
-
-    def distinct(self, block: str = "hash-aggregate", label: str = "") -> "Plan":
-        """Global deduplication (hash shuffle + set)."""
-        return self._extend(Operator("distinct", block=block, label=label))
 
     # -- introspection -------------------------------------------------------
 

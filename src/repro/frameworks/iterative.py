@@ -46,11 +46,6 @@ class IterativeReport:
             self.base_time_s + step for step in self.iteration_times_s
         )
 
-    @property
-    def n_iterations(self) -> int:
-        """Number of iterations executed."""
-        return len(self.iteration_times_s)
-
 
 def run_iterative(
     executor: BatchExecutor,

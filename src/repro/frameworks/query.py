@@ -4,12 +4,12 @@
 frameworks; this module closes the loop the way Spark SQL did: a
 :class:`Query` is declared against dict-shaped rows and *compiled* to a
 :class:`~repro.frameworks.dataflow.Plan`, so the same optimizer-visible
-structure (filter -> project -> join -> aggregate -> sort -> limit) runs
-on the simulated cluster with the right building-block cost tags.
+structure (filter -> join -> aggregate -> sort) runs on the simulated
+cluster with the right building-block cost tags.
 
-Compilation applies the two classic logical optimizations whose effect
-the cost model can actually see: predicate pushdown (filters run before
-joins/aggregates, shrinking shuffles) and projection pruning.
+Compilation applies the classic logical optimization whose effect the
+cost model can actually see: predicate pushdown (filters run before
+joins/aggregates, shrinking shuffles).
 """
 
 from __future__ import annotations
@@ -17,11 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analytics.relational import AGGREGATES
 from repro.errors import PlanError
 from repro.frameworks.dataflow import Plan
 
 Row = Dict[str, Any]
+
+#: Aggregate functions an :class:`Aggregation` may name.
+AGGREGATES: Dict[str, Callable[[List[float]], float]] = {
+    "sum": sum,
+    "min": min,
+    "max": max,
+    "count": len,
+    "avg": lambda values: sum(values) / len(values),
+}
 
 
 @dataclass(frozen=True)
@@ -96,12 +104,10 @@ class Query:
     """
 
     predicates: Tuple[Predicate, ...] = ()
-    projection: Optional[Tuple[str, ...]] = None
     group_column: Optional[str] = None
     aggregations: Tuple[Aggregation, ...] = ()
     order_column: Optional[str] = None
     order_descending: bool = False
-    limit_n: Optional[int] = None
     join_side: Optional[tuple] = None  # (rows, left_key, right_key)
 
     @classmethod
@@ -116,12 +122,6 @@ class Query:
         return replace(
             self, predicates=self.predicates + (Predicate(column, op, value),)
         )
-
-    def select(self, *columns: str) -> "Query":
-        """Project to ``columns`` (before any grouping)."""
-        if not columns:
-            raise PlanError("select needs at least one column")
-        return replace(self, projection=tuple(columns))
 
     def join(self, rows: Sequence[Row], left_key: str,
              right_key: str) -> "Query":
@@ -149,23 +149,13 @@ class Query:
             self, order_column=column, order_descending=descending
         )
 
-    def limit(self, n: int) -> "Query":
-        """Keep the first ``n`` output rows."""
-        if n < 1:
-            raise PlanError("limit must be >= 1")
-        return replace(self, limit_n=n)
-
     # -- compilation ----------------------------------------------------------
 
     def compile(self) -> Plan:
         """Lower the query to a dataflow plan.
 
         Operator order encodes predicate pushdown: WHERE before JOIN
-        before GROUP BY; projection pruning runs as early as legal.
-
-        A plan compiled from a LIMIT query carries run state (the
-        remaining-row counter) and is therefore single-use: call
-        ``compile()`` again for another execution.
+        before GROUP BY.
         """
         plan = Plan.source()
         # 1. Predicate pushdown: filters first, fused left to right.
@@ -174,18 +164,7 @@ class Query:
                 predicate.matcher(), block="filter-scan",
                 label=f"where-{predicate.column}",
             )
-        # 2. Early projection (only when no join/group needs other columns).
-        if self.projection and not self.group_column and not self.join_side:
-            columns = self.projection
-
-            def project(row: Row) -> Row:
-                try:
-                    return {c: row[c] for c in columns}
-                except KeyError as exc:
-                    raise PlanError(f"missing column: {exc}") from exc
-
-            plan = plan.map(project, block="filter-scan", label="project")
-        # 3. Broadcast join.
+        # 2. Broadcast join.
         if self.join_side:
             rows, left_key, right_key = self.join_side
             plan = plan.broadcast_join(
@@ -194,8 +173,8 @@ class Query:
                 side_key_fn=lambda r: r[right_key],
                 label=f"join-{left_key}",
             )
-            # Merge the pair back into a flat row (right columns win ties
-            # with a suffix, matching analytics.relational.hash_join).
+            # Merge the pair back into a flat row (a right column whose
+            # name the left row already has gets an ``_r`` suffix).
             def merge(pair):
                 left, right = pair
                 merged = dict(left)
@@ -207,7 +186,7 @@ class Query:
                 return merged
 
             plan = plan.map(merge, block="hash-join", label="merge-join")
-        # 4. Grouped aggregation.
+        # 3. Grouped aggregation.
         if self.group_column:
             group_column = self.group_column
             aggregations = self.aggregations
@@ -233,7 +212,7 @@ class Query:
 
             plan = plan.map(aggregate, block="hash-aggregate",
                             label="aggregate")
-        # 5. Ordering and limit.
+        # 4. Ordering.
         if self.order_column:
             column = self.order_column
             descending = self.order_descending
@@ -245,16 +224,6 @@ class Query:
                 return _Reversed(value) if descending else value
 
             plan = plan.sort_by(sort_key, label=f"order-{column}")
-        if self.limit_n is not None:
-            remaining = {"left": self.limit_n}
-
-            def take(row: Row) -> bool:
-                if remaining["left"] <= 0:
-                    return False
-                remaining["left"] -= 1
-                return True
-
-            plan = plan.filter(take, block="filter-scan", label="limit")
         plan.validate()
         return plan
 

@@ -29,16 +29,12 @@ from repro.mc.roi import (
     investment_params,
     npv_batch,
     npv_utilization_sweep,
-    payback_batch,
-    roi_batch,
-    roi_monte_carlo,
     tornado_outputs_batch,
-    worthwhile_batch,
 )
 from repro.mc.sampling import uniform_parameter_samples
 from repro.mc.scenarios import commodity_year_samples, trl_weighted_steps
 from repro.mc.soc_sip import cost_per_unit_curve, die_cost_batch, sampled_unit_costs
-from repro.mc.survey import theme_matrix, theme_statistics
+from repro.mc.survey import theme_statistics
 from repro.mc.traffic import (
     FlashCrowd,
     ScenarioSpec,
@@ -46,7 +42,6 @@ from repro.mc.traffic import (
     client_ids,
     peak_rate,
     poisson_inter_arrivals,
-    rate_curve,
     scenario_trace,
     session_lengths,
 )
@@ -65,20 +60,14 @@ __all__ = [
     "investment_params",
     "npv_batch",
     "npv_utilization_sweep",
-    "payback_batch",
     "peak_rate",
     "poisson_inter_arrivals",
-    "rate_curve",
-    "roi_batch",
-    "roi_monte_carlo",
     "sampled_market_shares",
     "sampled_unit_costs",
     "scenario_trace",
     "session_lengths",
-    "theme_matrix",
     "theme_statistics",
     "tornado_outputs_batch",
     "trl_weighted_steps",
     "uniform_parameter_samples",
-    "worthwhile_batch",
 ]

@@ -27,11 +27,7 @@ __all__ = [
     "investment_params",
     "npv_batch",
     "npv_utilization_sweep",
-    "payback_batch",
-    "roi_batch",
-    "roi_monte_carlo",
     "tornado_outputs_batch",
-    "worthwhile_batch",
 ]
 
 #: Parameters that must stay scalar in a batch evaluation.
@@ -147,81 +143,6 @@ def npv_batch(params: Mapping[str, Any]) -> np.ndarray:
     for year in range(1, horizon + 1):
         total += net / (1.0 + rate) ** year
     return total
-
-
-def roi_batch(params: Mapping[str, Any]) -> np.ndarray:
-    """Simple (undiscounted) ROI per sample: net gain over upfront cost."""
-    arrays, _, horizon, n = _prepare(params)
-    upfront, net = _upfront_and_net(arrays)
-    gain = np.zeros(n)
-    for _ in range(horizon):
-        gain += net
-    return (gain - upfront) / upfront
-
-
-def payback_batch(params: Mapping[str, Any]) -> np.ndarray:
-    """Interpolated payback period per sample; NaN when never repaid."""
-    arrays, _, horizon, n = _prepare(params)
-    upfront, net = _upfront_and_net(arrays)
-    net = np.broadcast_to(np.asarray(net, dtype=float), (n,))
-    out = np.full(n, np.nan)
-    done = np.zeros(n, dtype=bool)
-    cumulative = np.broadcast_to(np.asarray(-upfront), (n,)).astype(
-        float, copy=True
-    )
-    for year in range(1, horizon + 1):
-        previous = cumulative.copy()
-        cumulative = cumulative + net
-        newly = ~done & (cumulative >= 0.0)
-        if np.any(newly):
-            flat = np.where(
-                net[newly] <= 0,
-                float(year),
-                year - 1 + (-previous[newly] / net[newly]),
-            )
-            out[newly] = flat
-            done |= newly
-    return out
-
-
-def worthwhile_batch(params: Mapping[str, Any]) -> np.ndarray:
-    """Boolean adoption decision per sample: positive NPV."""
-    return npv_batch(params) > 0.0
-
-
-def roi_monte_carlo(
-    investment: AcceleratorInvestment,
-    ranges: Sequence,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Monte-Carlo ROI under parameter uncertainty, fully batched.
-
-    Samples ``n_samples`` uniform vectors over ``ranges`` (see
-    :func:`repro.mc.sampling.uniform_parameter_samples`), evaluates NPV
-    and payback in one batch each, and summarizes the paper's Finding-2
-    question -- how often the adoption is worthwhile under utilization /
-    speedup uncertainty.
-    """
-    from repro.mc.sampling import uniform_parameter_samples
-
-    sampled = uniform_parameter_samples(
-        ranges, n_samples, seed, name="mc.roi"
-    )
-    params = investment_params(investment, **sampled)
-    npv = npv_batch(params)
-    payback = payback_batch(params)
-    worthwhile = npv > 0.0
-    return {
-        "n_samples": n_samples,
-        "npv_usd": npv,
-        "payback_years": payback,
-        "p_worthwhile": float(np.mean(worthwhile)),
-        "npv_p10": float(np.percentile(npv, 10)),
-        "npv_p50": float(np.percentile(npv, 50)),
-        "npv_p90": float(np.percentile(npv, 90)),
-        "p_never_pays_back": float(np.mean(np.isnan(payback))),
-    }
 
 
 def _two_point_batch(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["theme_matrix", "theme_statistics"]
+__all__ = ["theme_statistics"]
 
 
 def _intern_patterns(
@@ -62,14 +62,6 @@ def _intern_patterns(
     else:
         patterns = np.zeros((0, len(themes)), dtype=bool)
     return patterns, inverse
-
-
-def theme_matrix(
-    interview_themes: Sequence[Sequence[str]], themes: Sequence[str]
-) -> np.ndarray:
-    """Boolean ``(n_interviews, n_themes)`` membership matrix."""
-    patterns, inverse = _intern_patterns(interview_themes, themes)
-    return patterns[inverse]
 
 
 def theme_statistics(

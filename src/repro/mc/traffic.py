@@ -59,7 +59,6 @@ __all__ = [
     "client_ids",
     "peak_rate",
     "poisson_inter_arrivals",
-    "rate_curve",
     "scenario_trace",
     "session_lengths",
 ]
@@ -218,20 +217,6 @@ def peak_rate(spec: ScenarioSpec) -> float:
     if spec.bursty:
         bound = bound * spec.burst_multiplier
     return bound
-
-
-def rate_curve(spec: ScenarioSpec, times_s: np.ndarray) -> np.ndarray:
-    """The deterministic rate ``lambda(t)`` at each time, in Hz.
-
-    Covers the diurnal curve and the flash crowds -- the components that
-    are pure functions of time. The MMPP burst factor is *not* included
-    (it is sampled, not deterministic); :func:`arrival_times` applies it
-    on top from the sampled state track.
-    """
-    times_s = np.asarray(times_s, dtype=np.float64)
-    rate = spec.base_rate_hz * _diurnal_factor(spec, times_s)
-    rate = rate * _flash_factor(spec, times_s)
-    return rate
 
 
 def _diurnal_factor(spec: ScenarioSpec, times_s: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from repro.network.flows import (
 )
 from repro.network.link import (
     ETHERNET_ROADMAP,
-    Link,
     LinkGeneration,
     commodity_generation,
     generations_by_year,
@@ -94,7 +93,6 @@ __all__ = [
     "FlowTable",
     "IncrementalMaxMinSolver",
     "LegacyManagement",
-    "Link",
     "LinkGeneration",
     "NOS_CATALOG",
     "NetworkFunction",

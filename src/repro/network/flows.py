@@ -258,10 +258,6 @@ class IncrementalMaxMinSolver:
             return
         self._full_solve()
 
-    def refresh(self) -> None:
-        """Resync after external fabric mutations (full solve if stale)."""
-        self._ensure_synced()
-
     # -- internals -----------------------------------------------------------
 
     def _ensure_synced(self) -> None:

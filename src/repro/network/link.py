@@ -77,18 +77,3 @@ def commodity_generation(year: int) -> LinkGeneration:
     if not available:
         raise ModelError(f"no commodity Ethernet generation by {year}")
     return max(available, key=lambda g: g.rate_gbps)
-
-
-@dataclass(frozen=True)
-class Link:
-    """A physical link instance in a topology."""
-
-    src: str
-    dst: str
-    rate_gbps: float
-
-    def __post_init__(self) -> None:
-        if self.rate_gbps <= 0:
-            raise ModelError(f"link {self.src}->{self.dst}: bad rate")
-        if self.src == self.dst:
-            raise ModelError(f"self-loop on {self.src}")

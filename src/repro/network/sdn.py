@@ -48,13 +48,6 @@ class FlowTable:
             raise ModelError("flow table full")
         self.rules.append(rule)
 
-    def lookup(self, packet_key: str) -> Optional[FlowRule]:
-        """Highest-priority rule whose match equals the packet key."""
-        candidates = [r for r in self.rules if r.match == packet_key]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda r: r.priority)
-
     def clear(self) -> None:
         """Drop all rules."""
         self.rules.clear()

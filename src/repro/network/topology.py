@@ -220,10 +220,6 @@ class Fabric:
         except KeyError as exc:
             raise TopologyError(f"no link {a}--{b}") from exc
 
-    def degree(self, node: str) -> int:
-        """Number of links at ``node``."""
-        return self.graph.degree[node]
-
     def validate(self) -> None:
         """Check connectivity; raises :class:`TopologyError` when broken."""
         if self.graph.number_of_nodes() == 0:

@@ -42,7 +42,6 @@ from repro.node.programmability import (
 from repro.node.roofline import (
     Kernel,
     attainable_ops_per_s,
-    energy_j,
     execution_time_s,
     speedup,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "default_hierarchy",
     "default_registry",
     "dram",
-    "energy_j",
     "execution_time_s",
     "hdd",
     "hls_uplift_scenario",

@@ -1,10 +1,8 @@
 """Memory-hierarchy model, including non-volatile memory.
 
 Recommendation 5 calls for "integrating ... new non-volatile memories and
-I/O interfaces". This module models a node's memory levels (cache, DRAM,
-NVM, SSD, HDD) and answers the question the frameworks layer asks:
-*what is the effective bandwidth and capacity available to a working set
-of a given size?*
+I/O interfaces". This module models a node's memory levels (DRAM, NVM,
+SSD, HDD) and prices the hierarchy a server carries.
 """
 
 from __future__ import annotations
@@ -84,36 +82,9 @@ class MemoryHierarchy:
             raise ModelError("levels must be ordered fastest-first")
 
     @property
-    def total_capacity_bytes(self) -> float:
-        """Capacity across all levels."""
-        return sum(lvl.capacity_bytes for lvl in self.levels)
-
-    @property
     def total_cost_usd(self) -> float:
         """Purchase cost across all levels."""
         return sum(lvl.cost_usd for lvl in self.levels)
-
-    def placement(self, working_set_bytes: float) -> List[tuple]:
-        """Greedy fastest-first placement of a working set.
-
-        Returns ``[(level, bytes_placed), ...]``; raises if the set does
-        not fit anywhere.
-        """
-        if working_set_bytes <= 0:
-            raise ModelError("working set must be positive")
-        remaining = working_set_bytes
-        out = []
-        for level in self.levels:
-            take = min(remaining, level.capacity_bytes)
-            if take > 0:
-                out.append((level, take))
-                remaining -= take
-            if remaining <= 0:
-                return out
-        raise ModelError(
-            f"working set of {working_set_bytes:.3g} B exceeds hierarchy "
-            f"capacity {self.total_capacity_bytes:.3g} B"
-        )
 
 
 def default_hierarchy(with_nvm: bool = False) -> MemoryHierarchy:

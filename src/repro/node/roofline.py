@@ -100,15 +100,6 @@ def execution_time_s(
     return time
 
 
-def energy_j(
-    kernel: Kernel,
-    device: ComputeDevice,
-    model: Optional[ProgrammingModel] = None,
-) -> float:
-    """Energy to run ``kernel`` on ``device`` (device draws TDP while busy)."""
-    return execution_time_s(kernel, device, model) * device.tdp_w
-
-
 def speedup(
     kernel: Kernel,
     accelerator: ComputeDevice,

@@ -64,11 +64,6 @@ class Server:
         return self.devices[0]
 
     @property
-    def accelerators(self) -> List[ComputeDevice]:
-        """All non-CPU devices."""
-        return self.devices[1:]
-
-    @property
     def price_usd(self) -> float:
         """Bill of materials."""
         return (

@@ -38,20 +38,6 @@ class Experiment:
         """Whether a programmatic entrypoint is registered."""
         return bool(self.entrypoint)
 
-    def resolve_entrypoint(self):
-        """Import and return the entrypoint callable.
-
-        Raises :class:`~repro.errors.RegistryError` when the experiment
-        has none registered or the path does not resolve.
-        """
-        if not self.entrypoint:
-            raise RegistryError(
-                f"experiment {self.experiment_id!r} has no entrypoint"
-            )
-        from repro.runner.pool import resolve_entrypoint
-
-        return resolve_entrypoint(self.entrypoint)
-
 
 EXPERIMENTS: List[Experiment] = [
     Experiment(

@@ -40,7 +40,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.engine.observability import Registry
-from repro.errors import RegistryError
+from repro.errors import ConfigError, RegistryError
 from repro.reporting.experiments import EXPERIMENTS, Experiment
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.journal import (
@@ -112,11 +112,11 @@ def _as_seeds(seeds: Union[int, Iterable[int]]) -> List[int]:
     """``3`` -> ``[0, 1, 2]``; an iterable passes through validated."""
     if isinstance(seeds, int):
         if seeds < 1:
-            raise ValueError(f"need at least one seed, got {seeds}")
+            raise ConfigError(f"need at least one seed, got {seeds}")
         return list(range(seeds))
     out = [int(s) for s in seeds]
     if not out:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     return out
 
 
@@ -193,7 +193,7 @@ def execute_job(
         if cache_dir is not None and request.use_cache else None
     )
     if resume and cache is None:
-        raise ValueError(
+        raise ConfigError(
             "resume=True requires a cache_dir (with use_cache enabled): "
             "the job journal is kept next to the result cache"
         )

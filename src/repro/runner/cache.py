@@ -96,8 +96,6 @@ class ResultCache:
     ) -> None:
         self.root = Path(root)
         self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
         self.registry = registry
 
     def _path(self, key: str) -> Path:
@@ -119,7 +117,6 @@ class ResultCache:
             return
         except OSError:  # unwritable parent: the read still misses
             return
-        self.quarantined += 1
         if self.registry is not None:
             self.registry.counter("runner.cache_corrupt").inc()
 
@@ -136,13 +133,11 @@ class ResultCache:
         try:
             blob = path.read_bytes()
         except OSError:
-            self.misses += 1
             return None
         try:
             result = RunResult.from_dict(loads(blob, "cache entry"))
         except RecordError:
             self._quarantine(path)
-            self.misses += 1
             return None
         self.hits += 1
         result.cached = True

@@ -52,7 +52,7 @@ from multiprocessing import util as mp_util
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import RegistryError, ReproError
+from repro.errors import ConfigError, RegistryError, ReproError
 from repro.runner.results import RunResult
 
 #: Seconds between liveness polls of in-flight workers.
@@ -193,9 +193,9 @@ def _failure(spec: ShardSpec, status: str, detail: str) -> RunResult:
 
 def _check_policy(retries: int, timeout_s: Optional[float]) -> None:
     if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+        raise ConfigError(f"retries must be >= 0, got {retries}")
     if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+        raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
 
 
 def run_shards(
@@ -218,7 +218,7 @@ def run_shards(
     crash there takes the caller with it and cannot be contained).
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     _check_policy(retries, timeout_s)
     if jobs == 1:
         return _run_inline(shards, retries, on_complete, on_start)
@@ -269,7 +269,7 @@ class WorkerPool:
 
     def __init__(self, size: int) -> None:
         if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
+            raise ConfigError(f"pool size must be >= 1, got {size}")
         self.size = size
         self._workers: List[_Worker] = []
         self._idle: List[_Worker] = []

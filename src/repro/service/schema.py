@@ -332,3 +332,28 @@ def job_envelope(
     if events is not None:
         payload["events"] = list(events)
     return payload
+
+
+#: The fields of the job-status envelope :func:`job_envelope` builds;
+#: the optional ones are absent unless the job has them.
+JOB_FIELDS: Fields = {
+    "schema_version": (_VERSION, SCHEMA_VERSION),
+    "job_id": (_NAME, REQUIRED),
+    "state": (one_of(*JOB_STATES), REQUIRED),
+    "coalesced": (_INT, 0),
+    "stats": (of(dict), None),
+    "result": (of(dict), None),
+    "error_detail": (of(str), None),
+    "events": (list_of(of(dict)), None),
+}
+
+
+def decode_job(record: Any) -> Dict[str, Any]:
+    """``record``, a received job-status envelope, once it passes
+    :data:`JOB_FIELDS`; else a :class:`~repro.errors.RecordError`.
+
+    The envelope comes back as received: an optional field it lacks
+    stays absent.
+    """
+    decode(record, "job envelope", JOB_FIELDS)
+    return record

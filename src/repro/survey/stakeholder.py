@@ -136,10 +136,3 @@ class Corpus:
     def n_interviews(self) -> int:
         """Total interviews conducted."""
         return len(self.interviews)
-
-    def company(self, company_id: str) -> Company:
-        """Look up a company by id."""
-        for candidate in self.companies:
-            if candidate.company_id == company_id:
-                return candidate
-        raise ModelError(f"unknown company: {company_id!r}")

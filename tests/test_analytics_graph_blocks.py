@@ -1,6 +1,5 @@
-"""Tests for graph kernels and the building-block registry."""
+"""Tests for the building-block registry."""
 
-import networkx as nx
 import pytest
 
 from repro.analytics import (
@@ -8,9 +7,7 @@ from repro.analytics import (
     BlockRegistry,
     BuildingBlock,
     best_device_for_block,
-    connected_components,
     default_blocks,
-    pagerank,
 )
 from repro.errors import ModelError, RegistryError
 from repro.node import (
@@ -22,42 +19,6 @@ from repro.node import (
     xeon_e5,
 )
 
-
-def _diamond():
-    return {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
-
-
-class TestPagerank:
-    def test_matches_networkx(self):
-        graph = _diamond()
-        ours = pagerank(graph)
-        theirs = nx.pagerank(nx.DiGraph(graph), alpha=0.85)
-        for node in graph:
-            assert ours[node] == pytest.approx(theirs[node], rel=1e-4)
-
-    def test_sums_to_one(self):
-        ranks = pagerank(_diamond())
-        assert sum(ranks.values()) == pytest.approx(1.0)
-
-    def test_sink_collects_rank(self):
-        ranks = pagerank(_diamond())
-        assert ranks["d"] == max(ranks.values())
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            pagerank({})
-        with pytest.raises(ModelError):
-            pagerank({"a": ["ghost"]})
-        with pytest.raises(ModelError):
-            pagerank(_diamond(), damping=1.0)
-
-
-class TestBfsAndComponents:
-    def test_components(self):
-        graph = {"a": ["b"], "b": [], "x": ["y"], "y": [], "lone": []}
-        comps = connected_components(graph)
-        assert sorted(len(c) for c in comps) == [1, 2, 2]
-        assert comps[0] in ({"a", "b"}, {"x", "y"})
 
 class TestBlockRegistry:
     def test_default_blocks_present(self):

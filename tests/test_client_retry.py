@@ -19,9 +19,9 @@ import pytest
 
 from repro.client import DEFAULT_RETRY_POLICY, ServiceClient
 from repro.engine.resilience import RetryPolicy
-from repro.errors import ServiceError
+from repro.errors import RecordError, ServiceError
 from repro.service import wire
-from repro.service.schema import JobResult
+from repro.service.schema import JOB_FIELDS, JobResult, decode_job, job_envelope
 
 
 @pytest.fixture
@@ -178,6 +178,43 @@ class TestMalformedReplies:
         with pytest.raises(ServiceError) as info:
             client.health()
         assert info.value.code == "bad-request"
+
+    @pytest.mark.parametrize("body, match", [
+        (b'{"state": "done"}', "'job_id' is missing"),
+        (b'{"job_id": "j", "state": "exploded"}', "'state' must be one of"),
+        (b'{"job_id": "j", "state": "done", "result": 5}',
+         "'result' must be of type dict"),
+    ], ids=["no-job-id", "unknown-state", "result-not-an-object"])
+    def test_job_envelope_that_does_not_decode(self, monkeypatch, body,
+                                               match):
+        _canned_http_reply(monkeypatch, 200, body)
+        client = ServiceClient("http://127.0.0.1:1", retry_policy=None)
+        for call in (lambda: client.job("j"), lambda: client.wait("j"),
+                     lambda: client.submit("E4")):
+            with pytest.raises(RecordError, match=match):
+                call()
+
+    def test_every_envelope_field_is_in_the_table(self):
+        envelope = job_envelope(
+            "j", "done", stats={}, error="boom", events=[],
+            result=JobResult(job_id="j", status="ok", document={}),
+        )
+        assert set(envelope) == set(JOB_FIELDS)
+        assert decode_job(envelope) is envelope
+
+    def test_submit_reports_a_reply_without_a_job_id(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.setattr(ServiceClient, "submit",
+                            lambda self, *a, **k: {"state": "queued"})
+        code = main(["submit", "E4", "--server", "http://127.0.0.1:1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [bad-request]" in err and "'job_id'" in err
+        assert not (tmp_path / "results.json").exists()
 
     def test_event_frame_that_is_not_json(self):
         server = socket.create_server(("127.0.0.1", 0))

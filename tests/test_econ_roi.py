@@ -7,7 +7,6 @@ from repro.econ import (
     breakeven_speedup,
     breakeven_utilization,
     npv,
-    payback_period_years,
 )
 from repro.errors import ModelError
 
@@ -22,21 +21,6 @@ class TestNpv:
     def test_bad_rate_rejected(self):
         with pytest.raises(ModelError):
             npv([1.0], -1.5)
-
-
-class TestPayback:
-    def test_exact_year_breakeven(self):
-        assert payback_period_years([-100, 50, 50]) == pytest.approx(2.0)
-
-    def test_interpolated_breakeven(self):
-        # After year 1: -50; year 2 adds 100 -> crosses halfway through.
-        assert payback_period_years([-100, 50, 100]) == pytest.approx(1.5)
-
-    def test_never_pays_back(self):
-        assert payback_period_years([-100, 10, 10]) is None
-
-    def test_zero_cash_year_then_recovery(self):
-        assert payback_period_years([-100, 0, 100]) == pytest.approx(2.0)
 
 
 def _investment(**overrides) -> AcceleratorInvestment:
@@ -72,7 +56,6 @@ class TestAcceleratorInvestment:
     def test_good_case_is_worthwhile(self):
         inv = _investment(speedup=10.0, utilization=0.8)
         assert inv.worthwhile()
-        assert inv.payback_years() is not None
 
     def test_low_utilization_kills_roi(self):
         # The paper's SME situation: high power, low utilization.
@@ -83,7 +66,6 @@ class TestAcceleratorInvestment:
             port_effort_person_months=12.0,
         )
         assert not inv.worthwhile()
-        assert inv.payback_years() is None
 
     def test_energy_cost_scales_with_utilization(self):
         low = _investment(utilization=0.1).annual_energy_cost_usd

@@ -6,13 +6,7 @@ import random
 
 import pytest
 
-from repro.engine import (
-    Container,
-    Observability,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.engine import Observability, Resource, Simulator
 from repro.errors import ModelError
 from repro.node import (
     Kernel,
@@ -77,26 +71,6 @@ class TestResourceStress:
         sim.run()
         assert not violations
         assert resource.in_use == 0
-
-    def test_container_level_never_negative(self):
-        sim = Simulator()
-        tank = Container(sim, initial=5.0)
-        levels = []
-
-        def consumer(sim, amount):
-            yield tank.get(amount)
-            levels.append(tank.level)
-
-        def producer(sim):
-            for _ in range(3):
-                yield sim.timeout(1.0)
-                yield tank.put(2.0)
-
-        for amount in (4.0, 4.0, 3.0):
-            sim.spawn(consumer(sim, amount))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert all(level >= 0 for level in levels)
 
 
 class TestRooflineWithProgrammingModels:
@@ -169,27 +143,6 @@ class TestCancelledEventEdgeCases:
 
 
 class TestStoreEdgeCases:
-    def test_multiple_consumers_fifo_service(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(sim, tag, arrive):
-            yield sim.timeout(arrive)
-            item = yield store.get()
-            got.append((tag, item))
-
-        def producer(sim):
-            yield sim.timeout(1.0)
-            for item in ("x", "y"):
-                yield store.put(item)
-
-        sim.spawn(consumer(sim, "first", 0.1))
-        sim.spawn(consumer(sim, "second", 0.2))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert got == [("first", "x"), ("second", "y")]
-
     def test_event_fail_before_wait(self):
         sim = Simulator()
         evt = sim.event()

@@ -279,23 +279,28 @@ class TestFabricIntegration:
         assert ecmp_paths(fabric, "host0-0", "host1-0")
 
 
+def _delays(policy, n_failures, rng=None):
+    """The first ``n_failures`` backoff delays, in order."""
+    return [policy.delay_s(i, rng) for i in range(1, n_failures + 1)]
+
+
 class TestRetryPolicy:
     def test_backoff_schedule_grows_and_caps(self):
         policy = RetryPolicy(max_attempts=6, base_delay_s=0.1,
                              multiplier=2.0, max_delay_s=0.5)
-        assert policy.schedule(5) == [0.1, 0.2, 0.4, 0.5, 0.5]
+        assert _delays(policy, 5) == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_jitter_is_deterministic_and_bounded(self):
         policy = RetryPolicy(base_delay_s=1.0, multiplier=1.0, jitter=0.25)
-        a = policy.schedule(50, RandomStream(4, "j"))
-        b = policy.schedule(50, RandomStream(4, "j"))
+        a = _delays(policy, 50, RandomStream(4, "j"))
+        b = _delays(policy, 50, RandomStream(4, "j"))
         assert a == b
-        assert a != policy.schedule(50, RandomStream(5, "j"))
+        assert a != _delays(policy, 50, RandomStream(5, "j"))
         assert all(0.75 <= delay <= 1.25 for delay in a)
 
     def test_no_rng_means_no_jitter(self):
         policy = RetryPolicy(base_delay_s=1.0, multiplier=1.0, jitter=0.25)
-        assert policy.schedule(3) == [1.0, 1.0, 1.0]
+        assert _delays(policy, 3) == [1.0, 1.0, 1.0]
 
     def test_validation(self):
         with pytest.raises(SimulationError):

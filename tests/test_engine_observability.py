@@ -18,7 +18,6 @@ from repro.engine import (
     Resource,
     Simulator,
     SpanLog,
-    Store,
     with_deadline,
 )
 from repro.errors import DeadlineExceeded, ProcessFailure, SimulationError
@@ -108,17 +107,6 @@ class TestDeadWaiterPruning:
         assert pool.queue_length == 1
         waiting.cancel()
         assert pool.queue_length == 0
-
-    def test_store_skips_cancelled_getter(self):
-        sim = Simulator()
-        store = Store(sim)
-        dead = store.get()
-        dead.cancel()
-        live = store.get()
-        store.put("item")
-        sim.run()
-        assert live.value == "item"
-        assert not dead.triggered
 
 
 class TestProcessFailureWrapping:

@@ -1,8 +1,8 @@
-"""Tests for Resource, Container and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.engine import Container, Resource, Simulator, Store
+from repro.engine import Resource, Simulator
 from repro.errors import SimulationError
 
 
@@ -110,214 +110,3 @@ class TestResource:
         sim.spawn(waiter(sim))
         sim.run(until=5.0)
         assert res.queue_length == 2
-
-
-class TestContainer:
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        tank = Container(sim)
-        log = []
-
-        def consumer(sim):
-            yield tank.get(10.0)
-            log.append(sim.now)
-
-        def producer(sim):
-            yield sim.timeout(3.0)
-            yield tank.put(10.0)
-
-        sim.spawn(consumer(sim))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert log == [3.0]
-        assert tank.level == 0.0
-
-    def test_initial_level(self):
-        sim = Simulator()
-        tank = Container(sim, initial=5.0)
-        assert tank.level == 5.0
-
-    def test_capacity_blocks_put(self):
-        sim = Simulator()
-        tank = Container(sim, initial=8.0, capacity=10.0)
-        log = []
-
-        def producer(sim):
-            yield tank.put(5.0)  # must wait: 8 + 5 > 10
-            log.append(sim.now)
-
-        def consumer(sim):
-            yield sim.timeout(2.0)
-            yield tank.get(6.0)
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert log == [2.0]
-        assert tank.level == pytest.approx(7.0)
-
-    def test_head_of_line_blocking_is_fifo(self):
-        sim = Simulator()
-        tank = Container(sim, initial=3.0)
-        order = []
-
-        def getter(sim, tag, amount, arrive):
-            yield sim.timeout(arrive)
-            yield tank.get(amount)
-            order.append(tag)
-
-        def producer(sim):
-            yield sim.timeout(1.0)
-            yield tank.put(10.0)
-
-        # "big" arrives first and needs 10; "small" needs 1 and could be
-        # served from the initial 3, but FIFO means big goes first.
-        sim.spawn(getter(sim, "big", 10.0, 0.0))
-        sim.spawn(getter(sim, "small", 1.0, 0.5))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert order == ["big", "small"]
-
-    def test_invalid_arguments(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Container(sim, initial=-1.0)
-        with pytest.raises(SimulationError):
-            Container(sim, initial=5.0, capacity=1.0)
-        tank = Container(sim)
-        with pytest.raises(SimulationError):
-            tank.put(-1.0)
-        with pytest.raises(SimulationError):
-            tank.get(-1.0)
-
-    def test_drain_interleaves_puts_and_gets_under_ceiling(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=10.0)
-        log = []
-
-        def producer(sim, tag, amount, arrive):
-            yield sim.timeout(arrive)
-            yield tank.put(amount)
-            log.append((sim.now, f"put-{tag}"))
-
-        def consumer(sim, amount, arrive):
-            yield sim.timeout(arrive)
-            yield tank.get(amount)
-            log.append((sim.now, f"got-{amount:g}"))
-
-        # Fill to the ceiling, then a second put must wait for a get,
-        # whose grant must in turn re-admit the blocked put -- each
-        # drain pass has to alternate between the two queues.
-        sim.spawn(producer(sim, "a", 10.0, 0.0))
-        sim.spawn(producer(sim, "b", 7.0, 1.0))
-        sim.spawn(consumer(sim, 8.0, 2.0))
-        sim.spawn(consumer(sim, 9.0, 3.0))
-        sim.spawn(producer(sim, "c", 6.0, 4.0))
-        sim.run()
-        # The blocked put is re-admitted in the same drain pass as the
-        # get that made room (both at t=2); the put's wakeup is already
-        # queued by the time the getter registers its own callback.
-        assert log == [
-            (0.0, "put-a"),
-            (2.0, "put-b"),
-            (2.0, "got-8"),
-            (3.0, "got-9"),
-            (4.0, "put-c"),
-        ]
-        assert tank.level == pytest.approx(6.0)
-
-    def test_drain_put_chain_released_by_single_large_get(self):
-        sim = Simulator()
-        tank = Container(sim, initial=4.0, capacity=4.0)
-        log = []
-
-        def producer(sim, amount):
-            yield tank.put(amount)
-            log.append((sim.now, amount))
-
-        def consumer(sim):
-            yield sim.timeout(1.0)
-            yield tank.get(4.0)
-
-        sim.spawn(producer(sim, 2.0))
-        sim.spawn(producer(sim, 2.0))
-        sim.spawn(consumer(sim))
-        sim.run()
-        # One drain pass admits both queued puts back to the ceiling.
-        assert log == [(1.0, 2.0), (1.0, 2.0)]
-        assert tank.level == pytest.approx(4.0)
-
-
-class TestStore:
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def producer(sim):
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-
-        def consumer(sim):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert got == ["x", "y", "z"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        log = []
-
-        def consumer(sim):
-            item = yield store.get()
-            log.append((sim.now, item))
-
-        def producer(sim):
-            yield sim.timeout(4.0)
-            yield store.put("late")
-
-        sim.spawn(consumer(sim))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert log == [(4.0, "late")]
-
-    def test_bounded_store_applies_backpressure(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer(sim):
-            yield store.put("a")
-            log.append(("a-in", sim.now))
-            yield store.put("b")
-            log.append(("b-in", sim.now))
-
-        def consumer(sim):
-            yield sim.timeout(5.0)
-            yield store.get()
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert log == [("a-in", 0.0), ("b-in", 5.0)]
-
-    def test_len_reports_buffered_items(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def producer(sim):
-            yield store.put(1)
-            yield store.put(2)
-
-        sim.spawn(producer(sim))
-        sim.run()
-        assert len(store) == 2
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            Store(Simulator(), capacity=0)

@@ -146,13 +146,6 @@ class TestBatchCorrectness:
         result = BatchExecutor(cluster).run(plan, ds)
         assert result.records == [1, 2, 3, 5, 7, 9]
 
-    def test_distinct(self):
-        cluster = _cpu_cluster()
-        ds = PartitionedDataset.from_records([1, 2, 2, 3, 3, 3], 3)
-        plan = Plan.source().distinct()
-        result = BatchExecutor(cluster).run(plan, ds)
-        assert sorted(result.records) == [1, 2, 3]
-
 
 class TestBatchCosting:
     def test_narrow_only_plan_has_one_stage_no_shuffle(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analytics import group_aggregate, hash_join, order_by, select
 from repro.cluster import uniform_cluster
 from repro.errors import PlanError
 from repro.frameworks import (
@@ -27,6 +26,14 @@ def _executor():
 
 def _rows():
     return sales_table(500, seed=31)
+
+
+def _sums(rows, key, column):
+    """``{key value: sum of column}`` over ``rows``."""
+    sums = {}
+    for row in rows:
+        sums[row[key]] = sums.get(row[key], 0.0) + row[column]
+    return sums
 
 
 def _dataset(rows=None):
@@ -97,21 +104,13 @@ class TestCompilation:
         with pytest.raises(PlanError):
             Aggregation("median", "a", "m")
 
-    def test_bad_limit(self):
-        with pytest.raises(PlanError):
-            Query.table().limit(0)
-
-    def test_empty_select_rejected(self):
-        with pytest.raises(PlanError):
-            Query.table().select()
-
 
 class TestExecution:
     def test_where_matches_reference_select(self):
         rows = _rows()
         query = Query.table().where("region", "==", "EU")
         got = run_query(_executor(), query, _dataset(rows))
-        expected = select(rows, lambda r: r["region"] == "EU")
+        expected = [r for r in rows if r["region"] == "EU"]
         assert sorted(r["order_id"] for r in got) == sorted(
             r["order_id"] for r in expected
         )
@@ -122,10 +121,10 @@ class TestExecution:
             "sector", Aggregation("sum", "amount", "sum")
         )
         got = run_query(_executor(), query, _dataset(rows))
-        expected = group_aggregate(rows, "sector", "amount", "sum")
-        got_map = {r["sector"]: r["sum"] for r in got}
-        for row in expected:
-            assert got_map[row["sector"]] == pytest.approx(row["sum"])
+        expected = _sums(rows, "sector", "amount")
+        assert {r["sector"] for r in got} == set(expected)
+        for row in got:
+            assert row["sum"] == pytest.approx(expected[row["sector"]])
 
     def test_multiple_aggregates(self):
         rows = _rows()
@@ -149,60 +148,35 @@ class TestExecution:
         query = Query.table().join(dims, left_key="sector",
                                    right_key="sector")
         got = run_query(_executor(), query, _dataset(rows))
-        expected = hash_join(rows, dims, key="sector")
-        assert len(got) == len(expected)
+        sectors = {d["sector"] for d in dims}
+        assert len(got) == sum(r["sector"] in sectors for r in rows)
         assert all("multiplier" in r for r in got)
 
     def test_order_by_descending_with_limit(self):
         rows = _rows()
-        query = (
-            Query.table()
-            .order_by("amount", descending=True)
-            .limit(5)
-        )
-        got = run_query(_executor(), query, _dataset(rows))
-        reference = order_by(rows, "amount", descending=True)[:5]
+        query = Query.table().order_by("amount", descending=True)
+        got = run_query(_executor(), query, _dataset(rows))[:5]
+        reference = sorted(rows, key=lambda r: r["amount"], reverse=True)[:5]
         assert [r["order_id"] for r in got] == [
             r["order_id"] for r in reference
         ]
 
-    def test_select_projects_columns(self):
-        query = Query.table().select("order_id", "amount")
-        got = run_query(_executor(), query, _dataset())
-        assert all(set(r) == {"order_id", "amount"} for r in got)
-
     def test_full_query_pipeline(self):
-        # WHERE + GROUP BY + ORDER BY + LIMIT: the paper's SQL archetype.
+        # WHERE + GROUP BY + ORDER BY: the paper's SQL archetype.
         rows = _rows()
         query = (
             Query.table()
             .where("region", "==", "EU")
             .group_by("sector", Aggregation("sum", "amount", "total"))
             .order_by("total", descending=True)
-            .limit(2)
         )
         got = run_query(_executor(), query, _dataset(rows))
-        assert len(got) == 2
-        assert got[0]["total"] >= got[1]["total"]
-        # Cross-check against the relational reference implementation.
-        eu = select(rows, lambda r: r["region"] == "EU")
-        reference = order_by(
-            group_aggregate(eu, "sector", "amount", "sum"), "sum",
-            descending=True,
-        )[:2]
-        assert got[0]["total"] == pytest.approx(reference[0]["sum"])
-
-    def test_limit_plans_are_single_use(self):
-        query = Query.table().limit(3)
-        plan = query.compile()
-        executor = _executor()
-        first = executor.run(plan, _dataset()).records
-        second = executor.run(plan, _dataset()).records
-        assert len(first) == 3
-        assert len(second) == 0  # documented single-use behaviour
-        # Recompiling resets the counter.
-        third = executor.run(query.compile(), _dataset()).records
-        assert len(third) == 3
+        totals = [r["total"] for r in got]
+        assert totals == sorted(totals, reverse=True)
+        eu = [r for r in rows if r["region"] == "EU"]
+        assert totals[0] == pytest.approx(
+            max(_sums(eu, "sector", "amount").values())
+        )
 
     def test_missing_column_surfaces(self):
         query = Query.table().where("ghost", "==", 1)

@@ -42,7 +42,7 @@ class TestIterative:
         )
         # base doubles, last step (i=2) adds 2.
         assert sorted(report.final_records)[:3] == [2, 4, 6]
-        assert report.n_iterations == 3
+        assert len(report.iteration_times_s) == 3
 
     def test_cached_faster_than_uncached(self):
         result = caching_speedup(

@@ -103,19 +103,6 @@ class TestIncrementalSolverUnit:
         )
         assert solver.allocations == expected_rates
 
-    def test_external_mutation_resynced_on_refresh(self):
-        fabric, flows, solver = self._solver()
-        fabric.fail_link("agg0-0", "core0-0")  # behind the solver's back
-        solver.refresh()
-        assert solver.full_solves == 2
-        mirror = fat_tree(4)
-        mirror.fail_link("agg0-0", "core0-0")
-        expected_rates, expected_paths = _reference_state(
-            mirror, _seeded_flows(mirror, 42, 12)
-        )
-        assert solver.allocations == expected_rates
-        assert {f.flow_id: f.path for f in flows} == expected_paths
-
     def test_restore_link_with_endpoint_down_keeps_allocations(self):
         fabric, flows, solver = self._solver()
         solver.fail_link("agg0-0", "core0-0")
@@ -200,7 +187,7 @@ class TestIncrementalMatchesFullSolve:
                     _reference_state(mirror, mirror_flows)
                 getattr(fabric, undo_of[method])(*args)
                 getattr(mirror, undo_of[method])(*args)
-                solver.refresh()
+                solver._ensure_synced()
             else:
                 getattr(mirror, method)(*args)
                 if method == "fail_link":

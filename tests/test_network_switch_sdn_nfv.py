@@ -74,15 +74,6 @@ class TestFleetTco:
 
 
 class TestFlowTable:
-    def test_install_and_lookup_priority(self):
-        table = FlowTable(capacity=10)
-        table.install(FlowRule("10.0.0.0/8", "drop", priority=1))
-        table.install(FlowRule("10.0.0.0/8", "fwd:p1", priority=5))
-        assert table.lookup("10.0.0.0/8").action == "fwd:p1"
-
-    def test_miss_returns_none(self):
-        assert FlowTable().lookup("nope") is None
-
     def test_tcam_overflow(self):
         table = FlowTable(capacity=1)
         table.install(FlowRule("a", "x"))

@@ -9,7 +9,6 @@ from repro.errors import ModelError, TopologyError
 from repro.network import (
     ETHERNET_ROADMAP,
     Fabric,
-    Link,
     commodity_generation,
     disaggregated_fabric,
     ecmp_path_for_flow,
@@ -51,12 +50,6 @@ class TestLinkGenerations:
     def test_generations_sorted_by_volume_year(self):
         years = [g.volume_year for g in generations_by_year()]
         assert years == sorted(years)
-
-    def test_link_validation(self):
-        with pytest.raises(ModelError):
-            Link("a", "a", 10.0)
-        with pytest.raises(ModelError):
-            Link("a", "b", 0.0)
 
 
 class TestFabricConstruction:

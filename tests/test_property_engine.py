@@ -4,12 +4,7 @@ randomness/metrics utilities."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    RandomStream,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.engine import RandomStream, Resource, Simulator
 
 
 class TestSimulatorProperties:
@@ -59,50 +54,6 @@ class TestSimulatorProperties:
         sim.run()
         assert peak["value"] <= capacity
         assert resource.in_use == 0  # everything released
-
-    @given(items=st.lists(st.integers(), min_size=1, max_size=50))
-    def test_store_preserves_fifo_order(self, items):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def producer(sim):
-            for item in items:
-                yield store.put(item)
-
-        def consumer(sim):
-            for _ in items:
-                value = yield store.get()
-                received.append(value)
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert received == items
-
-    @given(
-        items=st.lists(st.integers(), min_size=1, max_size=30),
-        capacity=st.integers(min_value=1, max_value=5),
-    )
-    def test_bounded_store_still_delivers_everything(self, items, capacity):
-        sim = Simulator()
-        store = Store(sim, capacity=capacity)
-        received = []
-
-        def producer(sim):
-            for item in items:
-                yield store.put(item)
-
-        def consumer(sim):
-            for _ in items:
-                yield sim.timeout(0.1)
-                value = yield store.get()
-                received.append(value)
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert received == items
 
 
 class TestRandomStreamProperties:

@@ -3,16 +3,10 @@ kernels and the schedulers."""
 
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytics import (
-    group_aggregate,
-    hash_join,
-    pagerank,
-    tokenize,
-)
+from repro.analytics import tokenize
 from repro.cluster import uniform_cluster
 from repro.core import greedy_portfolio, optimize_portfolio, score_all
 from repro.frameworks import BatchExecutor, PartitionedDataset, Plan
@@ -93,17 +87,6 @@ class TestBatchExecutorProperties:
         assert result.records == sorted(values)
 
     @given(
-        values=st.lists(st.integers(min_value=0, max_value=20),
-                        min_size=1, max_size=100),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_distinct_equals_set(self, values):
-        dataset = PartitionedDataset.from_records(values, 4)
-        plan = Plan.source().distinct()
-        result = BatchExecutor(_CLUSTER).run(plan, dataset)
-        assert sorted(result.records) == sorted(set(values))
-
-    @given(
         values=st.lists(st.integers(min_value=-100, max_value=100),
                         min_size=1, max_size=100),
         threshold=st.integers(min_value=-100, max_value=100),
@@ -116,60 +99,6 @@ class TestBatchExecutorProperties:
         assert sorted(result.records) == sorted(
             v for v in values if v > threshold
         )
-
-
-class TestRelationalProperties:
-    @given(
-        left_keys=st.lists(st.integers(min_value=0, max_value=5),
-                           min_size=0, max_size=20),
-        right_keys=st.lists(st.integers(min_value=0, max_value=5),
-                            min_size=0, max_size=20),
-    )
-    def test_hash_join_matches_nested_loop(self, left_keys, right_keys):
-        left = [{"k": k, "l": i} for i, k in enumerate(left_keys)]
-        right = [{"k": k, "r": i} for i, k in enumerate(right_keys)]
-        joined = hash_join(left, right, key="k")
-        expected = sum(
-            1 for lk in left_keys for rk in right_keys if lk == rk
-        )
-        assert len(joined) == expected
-
-    @given(rows=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3),
-                  st.floats(min_value=-100, max_value=100)),
-        min_size=1, max_size=50,
-    ))
-    def test_group_sum_matches_manual(self, rows):
-        records = [{"g": g, "v": v} for g, v in rows]
-        result = group_aggregate(records, "g", "v", "sum")
-        manual = {}
-        for g, v in rows:
-            manual[g] = manual.get(g, 0.0) + v
-        got = {r["g"]: r["sum"] for r in result}
-        assert set(got) == set(manual)
-        for key in manual:
-            assert got[key] == __import__("pytest").approx(manual[key])
-
-
-class TestGraphProperties:
-    @given(
-        n=st.integers(min_value=2, max_value=15),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=30)
-    def test_pagerank_is_a_distribution(self, n, seed):
-        rng = np.random.default_rng(seed)
-        nodes = [f"n{i}" for i in range(n)]
-        graph = {
-            node: [
-                nodes[j]
-                for j in rng.choice(n, size=rng.integers(0, n), replace=False)
-            ]
-            for node in nodes
-        }
-        ranks = pagerank(graph)
-        assert sum(ranks.values()) == __import__("pytest").approx(1.0)
-        assert all(r > 0 for r in ranks.values())
 
 
 class TestSchedulerProperties:

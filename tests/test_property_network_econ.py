@@ -9,7 +9,6 @@ from repro.econ import (
     PROCESS_CATALOG,
     die_cost_usd,
     npv,
-    payback_period_years,
     yield_negative_binomial,
     yield_poisson,
 )
@@ -100,22 +99,6 @@ class TestEconProperties:
     ):
         positive = [abs(c) for c in cashflows]
         assert npv(positive, rate) <= sum(positive) + 1e-9
-
-    @given(
-        upfront=st.floats(min_value=1.0, max_value=1e6),
-        yearly=st.floats(min_value=1.0, max_value=1e6),
-        years=st.integers(min_value=1, max_value=10),
-    )
-    def test_payback_consistent_with_cumulative_sum(self, upfront, yearly, years):
-        flows = [-upfront] + [yearly] * years
-        payback = payback_period_years(flows)
-        if yearly * years >= upfront:
-            assert payback is not None
-            assert 0 < payback <= years
-            # Cumulative flow at the reported time is ~zero or positive.
-            assert yearly * payback >= upfront - 1e-6 * max(upfront, 1.0)
-        else:
-            assert payback is None
 
     @given(
         area=st.floats(min_value=1.0, max_value=800.0),

@@ -27,6 +27,7 @@ from repro.core.records import (
     of,
     one_of,
 )
+from repro.engine import Registry
 from repro.errors import JournalError, RecordError, ServiceError
 from repro.runner.cache import ResultCache
 from repro.runner.journal import JOURNAL_SCHEMA, JournalWriter, replay_grid
@@ -226,7 +227,7 @@ class TestOutsideRecordRegressions:
     def test_cache_entry_with_overflowing_attempts_is_quarantined(
         self, tmp_path
     ):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache", registry=Registry())
         key = "e" * 64
         cache.put(key, RunResult(experiment_id="E4", seed=0))
         path = cache.root / key[:2] / f"{key}.json"
@@ -236,17 +237,17 @@ class TestOutsideRecordRegressions:
         )
         assert cache.get(key) is None
         assert path.with_suffix(".corrupt").exists()
-        assert cache.quarantined == 1
+        assert cache.registry.counter("runner.cache_corrupt").value == 1
 
     def test_cache_entry_that_is_not_utf8_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache", registry=Registry())
         key = "f" * 64
         cache.put(key, RunResult(experiment_id="E4", seed=0))
         path = cache.root / key[:2] / f"{key}.json"
         path.write_bytes(b'{"experiment": "\xff"}')
         assert cache.get(key) is None
         assert path.with_suffix(".corrupt").exists()
-        assert cache.quarantined == 1
+        assert cache.registry.counter("runner.cache_corrupt").value == 1
 
     def test_journal_index_must_be_an_int(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.observability import Registry
-from repro.errors import ModelError, RegistryError
+from repro.errors import ConfigError, ModelError, RegistryError
 from repro.reporting import get_experiment, run_trace
 from repro.runner import (
     QUICK_CONFIGS,
@@ -94,6 +94,16 @@ def pid_entrypoint(config, seed):
         config=dict(config),
         metrics={"pid": os.getpid()},
     )
+
+
+def _counted_cache(tmp_path):
+    """A cache whose quarantines land on its own ``Registry``."""
+    return ResultCache(tmp_path / "cache", registry=Registry())
+
+
+def _corrupt(cache):
+    """The cache's ``runner.cache_corrupt`` count."""
+    return cache.registry.counter("runner.cache_corrupt").value
 
 
 def _shard(entrypoint_name, experiment_id, index=0, seed=0, config=None):
@@ -270,31 +280,29 @@ class TestCache:
         # The bad entry was moved aside, not left to fail every read.
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
-        assert cache.quarantined == 1
         assert registry.counter("runner.cache_corrupt").value == 1
         # Quarantined entries no longer count as cached.
         assert len(cache) == 0
 
     def test_deeply_nested_entry_quarantines(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = _counted_cache(tmp_path)
         key = "d" * 64
         cache.put(key, RunResult(experiment_id="E4", seed=0))
         path = cache.root / key[:2] / f"{key}.json"
         path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
         assert cache.get(key) is None
         assert path.with_suffix(".corrupt").exists()
-        assert cache.quarantined == 1
-        assert cache.misses == 1
+        assert _corrupt(cache) == 1
 
     def test_schema_mismatch_quarantines(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = _counted_cache(tmp_path)
         key = "c" * 64
         cache.put(key, RunResult(experiment_id="E4", seed=0))
         path = cache.root / key[:2] / f"{key}.json"
         path.write_text('{"schema": "other/v9"}', encoding="utf-8")
         assert cache.get(key) is None
         assert path.with_suffix(".corrupt").exists()
-        assert cache.quarantined == 1
+        assert _corrupt(cache) == 1
 
     def test_no_cache_flag_stores_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -319,16 +327,14 @@ class TestCache:
         # quarantine now loses the race and must be a silent success.
         reader_b._quarantine(path)
         assert reader_b.get(key) is None
-        assert reader_a.quarantined == 1
-        assert reader_b.quarantined == 0
         assert registry.counter("runner.cache_corrupt").value == 1
         assert path.with_suffix(".corrupt").exists()
 
     def test_quarantine_of_already_missing_entry_is_a_noop(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = _counted_cache(tmp_path)
         missing = cache.root / "ee" / f"{'e' * 64}.json"
         cache._quarantine(missing)
-        assert cache.quarantined == 0
+        assert _corrupt(cache) == 0
 
     def test_concurrent_writers_of_one_key_cannot_collide(self, tmp_path):
         # put() goes through atomic_write_text with (pid, serial)-unique
@@ -437,11 +443,11 @@ class TestFailurePaths:
         assert not result.retryable
 
     def test_invalid_pool_arguments_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_shards([], jobs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_shards([], retries=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_shards([], jobs=2, timeout_s=0.0)
 
     def test_pooled_failures_do_not_block_other_shards(self):
@@ -601,7 +607,7 @@ class TestWorkerPool:
         assert pool.worker_pids() == []
         with pytest.raises(RuntimeError, match="closed"):
             pool.run([_shard("ok_entrypoint", "T-OK")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             WorkerPool(0)
 
 
@@ -687,6 +693,22 @@ class TestRunCli:
         rc = main(["run", "E999", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "runnable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--retries", "-1"], "'retries' must be an integer >= 0"),
+    ], ids=["jobs-0", "retries-negative"])
+    def test_out_of_domain_flag_exits_2(self, tmp_path, capsys, flag,
+                                        message):
+        from repro.__main__ import main
+
+        rc = main(["run", "E4", "--quick", "--no-cache",
+                   "--out-dir", str(tmp_path)] + flag)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "results.json").exists()
 
     def test_set_overrides_reach_the_entrypoint(self, tmp_path):
         from repro.__main__ import main

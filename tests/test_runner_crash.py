@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.runner.api import run_grid
 from repro.runner.journal import journal_path, read_journal
 from repro.runner.pool import ShardSpec, WorkerPool, run_shards
@@ -258,7 +259,7 @@ class TestCrashByteIdentity:
         assert _canonical(again) == _canonical(first)
 
     def test_resume_requires_a_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
+        with pytest.raises(ConfigError, match="cache_dir"):
             run_grid("X16", seeds=1,
                      overrides=[{"probe": True}], resume=True)
 

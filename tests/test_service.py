@@ -21,10 +21,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client import ServiceClient
 from repro.engine import Registry
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.runner import RunResult
 from repro.runner import api as runner_api
 from repro.runner import entrypoints
@@ -352,6 +354,67 @@ class TestFrameDecoding:
         ]
         for frame, expected in cases:
             assert _read_both_ways(frame) == [expected, expected]
+
+
+#: Fragments that steer arbitrary bytes toward the parsers' branches.
+_HTTP_PIECES = st.sampled_from([
+    b"GET /v1/healthz HTTP/1.1\r\n", b"POST /v1/jobs HTTP/1.1\r\n",
+    b"Content-Length: ", b"content-length:", b"0", b"7", b"-1", b"+5",
+    b"\xd9\xa3", b"9" * 30, b"\r\n", b"\n", b"\r\n\r\n", b":", b" ",
+    b"X-Filler: y\r\n" * 3, b"a" * 100, b"\x00", b"\xff",
+])
+_FRAME_PIECES = st.sampled_from([
+    b"\x81", b"\x88", b"\x89", b"\x81\x05", b"\x81\x85", b"\x81\x7e",
+    b"\x81\xfe", b"\x82\x7f", b"\x82\xff", b"\x00\x05", b"\xff" * 8,
+    b"\x12\x34\x56\x78", b"hello",
+])
+
+
+def _wire_bytes(pieces):
+    """Arbitrary bytes, or a run of ``pieces`` and arbitrary bytes."""
+    return st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.one_of(pieces, st.binary(max_size=16)),
+                 max_size=24).map(b"".join),
+    )
+
+
+def _value_or_repro_error(call):
+    """``call()``'s value, or the :class:`ReproError` it raised."""
+    try:
+        return call()
+    except ReproError as exc:
+        return exc
+
+
+class TestWireParsersTakeAnyBytes:
+    """Bytes from a peer parse to a value or ``None``, or raise a
+    :mod:`repro.errors` type; nothing else escapes."""
+
+    @given(data=_wire_bytes(_HTTP_PIECES),
+           limit=st.sampled_from([16, 64, 2 ** 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_read_http_request(self, data, limit):
+        async def read():
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await wire.read_http_request(reader)
+
+        outcome = _value_or_repro_error(lambda: asyncio.run(read()))
+        assert outcome is None or isinstance(
+            outcome, (wire.HttpRequest, ReproError)
+        )
+
+    @given(data=_wire_bytes(_FRAME_PIECES))
+    @settings(max_examples=200, deadline=None)
+    def test_read_frame_blocking(self, data):
+        outcome = _value_or_repro_error(
+            lambda: wire.read_frame_blocking(io.BytesIO(data))
+        )
+        assert outcome is None or isinstance(outcome, ReproError) or (
+            isinstance(outcome, tuple) and isinstance(outcome[1], bytes)
+        )
 
 
 def _raw_exchange(handle, payload: bytes):

@@ -30,6 +30,7 @@ from repro.engine import Observability, Simulator
 from repro.engine.randomness import RandomStream
 from repro.engine.sim import _KIND_CALLBACK, SimulationError
 from repro.errors import ModelError
+from repro.mc import traffic
 from repro.mc.traffic import (
     FlashCrowd,
     ScenarioSpec,
@@ -37,7 +38,6 @@ from repro.mc.traffic import (
     client_ids,
     peak_rate,
     poisson_inter_arrivals,
-    rate_curve,
     scenario_trace,
     session_lengths,
 )
@@ -136,9 +136,11 @@ class TestArrivalEquivalence:
         spec = COMPONENT_SPECS["composed"]
         grid = np.linspace(0.0, spec.horizon_s, 10_001)
         bound = peak_rate(spec)
-        # MMPP excluded from rate_curve; its multiplier is part of the
-        # bound, so deterministic rate * burst multiplier must fit too.
-        assert float(np.max(rate_curve(spec, grid))) * spec.burst_multiplier <= bound
+        # The deterministic rate (diurnal curve and flash crowds) times
+        # the MMPP burst multiplier must fit under the thinning bound.
+        rate = (spec.base_rate_hz * traffic._diurnal_factor(spec, grid)
+                * traffic._flash_factor(spec, grid))
+        assert float(np.max(rate)) * spec.burst_multiplier <= bound
 
 
 class TestSessionAndClientEquivalence:
