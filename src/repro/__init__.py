@@ -25,10 +25,10 @@ submodules:
   from :mod:`repro.reporting`.
 - :class:`Simulator` / :class:`Observability` -- the deterministic DES
   kernel and its metrics/span substrate; from :mod:`repro.engine`.
-- :func:`partition_fabric` / :class:`ShardedSimulation` and
-  :func:`simulate_fabric` / :func:`simulate_fabric_sharded` -- the
-  sharded conservative-time engine and its reference fabric workload;
-  from :mod:`repro.engine` and :mod:`repro.workloads`.
+- :class:`ShardedSimulation` and :func:`simulate_fabric` /
+  :func:`simulate_fabric_sharded` -- the sharded conservative-time
+  engine and its reference fabric workload, which cuts its own
+  shards; from :mod:`repro.engine` and :mod:`repro.workloads`.
 - :class:`FaultInjector` / :class:`FaultSpec` and :func:`with_deadline`
   -- runtime fault injection and the deadline primitive; from
   :mod:`repro.engine`, which also holds the event-chain retry and hedge
@@ -73,7 +73,6 @@ from repro.engine import (
     RetryPolicy,
     ShardedSimulation,
     Simulator,
-    partition_fabric,
     with_deadline,
 )
 from repro.reporting import (
@@ -117,7 +116,6 @@ __all__ = [
     "generate_corpus",
     "get_experiment",
     "mc",
-    "partition_fabric",
     "render_table",
     "run_experiment",
     "run_grid",

@@ -267,18 +267,23 @@ def _cmd_trace(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from repro.errors import ReproError
     from repro.service.server import ExperimentService
 
-    service = ExperimentService(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
-        max_pending=args.max_pending,
-        max_active=args.max_active,
-        per_client=args.per_client,
-    )
+    try:
+        service = ExperimentService(
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            use_cache=not args.no_cache,
+            max_pending=args.max_pending,
+            max_active=args.max_active,
+            per_client=args.per_client,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     async def body() -> None:
         host, port = await service.start()

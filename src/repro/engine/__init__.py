@@ -10,8 +10,8 @@ counted :class:`~repro.engine.resources.Resource`;
 :mod:`~repro.engine.faults` injects deterministic runtime faults;
 :mod:`~repro.engine.resilience` provides retry/deadline/hedge
 primitives as event chains; and :mod:`~repro.engine.sharded`
-runs one kernel per fabric shard under conservative time-window
-synchronization, bit-for-bit equivalent to a single-process run.
+runs one kernel per shard of a workload's cut under conservative
+time-window synchronization, bit-for-bit equivalent to a single-process run.
 """
 
 from repro.engine.faults import (
@@ -38,12 +38,7 @@ from repro.engine.resilience import (
     with_deadline,
 )
 from repro.engine.resources import Resource
-from repro.engine.sharded import (
-    ShardPlan,
-    ShardedRunResult,
-    ShardedSimulation,
-    partition_fabric,
-)
+from repro.engine.sharded import ShardedRunResult, ShardedSimulation
 from repro.engine.sim import Event, ProcessHandle, Simulator, Timeout
 
 __all__ = [
@@ -62,7 +57,6 @@ __all__ = [
     "Registry",
     "Resource",
     "RetryPolicy",
-    "ShardPlan",
     "ShardedRunResult",
     "ShardedSimulation",
     "Simulator",
@@ -70,7 +64,6 @@ __all__ = [
     "SpanLog",
     "Timeout",
     "hedge_events",
-    "partition_fabric",
     "retry_events",
     "with_deadline",
 ]

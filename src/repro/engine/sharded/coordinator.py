@@ -2,8 +2,8 @@
 
 A :class:`ShardedSimulation` drives ``n_shards`` independent
 :class:`~repro.engine.sim.Simulator` instances -- one per shard of a
-:class:`~repro.engine.sharded.partition.ShardPlan` -- through barrier-
-synchronous conservative time windows:
+workload's cut -- through barrier-synchronous conservative time
+windows:
 
 1. the *window base* is the global minimum next-event time over every
    shard calendar and every in-flight boundary event (skip-ahead: idle
@@ -16,28 +16,28 @@ synchronous conservative time windows:
    shard (an empty exchange is a null message: it still advances every
    clock), and the loop repeats until all shards quiesce.
 
-The workload side plugs in through a *shard adapter* -- any object with
-``build_runtime(shard_id)`` returning a runtime exposing
+The workload side plugs in through ``build_runtime(shard_id)``, which
+returns a runtime exposing
 ``next_time() -> float | None``,
 ``schedule_incoming(events) -> None``,
 ``advance(window_end) -> list[BoundaryEvent]`` and
 ``finalize() -> (records, metrics)``. ``advance(math.inf)`` must run the
 shard to quiescence (the single-shard / empty-cut case).
 
-Two drivers share the window loop: *inline* (every shard in this
-process, round-robin -- determinism debugging, tests, Windows) and
-*fork* (one worker process per shard exchanging pickled messages over
-pipes, the :mod:`repro.runner.pool` idiom -- fork start method, duplex
-pipes, daemon workers, terminate-on-error). Both produce identical
-barriers, outboxes and merged traces; only wall-clock differs.
+One window loop serves both drivers; they differ only in how a shard
+is reached. *Inline* calls every runtime directly in this process
+(determinism debugging, tests, Windows); *fork* gives each shard a
+worker process that answers the same commands over a pipe, the
+:mod:`repro.runner.pool` idiom -- fork start method, duplex pipes,
+daemon workers, terminate-on-error. Both produce identical barriers,
+outboxes and merged traces; only wall-clock differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.engine.sharded.partition import ShardPlan
 from repro.engine.sharded.sync import (
     BoundaryEvent,
     TraceRecord,
@@ -67,186 +67,174 @@ class ShardedRunResult:
 
 
 class ShardedSimulation:
-    """Drive a shard adapter to completion under conservative windows."""
+    """Drive per-shard runtimes to completion under conservative windows.
+
+    ``build_runtime(shard_id)`` builds one shard's runtime (see the
+    module docstring); it must be picklable, as a module-level
+    ``functools.partial`` is, since forked workers receive it.
+    ``lookahead_s`` is the smallest base latency over the links that
+    cross shards (``inf`` for an empty cut).
+    """
 
     def __init__(
         self,
-        adapter: Any,
-        plan: ShardPlan,
+        build_runtime: Callable[[int], Any],
+        n_shards: int,
+        lookahead_s: float,
         inline: bool = False,
     ) -> None:
-        self.adapter = adapter
-        self.plan = plan
+        self.build_runtime = build_runtime
+        self.n_shards = n_shards
+        self.lookahead_s = lookahead_s
         self.inline = inline
 
     def run(self) -> ShardedRunResult:
         """Run every shard to quiescence; merge traces deterministically."""
-        if self.inline or self.plan.n_shards == 1:
-            finals, rounds, boundary = self._run_inline()
-        else:
-            finals, rounds, boundary = self._run_fork()
-        records = merge_shard_traces([records for records, _ in finals])
-        return ShardedRunResult(
-            records=records,
-            shard_metrics=[metrics for _, metrics in finals],
-            rounds=rounds,
-            boundary_events=boundary,
-            n_shards=self.plan.n_shards,
-        )
-
-    # -- shared window arithmetic ------------------------------------------
-
-    @staticmethod
-    def _window(
-        next_times: List[Optional[float]],
-        pending: List[List[BoundaryEvent]],
-        lookahead_s: float,
-    ) -> Optional[float]:
-        times: List[Optional[float]] = list(next_times)
-        for box in pending:
-            for event in box:
-                times.append(event.when)
-        return next_window(times, lookahead_s)
-
-    # -- inline driver -----------------------------------------------------
-
-    def _run_inline(self):
-        n = self.plan.n_shards
-        runtimes = [self.adapter.build_runtime(i) for i in range(n)]
-        next_times = [runtime.next_time() for runtime in runtimes]
-        pending: List[List[BoundaryEvent]] = [[] for _ in range(n)]
-        rounds = 0
-        boundary = 0
-        while True:
-            window_end = self._window(
-                next_times, pending, self.plan.lookahead_s
-            )
-            if window_end is None:
-                break
-            rounds += 1
-            fresh: List[List[BoundaryEvent]] = [[] for _ in range(n)]
-            for i, runtime in enumerate(runtimes):
-                if pending[i]:
-                    pending[i].sort(key=_EVENT_KEY)
-                    runtime.schedule_incoming(pending[i])
-                outbox = runtime.advance(window_end)
-                next_times[i] = runtime.next_time()
-                for event in outbox:
-                    fresh[event.dest_shard].append(event)
-                    boundary += 1
-            pending = fresh
-        finals = [runtime.finalize() for runtime in runtimes]
-        return finals, rounds, boundary
-
-    # -- fork driver -------------------------------------------------------
-
-    def _run_fork(self):
-        from repro.runner.pool import _mp_context
-
-        context = _mp_context()
-        n = self.plan.n_shards
-        workers = []
+        n = self.n_shards
+        shard_type = _InlineShard if self.inline or n == 1 else _ForkedShard
+        shards: List[Any] = []
         try:
             for shard_id in range(n):
-                parent_conn, child_conn = context.Pipe(duplex=True)
-                process = context.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, self.adapter, shard_id),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                workers.append((process, parent_conn))
-            next_times = [
-                self._receive(conn, shard_id, "ready")
-                for shard_id, (_, conn) in enumerate(workers)
-            ]
+                shards.append(shard_type(self.build_runtime, shard_id))
+            next_times = [shard.receive("ready") for shard in shards]
             pending: List[List[BoundaryEvent]] = [[] for _ in range(n)]
             rounds = 0
             boundary = 0
             while True:
-                window_end = self._window(
-                    next_times, pending, self.plan.lookahead_s
-                )
+                times = list(next_times)
+                for box in pending:
+                    times.extend(event.when for event in box)
+                window_end = next_window(times, self.lookahead_s)
                 if window_end is None:
                     break
                 rounds += 1
-                for shard_id, (_, conn) in enumerate(workers):
-                    inbox = pending[shard_id]
+                for shard, inbox in zip(shards, pending):
                     inbox.sort(key=_EVENT_KEY)
-                    conn.send(("advance", window_end, inbox))
+                    shard.send(("advance", window_end, inbox))
                 pending = [[] for _ in range(n)]
-                for shard_id, (_, conn) in enumerate(workers):
-                    outbox, next_times[shard_id] = self._receive(
-                        conn, shard_id, "advanced"
-                    )
+                for shard_id, shard in enumerate(shards):
+                    outbox, next_times[shard_id] = shard.receive("advanced")
                     for event in outbox:
                         pending[event.dest_shard].append(event)
-                        boundary += 1
+                    boundary += len(outbox)
             finals = []
-            for shard_id, (_, conn) in enumerate(workers):
-                conn.send(("finalize",))
-                finals.append(self._receive(conn, shard_id, "final"))
-            return finals, rounds, boundary
+            for shard in shards:
+                shard.send(("finalize",))
+                finals.append(shard.receive("final"))
         finally:
-            for process, conn in workers:
-                conn.close()
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - crash cleanup
-                    process.terminate()
-                    process.join()
+            for shard in shards:
+                shard.close()
+        return ShardedRunResult(
+            records=merge_shard_traces([records for records, _ in finals]),
+            shard_metrics=[metrics for _, metrics in finals],
+            rounds=rounds,
+            boundary_events=boundary,
+            n_shards=n,
+        )
 
-    @staticmethod
-    def _receive(conn, shard_id: int, expected: str):
+
+def _serve(runtime: Any, message: tuple) -> tuple:
+    """Apply one coordinator command to ``runtime``; return the reply.
+
+    - ``("advance", window_end, incoming)`` -> ``("advanced", (outbox,
+      next_time))``
+    - ``("finalize",)`` -> ``("final", (records, metrics))``
+    """
+    if message[0] == "advance":
+        _, window_end, incoming = message
+        if incoming:
+            runtime.schedule_incoming(incoming)
+        return "advanced", (runtime.advance(window_end), runtime.next_time())
+    if message[0] == "finalize":
+        return "final", runtime.finalize()
+    raise SimulationError(  # pragma: no cover - protocol bug
+        f"unknown shard command {message[0]!r}"
+    )
+
+
+class _InlineShard:
+    """A shard whose runtime lives in this process: direct calls."""
+
+    def __init__(self, build_runtime: Callable[[int], Any],
+                 shard_id: int) -> None:
+        self.runtime = build_runtime(shard_id)
+        self.reply = ("ready", self.runtime.next_time())
+
+    def send(self, message: tuple) -> None:
+        self.reply = _serve(self.runtime, message)
+
+    def receive(self, expected: str) -> Any:
+        return self.reply[1]
+
+    def close(self) -> None:
+        pass
+
+
+class _ForkedShard:
+    """A shard served by its own worker process over a duplex pipe."""
+
+    def __init__(self, build_runtime: Callable[[int], Any],
+                 shard_id: int) -> None:
+        from repro.runner.pool import _mp_context
+
+        context = _mp_context()
+        self.shard_id = shard_id
+        self.conn, child_conn = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=_shard_worker_main,
+            args=(child_conn, build_runtime, shard_id),
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+
+    def send(self, message: tuple) -> None:
+        self.conn.send(message)
+
+    def receive(self, expected: str) -> Any:
         try:
-            message = conn.recv()
+            message = self.conn.recv()
         except EOFError as error:  # pragma: no cover - worker crash
             raise SimulationError(
-                f"shard {shard_id} worker died before replying"
+                f"shard {self.shard_id} worker died before replying"
             ) from error
         if message[0] == "error":
             raise SimulationError(
-                f"shard {shard_id} worker failed:\n{message[1]}"
+                f"shard {self.shard_id} worker failed:\n{message[1]}"
             )
         if message[0] != expected:  # pragma: no cover - protocol bug
             raise SimulationError(
-                f"shard {shard_id}: expected {expected!r} reply, got "
+                f"shard {self.shard_id}: expected {expected!r} reply, got "
                 f"{message[0]!r}"
             )
         return message[1]
 
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():  # pragma: no cover - crash cleanup
+            self.process.terminate()
+            self.process.join()
 
-def _shard_worker_main(conn, adapter: Any, shard_id: int) -> None:
-    """Worker body: build the shard runtime, serve barrier rounds, exit.
 
-    Message protocol (parent -> worker / worker -> parent):
+def _shard_worker_main(conn, build_runtime: Callable[[int], Any],
+                       shard_id: int) -> None:
+    """Worker body: build the shard runtime, serve commands, exit.
 
-    - ``("advance", window_end, incoming)`` -> ``("advanced", (outbox,
-      next_time))``
-    - ``("finalize",)`` -> ``("final", (records, metrics))`` then exit.
-
-    Any exception ships back as ``("error", traceback)``.
+    Sends ``("ready", next_time)``, then answers each command with
+    :func:`_serve`'s reply until it has sent ``("final", ...)``. Any
+    exception ships back as ``("error", traceback)``.
     """
     import traceback
 
     try:
-        runtime = adapter.build_runtime(shard_id)
+        runtime = build_runtime(shard_id)
         conn.send(("ready", runtime.next_time()))
         while True:
-            message = conn.recv()
-            if message[0] == "advance":
-                _, window_end, incoming = message
-                if incoming:
-                    runtime.schedule_incoming(incoming)
-                outbox = runtime.advance(window_end)
-                conn.send(("advanced", (outbox, runtime.next_time())))
-            elif message[0] == "finalize":
-                conn.send(("final", runtime.finalize()))
+            reply = _serve(runtime, conn.recv())
+            conn.send(reply)
+            if reply[0] == "final":
                 return
-            else:  # pragma: no cover - protocol bug
-                raise SimulationError(
-                    f"shard {shard_id}: unknown command {message[0]!r}"
-                )
     except EOFError:  # pragma: no cover - parent died
         return
     except BaseException:

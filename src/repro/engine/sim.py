@@ -77,9 +77,9 @@ Observability is opt-in: attach a
 :class:`~repro.engine.observability.Observability` (pass it to the
 constructor, or build the simulator inside ``with obs:``) and
 ``sim.span(...)`` records spans, processes are
-accounted per name, and process errors are noted before the
-``on_process_error`` hook runs. Without one, the extra cost is a few
-``is None`` checks per event.
+accounted per name, and a process error is noted before it raises
+:class:`~repro.errors.ProcessFailure`. Without one, the extra cost is
+a few ``is None`` checks per event.
 
 Example
 -------
@@ -294,11 +294,6 @@ class ProcessHandle(Event):
         self.finished_at = self.sim.now
         return super().succeed(value)
 
-    def fail(self, exception: BaseException) -> "Event":
-        """Fire the handle with the exception that killed the process."""
-        self.finished_at = self.sim.now
-        return super().fail(exception)
-
     def _step(self, fired: Optional[Event]) -> None:
         """Advance the generator to its next wait.
 
@@ -325,8 +320,7 @@ class ProcessHandle(Event):
                     Event.succeed(self, stop.value)
                     return
                 except Exception as exc:
-                    self._crash(exc)
-                    return
+                    raise self._failure(exc) from exc
                 if not isinstance(target, Event) or not target._triggered:
                     break  # a wait (or a non-event, rejected below)
                 # Already fired: the resume entry add_callback would push
@@ -350,8 +344,7 @@ class ProcessHandle(Event):
                 self._finish(stop.value)
                 return
             except Exception as exc:
-                self._crash(exc)
-                return
+                raise self._failure(exc) from exc
             finally:
                 sim._active_process = None
         if not isinstance(target, Event):
@@ -378,28 +371,22 @@ class ProcessHandle(Event):
         if observability is not None:
             observability._note_process_end(self)
 
-    def _crash(self, exc: BaseException) -> None:
-        """Handle an exception that escaped the generator.
+    def _failure(self, exc: BaseException) -> ProcessFailure:
+        """The error to raise for an exception that escaped the generator.
 
-        Routes through the simulator's ``on_process_error`` hook; if the
-        hook returns truthy the process terminates failed and the run
-        continues, otherwise a :class:`~repro.errors.ProcessFailure`
-        carrying the process name and virtual time propagates out of
-        :meth:`Simulator.run`.
+        Observability (when attached) notes the error first; the
+        returned :class:`~repro.errors.ProcessFailure` carries the
+        process name and virtual time out of :meth:`Simulator.run`.
         """
         sim = self.sim
         observability = sim.observability
         if observability is not None:
             observability._note_process_error(self, exc)
-        hook = sim.on_process_error
-        if hook is not None and hook(self, exc):
-            self.fail(exc)
-            return
-        raise ProcessFailure(
+        return ProcessFailure(
             f"process {self.name!r} failed at t={sim.now:g}: {exc!r}",
             process_name=self.name,
             sim_time=sim.now,
-        ) from exc
+        )
 
 
 class _NullSpan:
@@ -428,15 +415,6 @@ class Simulator:
         Optional :class:`~repro.engine.observability.Observability` to
         attach; equivalent to calling ``observability.attach(sim)``.
         Defaults to the ambient one (:meth:`Observability.current`).
-
-    Attributes
-    ----------
-    on_process_error:
-        Optional hook ``(handle, exc) -> bool`` invoked when an
-        exception escapes a process generator; return truthy to mark the
-        failure handled (the process terminates failed, the run
-        continues) instead of aborting the run with
-        :class:`~repro.errors.ProcessFailure`.
     """
 
     def __init__(self, start: float = 0.0, observability: Any = None) -> None:
@@ -462,9 +440,6 @@ class Simulator:
         self._seq_next = self._sequence.__next__
         self._event_count = 0
         self.observability: Any = None
-        self.on_process_error: Optional[
-            Callable[[ProcessHandle, BaseException], bool]
-        ] = None
         self._active_process: Optional[ProcessHandle] = None
         if observability is None:
             observability = Observability.current()

@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.observability import Registry
-from repro.errors import ReproError, ServiceError
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.runner.journal import JournalWriter, read_journal
 from repro.runner.pool import WorkerPool
 from repro.service import wire
@@ -149,7 +149,9 @@ class ExperimentService:
     client's queued+running jobs. ``cache_dir`` enables the on-disk
     result cache (strongly recommended: it is what makes repeat
     submissions free). All metrics land in ``registry`` under
-    ``service.*`` and ``runner.*`` names.
+    ``service.*`` and ``runner.*`` names. ``jobs``, ``max_pending``,
+    ``max_active`` and ``per_client`` must each be at least 1, or
+    :class:`~repro.errors.ConfigError` is raised before anything binds.
     """
 
     def __init__(
@@ -164,12 +166,11 @@ class ExperimentService:
         per_client: int = 4,
         registry: Optional[Registry] = None,
     ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if max_active < 1:
-            raise ValueError(f"max_active must be >= 1, got {max_active}")
-        if per_client < 1:
-            raise ValueError(f"per_client must be >= 1, got {per_client}")
+        for name, value in (("jobs", jobs), ("max_pending", max_pending),
+                            ("max_active", max_active),
+                            ("per_client", per_client)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         self.host = host
         self.port = port
         self.jobs = jobs

@@ -7,13 +7,16 @@ two ways:
 
 - :func:`simulate_fabric` -- one :class:`~repro.engine.sim.Simulator`
   holds the whole fabric (the PR-2/PR-6 fast kernel, single process);
-- :func:`simulate_fabric_sharded` -- the fabric is cut by
-  :func:`~repro.engine.sharded.partition.partition_fabric` and each
-  shard runs its own simulator under the conservative window protocol of
+- :func:`simulate_fabric_sharded` -- :func:`_cut` splits the fabric
+  along its pods (leaves) and each shard runs its own simulator under
+  the conservative window protocol of
   :class:`~repro.engine.sharded.coordinator.ShardedSimulation`.
 
-Both produce the *identical* canonical trace and metrics, bit for bit,
-at any shard count -- the equivalence gate pinned in
+Every simulator, whole-fabric or one shard, is a
+:class:`_FabricShardRuntime`; the single-process engine is the runtime
+with no cut, run to quiescence in one window. Both ways produce the
+*identical* canonical trace and metrics, bit for bit, at any shard
+count -- the equivalence gate pinned in
 ``tests/test_engine_sharded.py``. The design constraints that make that
 possible (and that any other sharded workload must respect):
 
@@ -45,7 +48,6 @@ import numpy as np
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.engine.randomness import RandomStream
 from repro.engine.sharded.coordinator import ShardedSimulation
-from repro.engine.sharded.partition import ShardPlan, partition_fabric
 from repro.engine.sharded.sync import (
     BoundaryEvent,
     TraceRecord,
@@ -114,13 +116,23 @@ class FabricWorkload:
             )
         if self.n_requests < 1:
             raise SimulationError("n_requests must be >= 1")
-        if self.duration_s <= 0:
-            raise SimulationError("duration_s must be positive")
-        if min(self.edge_latency_s, self.agg_latency_s,
-               self.core_latency_s) <= 0:
-            raise SimulationError("tier latencies must be positive")
-        if self.jitter < 0:
-            raise SimulationError("jitter must be >= 0")
+        # Negated comparisons, so NaN fails each check too.
+        if not 0 < self.duration_s < math.inf:
+            raise SimulationError(
+                f"duration_s must be positive and finite, got "
+                f"{self.duration_s!r}"
+            )
+        # The tier latencies bound the sharded engine's lookahead.
+        for name in ("edge_latency_s", "agg_latency_s", "core_latency_s"):
+            latency = getattr(self, name)
+            if not 0 < latency < math.inf:
+                raise SimulationError(
+                    f"{name} must be positive and finite, got {latency!r}"
+                )
+        if not 0 <= self.jitter < math.inf:
+            raise SimulationError(
+                f"jitter must be finite and >= 0, got {self.jitter!r}"
+            )
         if not 1 <= self.max_hops <= _SEQ_STRIDE - 1:
             raise SimulationError(
                 f"max_hops must be in [1, {_SEQ_STRIDE - 1}]"
@@ -537,78 +549,85 @@ def summarize(
     }
 
 
-def simulate_fabric(
-    workload: FabricWorkload, record_hops: bool = False
-) -> FabricRunResult:
-    """Run the workload on one single-process simulator (the reference).
+def _cut(
+    workload: FabricWorkload,
+    tables: _Tables,
+    fabric: Fabric,
+    n_shards: int,
+) -> Tuple[Dict[str, int], Tuple[Tuple[str, str], ...], float]:
+    """Cut the fabric into ``n_shards`` shards along its own structure.
 
-    With ``record_hops`` every forwarding decision is recorded, not just
-    terminal deliver/drop events -- the high-detail mode the equivalence
-    tests compare hop-for-hop.
+    Group ``g`` is pod ``g``'s aggregation and ToR switches with their
+    hosts (on a leaf-spine: leaf ``g`` with its hosts); it goes whole
+    to shard ``g * n_shards // n_groups``. The cores (spines) are dealt
+    round-robin, ``j % n_shards`` in sorted name order. So only
+    agg--core (leaf--spine) links cross shards, and the smallest base
+    latency over those boundary links is the conservative lookahead
+    (``inf`` for an empty cut). Returns ``(owner, boundary_links,
+    lookahead_s)``; more shards than groups is refused.
     """
-    shared, tables = _structure(_shape(workload))
-    fabric = _fabric_view(shared)
-    src, dst, start = _generate_requests(workload, len(tables.hosts))
-    sim = Simulator()
-    dst_names = [tables.hosts[i] for i in dst.tolist()]
-    ctx = _ShardContext(
-        sim, fabric, tables, workload,
-        owner=None, shard_id=0, record_hops=record_hops,
+    is_fat_tree = tables.kind == "fat-tree"
+    n_groups = len(tables.tors if is_fat_tree else tables.leaves)
+    if not 1 <= n_shards <= n_groups:
+        raise SimulationError(
+            f"cannot cut {n_groups} {'pods' if is_fat_tree else 'leaves'}"
+            f" into {n_shards} shards; need 1 <= n_shards <= {n_groups}"
+        )
+    owner: Dict[str, int] = {}
+    tops: List[str] = []
+    for node, coords in tables.coords.items():
+        if coords[0] == 3:
+            tops.append(node)
+        else:
+            owner[node] = coords[1] * n_shards // n_groups
+    for j, node in enumerate(sorted(tops)):
+        owner[node] = j % n_shards
+    boundary = sorted(
+        fabric.link_key(a, b)
+        for a, b in fabric.graph.edges if owner[a] != owner[b]
     )
-    injector = _install_faults(workload, sim, fabric)
-    _schedule_requests(ctx, src, dst_names, start,
-                       range(workload.n_requests))
-    sim.run()
-    records = ctx.records
-    records.sort()
-    metrics = summarize(records, start, workload.n_requests)
-    metrics["fault_events"] = 0 if injector is None else len(injector.events)
-    diagnostics = {
-        "engine": "single",
-        "events_processed": sim.events_processed,
-        "switches": len(fabric.switches),
-        "hosts": len(tables.hosts),
-    }
-    return FabricRunResult(
-        records=records, metrics=metrics, diagnostics=diagnostics
+    lookahead = min(
+        (tables.base_latency(workload, a, b) for a, b in boundary),
+        default=math.inf,
     )
-
-
-@dataclass
-class _FabricShardAdapter:
-    """Builds one :class:`_FabricShardRuntime` per shard (picklable)."""
-
-    workload: FabricWorkload
-    plan: ShardPlan
-    record_hops: bool
-
-    def build_runtime(self, shard_id: int) -> "_FabricShardRuntime":
-        """The coordinator's per-shard construction hook."""
-        return _FabricShardRuntime(self, shard_id)
+    return owner, tuple(boundary), lookahead
 
 
 class _FabricShardRuntime:
-    """One shard's simulator + context behind the coordinator protocol."""
+    """One simulator over the whole fabric or over one shard of it.
 
-    def __init__(self, adapter: _FabricShardAdapter, shard_id: int) -> None:
-        workload = adapter.workload
+    ``owner`` maps every node to its shard (:func:`_cut`); ``None``
+    means this simulator holds the whole fabric. The methods are the
+    runtime protocol that
+    :class:`~repro.engine.sharded.coordinator.ShardedSimulation`
+    drives; :func:`simulate_fabric` drives one directly.
+    """
+
+    def __init__(
+        self,
+        workload: FabricWorkload,
+        owner: Optional[Dict[str, int]],
+        record_hops: bool,
+        shard_id: int,
+    ) -> None:
         shared, tables = _structure(_shape(workload))
         fabric = _fabric_view(shared)
-        src, dst, start = _generate_requests(workload, len(tables.hosts))
+        src, dst, self.start = _generate_requests(workload, len(tables.hosts))
         self.sim = Simulator()
         self.dst_names = [tables.hosts[i] for i in dst.tolist()]
         self.ctx = _ShardContext(
             self.sim, fabric, tables, workload,
-            owner=adapter.plan.owner, shard_id=shard_id,
-            record_hops=adapter.record_hops,
+            owner=owner, shard_id=shard_id, record_hops=record_hops,
         )
         self.injector = _install_faults(workload, self.sim, fabric)
-        owner = adapter.plan.owner
-        host_owner = np.array(
-            [owner[host] for host in tables.hosts], dtype=np.int64
-        )
-        rids = np.nonzero(host_owner[src] == shard_id)[0].tolist()
-        _schedule_requests(self.ctx, src, self.dst_names, start, rids)
+        if owner is None:
+            rids = range(workload.n_requests)
+        else:
+            host_owner = np.array(
+                [owner[host] for host in tables.hosts], dtype=np.int64
+            )
+            rids = np.nonzero(host_owner[src] == shard_id)[0].tolist()
+        _schedule_requests(self.ctx, src, self.dst_names, self.start, rids)
 
     def next_time(self) -> Optional[float]:
         """Earliest pending event time in this shard's calendar."""
@@ -647,6 +666,31 @@ class _FabricShardRuntime:
         return records, metrics
 
 
+def simulate_fabric(
+    workload: FabricWorkload, record_hops: bool = False
+) -> FabricRunResult:
+    """Run the workload on one single-process simulator (the reference).
+
+    With ``record_hops`` every forwarding decision is recorded, not just
+    terminal deliver/drop events -- the high-detail mode the equivalence
+    tests compare hop-for-hop.
+    """
+    runtime = _FabricShardRuntime(workload, None, record_hops, 0)
+    runtime.advance(math.inf)
+    records, shard_metrics = runtime.finalize()
+    metrics = summarize(records, runtime.start, workload.n_requests)
+    metrics["fault_events"] = shard_metrics["fault_events"]
+    diagnostics = {
+        "engine": "single",
+        "events_processed": shard_metrics["events_processed"],
+        "switches": len(runtime.ctx.fabric.switches),
+        "hosts": len(runtime.ctx.tables.hosts),
+    }
+    return FabricRunResult(
+        records=records, metrics=metrics, diagnostics=diagnostics
+    )
+
+
 def simulate_fabric_sharded(
     workload: FabricWorkload,
     shards: int,
@@ -655,20 +699,20 @@ def simulate_fabric_sharded(
 ) -> FabricRunResult:
     """Run the workload sharded; bit-for-bit equal to the reference.
 
-    ``shards`` picks the cut width (pod-aligned for fat-trees,
-    leaf-aligned for leaf-spine). ``inline`` keeps every shard in this
-    process (determinism debugging and tests); the default forks one
-    worker process per shard, exchanging boundary events over pipes in
-    the :mod:`repro.runner.pool` style.
+    ``shards`` picks the cut width (:func:`_cut`: pod-aligned for
+    fat-trees, leaf-aligned for leaf-spine). ``inline`` keeps every
+    shard in this process (determinism debugging and tests); the
+    default forks one worker process per shard, exchanging boundary
+    events over pipes in the :mod:`repro.runner.pool` style.
     """
     fabric, tables = _structure(_shape(workload))
-
-    def latency_fn(a: str, b: str) -> float:
-        return tables.base_latency(workload, a, b)
-
-    plan = partition_fabric(fabric, shards, latency_fn)
-    adapter = _FabricShardAdapter(workload, plan, record_hops)
-    outcome = ShardedSimulation(adapter, plan, inline=inline).run()
+    owner, boundary_links, lookahead_s = _cut(
+        workload, tables, fabric, shards
+    )
+    outcome = ShardedSimulation(
+        functools.partial(_FabricShardRuntime, workload, owner, record_hops),
+        shards, lookahead_s, inline=inline,
+    ).run()
     _src, _dst, start = _generate_requests(workload, len(tables.hosts))
     metrics = summarize(outcome.records, start, workload.n_requests)
     metrics["fault_events"] = outcome.shard_metrics[0]["fault_events"]
@@ -680,10 +724,9 @@ def simulate_fabric_sharded(
         "events_processed": sum(
             m["events_processed"] for m in outcome.shard_metrics
         ),
-        "boundary_links": len(plan.boundary_links),
+        "boundary_links": len(boundary_links),
         "lookahead_us": (
-            plan.lookahead_s * 1e6
-            if not math.isinf(plan.lookahead_s) else None
+            lookahead_s * 1e6 if not math.isinf(lookahead_s) else None
         ),
         "switches": len(fabric.switches),
         "hosts": len(tables.hosts),

@@ -57,7 +57,6 @@ TOP_LEVEL_SURFACE = [
     "generate_corpus",
     "get_experiment",
     "mc",
-    "partition_fabric",
     "render_table",
     "run_experiment",
     "run_grid",

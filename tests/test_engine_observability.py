@@ -128,40 +128,6 @@ class TestProcessFailureWrapping:
         assert isinstance(failure.__cause__, KeyError)
         assert isinstance(failure, SimulationError)
 
-    def test_on_process_error_hook_keeps_run_alive(self):
-        sim = Simulator()
-        handled = []
-
-        def broken(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("recoverable")
-
-        def healthy(sim):
-            yield sim.timeout(5.0)
-            handled.append(("healthy-done", sim.now))
-
-        sim.on_process_error = lambda handle, exc: (
-            handled.append((handle.name, repr(exc))) or True
-        )
-        crashed = sim.spawn(broken(sim), name="crashy")
-        sim.spawn(healthy(sim))
-        sim.run()
-        assert ("crashy", "ValueError('recoverable')") in handled
-        assert ("healthy-done", 5.0) in handled
-        assert crashed.triggered  # handle failed, waiters can observe it
-
-    def test_hook_returning_false_still_aborts(self):
-        sim = Simulator()
-        sim.on_process_error = lambda handle, exc: False
-
-        def broken(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("fatal")
-
-        sim.spawn(broken(sim))
-        with pytest.raises(ProcessFailure):
-            sim.run()
-
 
 class TestSpans:
     def test_nested_spans_track_parents(self):
@@ -222,7 +188,6 @@ class TestSpans:
     def test_span_error_tagging(self):
         obs = Observability()
         sim = Simulator(observability=obs)
-        sim.on_process_error = lambda handle, exc: True
 
         def proc(sim):
             with sim.span("failing"):
@@ -230,7 +195,8 @@ class TestSpans:
                 raise RuntimeError("inside span")
 
         sim.spawn(proc(sim))
-        sim.run()
+        with pytest.raises(ProcessFailure):
+            sim.run()
         # The span closes (via __exit__) and carries the error tag.
         span = obs.spans.spans()[0]
         assert span.name == "failing"

@@ -1,4 +1,4 @@
-"""Sharded conservative-time DES: partitioning, windows, equivalence.
+"""Sharded conservative-time DES: the cut, windows, equivalence.
 
 The load-bearing guarantee of :mod:`repro.engine.sharded` is not "close
 enough": the merged sharded trace and every end metric must be
@@ -7,13 +7,15 @@ count, in inline and fork mode, with and without injected faults --
 including faults on boundary links, where both endpoint shards must
 observe the identical fault timeline. These tests pin that equivalence
 (plus a golden trace digest in the ``_perfref`` style) and the
-partition/window/merge pieces it rests on.
+cut/window/merge pieces it rests on.
 """
 
+import hashlib
+import json
 import math
 import random
+import re
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +25,12 @@ from repro.engine.sharded import (
     exclusive_until,
     merge_shard_traces,
     next_window,
-    partition_fabric,
     trace_digest,
 )
 from repro.errors import SimulationError
-from repro.network.topology import Fabric, fat_tree, leaf_spine
 from repro.workloads.fabricsim import (
     FabricWorkload,
+    _cut,
     _fabric_view,
     _shape,
     _ShardContext,
@@ -96,69 +97,109 @@ K8_HOPS_WORKLOAD = FabricWorkload(
 )
 
 
-def _latency_fn(a: str, b: str) -> float:
-    return 1e-6
+# sha256 over (sorted owner map, boundary-link count, repr(lookahead))
+# at every shard count from 1 to the shape's pod (leaf) count, recorded
+# from the name-parsing partitioner that the structural cut replaced.
+# A change here moves which shard owns which node; recompute only for
+# a deliberate change of the cut rule:
+#   PYTHONPATH=src python tests/test_engine_sharded.py
+CUT_SHA256 = {
+    ("fat-tree", 4):
+        "87d5416012c403dd67001d5531e4afbb91920f82f96787af85dacef579ab1b9b",
+    ("fat-tree", 8):
+        "5275896c6d3f290961f2202f15a2a88e1dbd0c78fc396ead180da3627d4d686f",
+    ("fat-tree", 12):
+        "c0343d51ce2c1afe7dd949f943ed5b366fb94884a0316b47746644f86489226c",
+    ("fat-tree", 30):
+        "ebaa7001a20f15d3a016cedad306a6ffa3d3477745ed9539befe358796494252",
+    ("leaf-spine", 4, 8, 8):
+        "55f723bf21600e44251937d25db6b8a054843b1b216ac7e4690b36c6d3185aa2",
+    ("leaf-spine", 3, 12, 2):
+        "6ff4ae84a8c76896e25cdd08e550c4b249ba6c4d9d31ff59d3e91e6159ae245e",
+    ("leaf-spine", 16, 24, 4):
+        "55b838291e0b172b6eb5e02b2dd50e4fe6486087d365e635d8eeba342426f640",
+}
 
 
-# -- partitioning -----------------------------------------------------------
+def _workload_of(shape):
+    if shape[0] == "fat-tree":
+        return FabricWorkload(fabric="fat-tree", k=shape[1])
+    n_spines, n_leaves, hosts_per_leaf = shape[1:]
+    return FabricWorkload(fabric="leaf-spine", n_spines=n_spines,
+                          n_leaves=n_leaves, hosts_per_leaf=hosts_per_leaf)
+
+
+def _cut_of(workload, n_shards):
+    fabric, tables = _structure(_shape(workload))
+    return _cut(workload, tables, fabric, n_shards)
+
+
+def _cut_digest(shape):
+    """The digest of ``shape``'s cut at every shard count it allows."""
+    workload = _workload_of(shape)
+    n_groups = shape[1] if shape[0] == "fat-tree" else shape[2]
+    digest = hashlib.sha256()
+    for n_shards in range(1, n_groups + 1):
+        owner, boundary_links, lookahead_s = _cut_of(workload, n_shards)
+        row = [sorted(owner.items()), len(boundary_links), repr(lookahead_s)]
+        digest.update(json.dumps(row).encode())
+    return digest.hexdigest()
+
+
+# -- the cut ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", sorted(CUT_SHA256), ids=str)
+def test_cut_matches_pinned_owner_maps(shape):
+    assert _cut_digest(shape) == CUT_SHA256[shape]
 
 
 def test_fat_tree_partition_is_pod_aligned():
-    fabric = fat_tree(4)
-    plan = partition_fabric(fabric, 2, _latency_fn)
-    assert plan.kind == "fat-tree"
-    assert plan.n_shards == 2
+    workload = FabricWorkload(fabric="fat-tree", k=4)
+    owner, boundary_links, lookahead_s = _cut_of(workload, 2)
     # Every pod's tors, aggs and hosts share one shard: no tor/agg/host
     # link crosses the cut, so only agg--core links are boundary links.
-    for a, b in plan.boundary_links:
+    for a, b in boundary_links:
         assert "core" in a or "core" in b, (a, b)
+    for node, shard in owner.items():
+        if not node.startswith("core"):
+            pod = int(re.match(r"[a-z]+(\d+)", node).group(1))
+            assert shard == pod * 2 // 4, node
     # All four pods are assigned and both shards are non-empty.
-    assert sorted(set(plan.owner.values())) == [0, 1]
-    assert len(plan.owner) == fabric.graph.number_of_nodes()
-    assert plan.lookahead_s == 1e-6
+    assert sorted(set(owner.values())) == [0, 1]
+    fabric, _tables = _structure(_shape(workload))
+    assert len(owner) == fabric.graph.number_of_nodes()
+    assert lookahead_s == workload.core_latency_s
 
 
 def test_fat_tree_partition_rejects_more_shards_than_pods():
+    with pytest.raises(SimulationError, match="4 pods into 5 shards"):
+        _cut_of(FabricWorkload(fabric="fat-tree", k=4), 5)
     with pytest.raises(SimulationError):
-        partition_fabric(fat_tree(4), 5, _latency_fn)
+        _cut_of(FabricWorkload(fabric="fat-tree", k=4), 0)
 
 
 def test_leaf_spine_partition_keeps_leaf_with_hosts():
-    fabric = leaf_spine(4, 4, 2)
-    plan = partition_fabric(fabric, 2, _latency_fn)
-    assert plan.kind == "leaf-spine"
-    for node, shard in plan.owner.items():
+    workload = FabricWorkload(fabric="leaf-spine", n_spines=4, n_leaves=4,
+                              hosts_per_leaf=2)
+    owner, boundary_links, _lookahead = _cut_of(workload, 2)
+    for node, shard in owner.items():
         if node.startswith("host"):
             leaf = "leaf" + node[len("host"):].split("-")[0]
-            assert shard == plan.owner[leaf], node
-    for a, b in plan.boundary_links:
+            assert shard == owner[leaf], node
+    for a, b in boundary_links:
         assert "spine" in a or "spine" in b, (a, b)
-
-
-def test_generic_partition_contiguous_blocks():
-    graph = nx.path_graph([f"n{i:02d}" for i in range(10)])
-    for _, _, data in graph.edges(data=True):
-        data["bandwidth_bps"] = 1e9
-    fabric = Fabric(name="path", graph=graph)
-    plan = partition_fabric(fabric, 3, _latency_fn)
-    assert plan.kind == "generic"
-    assert sorted(plan.owner.values()) == sorted(
-        plan.owner[node] for node in sorted(plan.owner)
-    )
-    # A path cut into 3 contiguous blocks has exactly 2 boundary links.
-    assert len(plan.boundary_links) == 2
-
-
-def test_partition_rejects_nonpositive_boundary_latency():
-    with pytest.raises(SimulationError):
-        partition_fabric(fat_tree(4), 2, lambda a, b: 0.0)
+    with pytest.raises(SimulationError, match="4 leaves into 5 shards"):
+        _cut_of(workload, 5)
 
 
 def test_single_shard_cut_is_empty_with_infinite_lookahead():
-    plan = partition_fabric(fat_tree(4), 1, _latency_fn)
-    assert plan.boundary_links == ()
-    assert math.isinf(plan.lookahead_s)
-    assert set(plan.owner.values()) == {0}
+    owner, boundary_links, lookahead_s = _cut_of(
+        FabricWorkload(fabric="fat-tree", k=4), 1
+    )
+    assert boundary_links == ()
+    assert math.isinf(lookahead_s)
+    assert set(owner.values()) == {0}
 
 
 # -- window arithmetic and merging ------------------------------------------
@@ -269,13 +310,14 @@ def _random_fault_specs(rng, fabric, boundary_links, duration_s):
 @pytest.mark.parametrize("schedule_seed", [0, 1, 2, 3])
 def test_equivalence_randomized_fault_schedules(schedule_seed):
     rng = random.Random(1000 + schedule_seed)
-    fabric = fat_tree(4)
-    plan = partition_fabric(fabric, 2, _latency_fn)
+    shape_only = FabricWorkload(fabric="fat-tree", k=4)
+    fabric, _tables = _structure(_shape(shape_only))
+    _owner, boundary_links, _lookahead = _cut_of(shape_only, 2)
     workload = FabricWorkload(
         fabric="fat-tree", k=4, n_requests=700, duration_s=1e-3,
         seed=20 + schedule_seed,
         fault_specs=_random_fault_specs(
-            rng, fabric, list(plan.boundary_links), 1e-3
+            rng, fabric, list(boundary_links), 1e-3
         ),
     )
     single, _ = _assert_equivalent(workload, 2)
@@ -403,8 +445,19 @@ def test_workload_validation_errors():
         FabricWorkload(n_requests=0)
     with pytest.raises(SimulationError):
         FabricWorkload(max_hops=16)
-    with pytest.raises(SimulationError):
-        FabricWorkload(jitter=-0.1)
+    # The tier latencies bound the sharded lookahead, so each must be
+    # positive and finite; NaN fails every check.
+    bad_fields = [
+        ("jitter", -0.1), ("jitter", math.nan), ("jitter", math.inf),
+        ("duration_s", 0.0), ("duration_s", math.nan),
+        ("duration_s", math.inf),
+    ]
+    for name in ("edge_latency_s", "agg_latency_s", "core_latency_s"):
+        bad_fields += [(name, 0.0), (name, -1e-6), (name, math.nan),
+                       (name, math.inf)]
+    for name, value in bad_fields:
+        with pytest.raises(SimulationError, match=name):
+            FabricWorkload(**{name: value})
 
 
 def test_x14_entrypoint_shard_count_invariance():
@@ -426,3 +479,8 @@ def test_x14_entrypoint_shard_count_invariance():
             result.metrics["p99_latency_us"]
             == baseline.metrics["p99_latency_us"]
         )
+
+
+if __name__ == "__main__":
+    for _shape_key in sorted(CUT_SHA256):
+        print(_shape_key, _cut_digest(_shape_key))

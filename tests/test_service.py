@@ -16,6 +16,8 @@ import multiprocessing
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.client import ServiceClient
 from repro.engine import Registry
-from repro.errors import ReproError, ServiceError
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.runner import RunResult
 from repro.runner import api as runner_api
 from repro.runner import entrypoints
@@ -314,6 +316,35 @@ class TestEndpoints:
         gate.set()
         assert client.result(first["job_id"]).ok
 
+
+
+class TestStartupSettings:
+    """Out-of-range settings are refused before the service binds."""
+
+    def test_serve_in_thread_refuses_zero_jobs(self):
+        with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+            serve_in_thread(jobs=0)
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--max-pending", "0"], "max_pending must be >= 1, got 0"),
+    ], ids=["jobs-0", "max-pending-0"])
+    def test_out_of_domain_serve_flag_exits_2(self, flag, message):
+        # A subprocess with a timeout: a service that binds anyway
+        # would otherwise serve until killed.
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-cache"] + flag,
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert "Traceback" not in done.stderr
+        assert '"ready"' not in done.stdout
 
 def _read_both_ways(frame: bytes):
     """``read_frame`` and ``read_frame_blocking`` outcomes for ``frame``.
