@@ -193,6 +193,15 @@ def test_leaf_spine_partition_keeps_leaf_with_hosts():
         _cut_of(workload, 5)
 
 
+def test_partition_rejects_nonpositive_boundary_latency():
+    # The fat-tree cut crosses only agg--core links, so the core latency
+    # is the lookahead; a zero or negative one is refused before any cut.
+    for latency in (0.0, -1e-6):
+        with pytest.raises(SimulationError, match="core_latency_s"):
+            _cut_of(FabricWorkload(fabric="fat-tree", k=4,
+                                   core_latency_s=latency), 2)
+
+
 def test_single_shard_cut_is_empty_with_infinite_lookahead():
     owner, boundary_links, lookahead_s = _cut_of(
         FabricWorkload(fabric="fat-tree", k=4), 1
