@@ -276,7 +276,6 @@ def _cmd_serve(args) -> int:
             port=args.port,
             jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
             max_pending=args.max_pending,
             max_active=args.max_active,
             per_client=args.per_client,

@@ -45,6 +45,16 @@ class TornadoBar:
         return abs(self.output_at_high - self.output_at_low)
 
 
+def _check_parameters(
+    investment: AcceleratorInvestment, ranges: List[SensitivityRange]
+) -> None:
+    """Refuse a range over a field the investment does not have."""
+    valid_fields = set(investment.__dataclass_fields__)
+    for bounds in ranges:
+        if bounds.parameter not in valid_fields:
+            raise ModelError(f"unknown parameter: {bounds.parameter!r}")
+
+
 def tornado(
     investment: AcceleratorInvestment,
     ranges: List[SensitivityRange],
@@ -52,51 +62,25 @@ def tornado(
 ) -> List[TornadoBar]:
     """One-at-a-time sweep; bars sorted by swing, largest first.
 
-    ``metric`` defaults to NPV, in which case all ``2 * len(ranges)``
-    model evaluations run as one :func:`repro.mc.npv_batch` call (the
-    batch kernel is bit-for-bit equal to the scalar ``npv_usd``, so the
-    bars are unchanged). A custom metric, or a range over a parameter
-    the batch kernel keeps scalar (``discount_rate``,
-    ``horizon_years``), falls back to per-range scalar evaluation.
+    ``metric`` defaults to NPV. Each range costs two metric evaluations,
+    one at each bound with every other input at its base value.
 
     Edge cases are well-defined: an empty ``ranges`` list raises
-    :class:`~repro.errors.ModelError`; a degenerate range
-    (``low == high``) yields a zero-swing bar; equal swings tie-break
-    deterministically by parameter name.
+    :class:`~repro.errors.ModelError`, as does a range over an unknown
+    parameter; a degenerate range (``low == high``) yields a zero-swing
+    bar; equal swings tie-break deterministically by parameter name.
     """
     if not ranges:
         raise ModelError(
             "need at least one parameter range (got an empty list)"
         )
-    valid_fields = set(investment.__dataclass_fields__)
+    _check_parameters(investment, ranges)
+    metric = metric or (lambda inv: inv.npv_usd())
+    bars = []
     for bounds in ranges:
-        if bounds.parameter not in valid_fields:
-            raise ModelError(f"unknown parameter: {bounds.parameter!r}")
-    bars = None
-    if metric is None:
-        from repro.mc.roi import tornado_outputs_batch
-
-        outputs = tornado_outputs_batch(investment, ranges)
-        if outputs is not None:
-            bars = [
-                TornadoBar(
-                    bounds.parameter,
-                    float(outputs[i, 0]),
-                    float(outputs[i, 1]),
-                )
-                for i, bounds in enumerate(ranges)
-            ]
-    if bars is None:
-        metric = metric or (lambda inv: inv.npv_usd())
-        bars = []
-        for bounds in ranges:
-            low = metric(
-                replace(investment, **{bounds.parameter: bounds.low})
-            )
-            high = metric(
-                replace(investment, **{bounds.parameter: bounds.high})
-            )
-            bars.append(TornadoBar(bounds.parameter, low, high))
+        low = metric(replace(investment, **{bounds.parameter: bounds.low}))
+        high = metric(replace(investment, **{bounds.parameter: bounds.high}))
+        bars.append(TornadoBar(bounds.parameter, low, high))
     return sorted(bars, key=lambda b: (-b.swing, b.parameter))
 
 
@@ -117,14 +101,10 @@ def decision_flips(
 ) -> Dict[str, bool]:
     """Which single parameters can flip the adopt/reject decision.
 
-    Evaluated as one batch NPV call when every range is over a
-    batchable parameter; otherwise per-range scalar evaluation.
+    A range over an unknown parameter raises
+    :class:`~repro.errors.ModelError`.
     """
-    from repro.mc.roi import decision_flip_batch
-
-    batched = decision_flip_batch(investment, ranges)
-    if batched is not None:
-        return batched
+    _check_parameters(investment, ranges)
     base = investment.worthwhile()
     flips = {}
     for bounds in ranges:

@@ -27,26 +27,17 @@ per-event closures entirely:
   spills into a list when a second callback registers (callbacks are
   callables, never lists, so ``type(c) is list`` discriminates).
 
-Two rules skip a calendar entry that would pop straight back off. Both
-apply only when no other entry is due at or before ``now``, so the
-skipped entry would have been the very next one popped and the
-``(when, seq)`` order of everything else is unchanged:
-
-- *Lone timeout waiter.* When a :class:`Timeout` with a single waiter
-  fires, the run loop calls the waiter directly instead of pushing a
-  callback entry at the same time.
-- *Inline resume.* When a process yields an event that has already
-  fired (a free :class:`~repro.engine.resources.Resource` grant, a
-  pre-succeeded event, a finished child's handle),
-  :meth:`ProcessHandle._step` resumes the generator in a loop instead
-  of pushing its resume entry. This rule is off on the observability
-  path.
-
-Both rules hold under :meth:`Simulator.run` with or without an
-``until`` horizon -- there is one dispatch loop, and the horizon costs
-one comparison per popped entry. Both make
-:attr:`Simulator.events_processed` count fewer entries than a kernel
-without them; no simulated time, value or order moves.
+One rule skips a calendar entry that would pop straight back off: the
+*lone timeout waiter*. When a :class:`Timeout` with a single waiter
+fires and no other entry is due at or before ``now``, the run loop
+calls the waiter directly instead of pushing a callback entry at the
+same time. The skipped entry would have been the very next one popped,
+so the ``(when, seq)`` order of everything else is unchanged. The rule
+holds under :meth:`Simulator.run` with or without an ``until`` horizon
+-- there is one dispatch loop, and the horizon costs one comparison per
+popped entry. It makes :attr:`Simulator.events_processed` count fewer
+entries than a kernel without it; no simulated time, value or order
+moves.
 
 Pending events live in a *three-tier calendar*, split by ``_horizon``
 (the largest timestamp of the last sorted batch):
@@ -252,14 +243,6 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", value: Any = None) -> None:
-        self.sim = sim
-        self._callback = None
-        self._triggered = False
-        self._value = value
-        self._exception = None
-        self._cancelled = False
-
 
 class ProcessHandle(Event):
     """The running instance of a process generator.
@@ -297,55 +280,32 @@ class ProcessHandle(Event):
     def _step(self, fired: Optional[Event]) -> None:
         """Advance the generator to its next wait.
 
-        The uninstrumented path is kept branch-identical to a bare
-        kernel -- one attribute load and ``is None`` test -- so disabled
-        observability stays within the X10 overhead budget. On that path
-        a yield of an event that has already fired resumes the generator
-        in place whenever its resume entry would be the next one popped
-        anyway (the inline-resume rule in the module docstring).
+        With no observability attached the bookkeeping costs one
+        attribute load and two ``is None`` tests per step, which keeps
+        disabled observability within the X10 overhead budget. Every
+        yielded event registers the next step as a callback; one that
+        has already fired (a free
+        :class:`~repro.engine.resources.Resource` grant, a pre-succeeded
+        event, a finished child's handle) gets a resume entry at ``now``.
         """
         sim = self.sim
         observability = sim.observability
-        if observability is None:
-            generator = self.generator
-            while True:
-                try:
-                    if fired is not None and fired._exception is not None:
-                        target = generator.throw(fired._exception)
-                    else:
-                        send_value = fired._value if fired is not None else None
-                        target = generator.send(send_value)
-                except StopIteration as stop:
-                    self.finished_at = sim._now
-                    Event.succeed(self, stop.value)
-                    return
-                except Exception as exc:
-                    raise self._failure(exc) from exc
-                if not isinstance(target, Event) or not target._triggered:
-                    break  # a wait (or a non-event, rejected below)
-                # Already fired: the resume entry add_callback would push
-                # at `now` pops straight back unless another entry is due
-                # at or before `now` (same test as the run loop's lone
-                # timeout waiter), so resume here instead.
-                due = sim.peek()
-                if due is not None and due <= sim._now:
-                    break
-                fired = target
-        else:
+        if observability is not None:
             observability._note_step(self)
             sim._active_process = self
-            try:
-                if fired is not None and fired._exception is not None:
-                    target = self.generator.throw(fired._exception)
-                else:
-                    send_value = fired._value if fired is not None else None
-                    target = self.generator.send(send_value)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            except Exception as exc:
-                raise self._failure(exc) from exc
-            finally:
+        try:
+            if fired is not None and fired._exception is not None:
+                target = self.generator.throw(fired._exception)
+            else:
+                send_value = fired._value if fired is not None else None
+                target = self.generator.send(send_value)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except Exception as exc:
+            raise self._failure(exc) from exc
+        finally:
+            if observability is not None:
                 sim._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(
@@ -556,26 +516,22 @@ class Simulator:
         return evt
 
     def schedule_batch(
-        self,
-        whens: Iterable[float],
-        callback: Callable[[Any], None],
-        payloads: Optional[Iterable[Any]] = None,
+        self, whens: Iterable[float], callback: Callable[[int], None]
     ) -> int:
-        """Bulk-schedule ``callback(payload)`` at each ascending time.
+        """Bulk-schedule ``callback(i)`` at each ascending time ``whens[i]``.
 
         The fast path for feeding a pre-generated arrival trace (e.g. a
         :mod:`repro.mc.traffic` scenario) into the calendar: instead of
         one ``schedule`` call per arrival, all entries are built in a
         single C-level pass (``zip`` over the times, the tie-break
-        counter and the payloads) and appended to the unsorted overflow
-        tier, which the next :meth:`_refill` absorbs with one Timsort.
-        Entries below the current horizon -- only possible mid-run --
-        are pushed one by one into the below-horizon heap, exactly as a
-        loop of individual schedules would.
+        counter and the arrival indices) and appended to the unsorted
+        overflow tier, which the next :meth:`_refill` absorbs with one
+        Timsort. Entries below the current horizon -- only possible
+        mid-run -- are pushed one by one into the below-horizon heap,
+        exactly as a loop of individual schedules would.
 
         ``whens`` must be ascending (a sorted trace) and must not start
-        in the past; ``payloads`` defaults to ``range(n)``, i.e. the
-        arrival index. Sequence numbers are assigned in input order, so
+        in the past. Sequence numbers are assigned in input order, so
         the resulting pop sequence -- and every golden trace -- is
         bit-for-bit identical to the equivalent loop of per-event
         schedule calls. Returns the number of entries scheduled.
@@ -592,17 +548,6 @@ class Simulator:
             )
         if n > 1 and sorted(whens) != whens:
             raise SimulationError("schedule_batch requires ascending times")
-        if payloads is None:
-            payloads = range(n)
-        else:
-            if type(payloads) is not list and hasattr(payloads, "tolist"):
-                payloads = payloads.tolist()
-            elif not hasattr(payloads, "__len__"):
-                payloads = list(payloads)
-            if len(payloads) != n:
-                raise SimulationError(
-                    f"payload count {len(payloads)} != time count {n}"
-                )
         # One C-level pass: zip consumes the tie-break counter directly,
         # so sequence numbers are consecutive in input order -- the same
         # assignment a Python loop of schedules would make.
@@ -611,7 +556,7 @@ class Simulator:
             self._sequence,
             itertools.repeat(_KIND_CALLBACK),
             itertools.repeat(callback),
-            payloads,
+            range(n),
         ))
         # Ascending input makes the horizon split a single bisection:
         # entries[split:] all belong in the overflow tier.

@@ -25,11 +25,9 @@ skew).
 
 from repro.mc.market import bass_adoption_paths, hhi_batch, sampled_market_shares
 from repro.mc.roi import (
-    decision_flip_batch,
     investment_params,
     npv_batch,
     npv_utilization_sweep,
-    tornado_outputs_batch,
 )
 from repro.mc.sampling import uniform_parameter_samples
 from repro.mc.scenarios import commodity_year_samples, trl_weighted_steps
@@ -54,7 +52,6 @@ __all__ = [
     "client_ids",
     "commodity_year_samples",
     "cost_per_unit_curve",
-    "decision_flip_batch",
     "die_cost_batch",
     "hhi_batch",
     "investment_params",
@@ -67,7 +64,6 @@ __all__ = [
     "scenario_trace",
     "session_lengths",
     "theme_statistics",
-    "tornado_outputs_batch",
     "trl_weighted_steps",
     "uniform_parameter_samples",
 ]

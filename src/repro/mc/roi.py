@@ -15,7 +15,7 @@ power the scalar model uses); every other parameter may vary per sample.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -23,11 +23,9 @@ from repro.econ.roi import AcceleratorInvestment
 from repro.errors import ModelError
 
 __all__ = [
-    "decision_flip_batch",
     "investment_params",
     "npv_batch",
     "npv_utilization_sweep",
-    "tornado_outputs_batch",
 ]
 
 #: Parameters that must stay scalar in a batch evaluation.
@@ -143,69 +141,6 @@ def npv_batch(params: Mapping[str, Any]) -> np.ndarray:
     for year in range(1, horizon + 1):
         total += net / (1.0 + rate) ** year
     return total
-
-
-def _two_point_batch(
-    investment: AcceleratorInvestment, ranges: Sequence
-) -> Optional[np.ndarray]:
-    """NPV at (low, high) of every range in one batch; 2i is low.
-
-    Returns ``None`` when a range touches a scalar-only parameter, in
-    which case callers fall back to the scalar path.
-    """
-    if any(bounds.parameter in _SCALAR_ONLY for bounds in ranges):
-        return None
-    base = investment_params(investment)
-    for bounds in ranges:
-        if bounds.parameter not in base:
-            raise ModelError(f"unknown parameter: {bounds.parameter!r}")
-    n = 2 * len(ranges)
-    params: Dict[str, Any] = dict(base)
-    for i, bounds in enumerate(ranges):
-        column = np.full(n, float(base[bounds.parameter]))
-        if isinstance(params[bounds.parameter], np.ndarray):
-            column = params[bounds.parameter]
-        column[2 * i] = bounds.low
-        column[2 * i + 1] = bounds.high
-        params[bounds.parameter] = column
-    return npv_batch(params)
-
-
-def tornado_outputs_batch(
-    investment: AcceleratorInvestment, ranges: Sequence
-) -> Optional[np.ndarray]:
-    """One-at-a-time NPV outputs for a tornado sweep, one batch call.
-
-    Returns a ``(len(ranges), 2)`` array of ``(output_at_low,
-    output_at_high)`` rows, or ``None`` when the sweep touches a
-    parameter the batch kernel keeps scalar (``discount_rate``,
-    ``horizon_years``).
-    """
-    outputs = _two_point_batch(investment, ranges)
-    if outputs is None:
-        return None
-    return outputs.reshape(len(ranges), 2)
-
-
-def decision_flip_batch(
-    investment: AcceleratorInvestment, ranges: Sequence
-) -> Optional[Dict[str, bool]]:
-    """Which single parameters can flip the adopt/reject decision.
-
-    Batched twin of :func:`repro.econ.decision_flips`; ``None`` when a
-    range touches a scalar-only parameter.
-    """
-    outputs = _two_point_batch(investment, ranges)
-    if outputs is None:
-        return None
-    base = investment.worthwhile()
-    worthwhile = outputs.reshape(len(ranges), 2) > 0.0
-    return {
-        bounds.parameter: bool(
-            (worthwhile[i, 0] != base) or (worthwhile[i, 1] != base)
-        )
-        for i, bounds in enumerate(ranges)
-    }
 
 
 def npv_utilization_sweep(

@@ -65,7 +65,9 @@ def _merge(defaults: Dict[str, Any], config: Mapping[str, Any]) -> Dict[str, Any
     """Overrides over defaults; a key no default names is a ConfigError.
 
     A misspelled override must fail its shard, not silently run the
-    default and record the typo as if it had been applied.
+    default and record the typo as if it had been applied. For the same
+    reason a key whose default is a ``bool`` accepts only a ``bool``:
+    the string ``"False"`` is truthy.
     """
     unknown = sorted(set(config) - set(defaults), key=str)
     if unknown:
@@ -73,6 +75,9 @@ def _merge(defaults: Dict[str, Any], config: Mapping[str, Any]) -> Dict[str, Any
             f"unknown config key(s): {', '.join(map(str, unknown))}; "
             f"valid keys: {', '.join(sorted(defaults))}"
         )
+    for key, value in config.items():
+        if type(defaults[key]) is bool and type(value) is not bool:
+            raise ConfigError(f"{key} must be a boolean, got {value!r}")
     merged = dict(defaults)
     merged.update(config)
     return merged
@@ -782,6 +787,9 @@ def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
         },
         config,
     )
+    shards = cfg["shards"]
+    if type(shards) is not int:
+        raise ConfigError(f"shards must be an integer, got {shards!r}")
     duration = float(cfg["duration_s"])
     fault_specs = ()
     if cfg["with_faults"]:
@@ -812,13 +820,10 @@ def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
         seed=101_250 + seed,
         fault_specs=fault_specs,
     )
-    shards = int(cfg["shards"])
     if shards == 1:
         run = simulate_fabric(workload)
     else:
-        run = simulate_fabric_sharded(
-            workload, shards, inline=bool(cfg["inline"])
-        )
+        run = simulate_fabric_sharded(workload, shards, inline=cfg["inline"])
     if cfg["trace_out"]:
         out_path = Path(cfg["trace_out"])
         if out_path.parent != Path("."):

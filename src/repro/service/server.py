@@ -160,7 +160,6 @@ class ExperimentService:
         port: int = 0,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         max_pending: int = 16,
         max_active: int = 1,
         per_client: int = 4,
@@ -175,7 +174,6 @@ class ExperimentService:
         self.port = port
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.use_cache = use_cache
         self.max_pending = max_pending
         self.max_active = max_active
         self.per_client = per_client

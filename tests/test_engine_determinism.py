@@ -2,7 +2,7 @@
 
 The kernel fast paths (inline ``Timeout`` triggering, single-callback
 slots, direct heap entries) must not change *any* observable simulation
-output. These tests pin that down three ways:
+output. These tests pin that down four ways:
 
 - the same seeded run produces identical results with and without an
   attached :class:`~repro.engine.Observability`;
@@ -12,9 +12,9 @@ output. These tests pin that down three ways:
 - a mixed workload (processes, resources, timeouts, ties) yields an
   identical event trace across kernels and across repeated runs;
 - randomized processes that yield events which have already fired
-  (free resource grants, pre-fired events, finished children) -- the
-  case the kernel resumes inline -- trace identically to the reference
-  kernel.
+  (free resource grants, pre-fired events, finished children) trace
+  identically to the reference kernel, and with and without an
+  attached observability.
 """
 
 import contextlib
@@ -202,6 +202,14 @@ def _resume_trace(sim_cls, resource_cls, seed):
 
 
 class TestInlineResume:
+    """Yields of events that have already fired.
+
+    Such a resume entry would be the next one popped, so a kernel could
+    skip it; this one pushes it like any other wait. These tests pin
+    that values, times and order match the reference kernel and do not
+    depend on an attached observability.
+    """
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_fired_event_yields_trace_like_reference(self, seed):
@@ -209,23 +217,39 @@ class TestInlineResume:
         reference = _resume_trace(_perfref.Simulator, _perfref.Resource, seed)
         assert production == reference
 
-    def test_fired_yields_resume_without_a_calendar_entry(self):
-        # Guards against the equivalence tests passing vacuously: a
-        # process that yields only already-fired events runs to the end
-        # inside its first step.
-        sim = Simulator()
-        pool = Resource(sim, capacity=1)
-        done = sim.event()
-        done.succeed()
+    def test_fired_yields_identical_with_and_without_observability(self):
+        def drive(observability):
+            sim = Simulator(observability=observability)
+            pool = Resource(sim, capacity=1)
+            log = []
 
-        def proc():
-            for _ in range(10):
-                yield pool.acquire()
-                pool.release()
-                yield done
-            return "end"
+            def child(k):
+                yield sim.timeout(0.5)
+                return f"child-{k}"
 
-        handle = sim.spawn(proc())
-        sim.run()
-        assert handle.value == "end"
-        assert sim.events_processed == 1  # the spawn entry alone
+            def proc(k):
+                handle = sim.spawn(child(k))
+                for i in range(3):
+                    granted = yield pool.acquire()  # free: already granted
+                    log.append((sim.now, k, granted is pool))
+                    pool.release()
+                    done = sim.event()
+                    done.succeed(f"{k}.{i}")
+                    log.append((sim.now, k, (yield done)))
+                    yield sim.timeout(1.0)
+                    log.append((sim.now, k, (yield handle)))  # finished
+                return f"end-{k}"
+
+            handles = [sim.spawn(proc(k), name=f"p{k}") for k in range(2)]
+            sim.run()
+            return log, [h.value for h in handles], sim.now
+
+        bare = drive(None)
+        assert bare == drive(Observability())
+        assert bare[1] == ["end-0", "end-1"]
+        assert len(bare[0]) == 18
+        for seed in range(20):
+            assert _resume_trace(Simulator, Resource, seed) == _resume_trace(
+                lambda: Simulator(observability=Observability()),
+                Resource, seed,
+            )

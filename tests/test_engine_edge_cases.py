@@ -316,10 +316,10 @@ class _HeapModelKernel:
                                     handle, None, None))
         return handle
 
-    def schedule_batch(self, whens, callback, payloads):
-        for when, payload in zip(whens, payloads):
+    def schedule_batch(self, whens, callback):
+        for index, when in enumerate(whens):
             heapq.heappush(self._heap, (when, next(self._seq), None,
-                                        callback, payload))
+                                        callback, index))
 
     def peek(self):
         return self._heap[0][0] if self._heap else None
@@ -373,8 +373,8 @@ def _drive_random_interleaving(kernel, seed):
         if choice == 3:
             whens = sorted(kernel.now + grid(0.0, 30.0)
                            for _ in range(rng.randint(1, 4)))
-            kernel.schedule_batch(whens, fire,
-                                  [next(ids) for _ in whens])
+            idents = [next(ids) for _ in whens]
+            kernel.schedule_batch(whens, lambda i: fire(idents[i]))
             return
         delay = (grid(20.0, 60.0), grid(0.0, 3.0), 0.0)[choice]
         kernel.timeout(delay).add_callback(

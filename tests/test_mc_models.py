@@ -117,40 +117,14 @@ class TestRoiLiveAgreement:
                 investment, utilization=utilization
             ).npv_usd()
 
-    def test_tornado_outputs_match_scalar_metric(self):
-        investment = self._investment()
-        ranges = default_accelerator_ranges()
-        outputs = mc.tornado_outputs_batch(investment, ranges)
-        for row, bounds in zip(outputs, ranges):
-            low = replace(investment, **{bounds.parameter: bounds.low})
-            high = replace(investment, **{bounds.parameter: bounds.high})
-            assert float(row[0]) == low.npv_usd()
-            assert float(row[1]) == high.npv_usd()
-
-    def test_tornado_scalar_only_range_falls_back(self):
-        from repro.econ import SensitivityRange
-
-        ranges = [SensitivityRange("discount_rate", 0.02, 0.15)]
-        assert mc.tornado_outputs_batch(self._investment(), ranges) is None
-
     def test_tornado_unknown_parameter_rejected(self):
-        from repro.econ import SensitivityRange
+        from repro.econ import SensitivityRange, decision_flips, tornado
 
+        ranges = [SensitivityRange("warp_factor", 0, 1)]
         with pytest.raises(ModelError, match="unknown parameter"):
-            mc.tornado_outputs_batch(
-                self._investment(), [SensitivityRange("warp_factor", 0, 1)]
-            )
-
-    def test_decision_flip_batch_matches_scalar(self):
-        investment = self._investment()
-        ranges = default_accelerator_ranges()
-        flips = mc.decision_flip_batch(investment, ranges)
-        base = investment.worthwhile()
-        for bounds in ranges:
-            low = replace(investment, **{bounds.parameter: bounds.low})
-            high = replace(investment, **{bounds.parameter: bounds.high})
-            expected = low.worthwhile() != base or high.worthwhile() != base
-            assert flips[bounds.parameter] == expected
+            tornado(self._investment(), ranges)
+        with pytest.raises(ModelError, match="unknown parameter"):
+            decision_flips(self._investment(), ranges)
 
 
 class TestSocSipEquivalence:

@@ -433,6 +433,26 @@ class TestFailurePaths:
                              jobs=jobs, retries=1)
         assert other.status == "error" and other.attempts == 2
 
+    @pytest.mark.parametrize("experiment,override", [
+        ("X14", {"inline": "False"}),
+        ("X14", {"with_faults": "False"}),
+        ("X14", {"shards": 1.5}),
+        ("X14", {"shards": True}),
+        ("X16", {"probe": "true"}),
+        ("X16", {"probe": 1}),
+    ])
+    def test_mistyped_flag_or_shard_count_fails_once(self, experiment,
+                                                      override):
+        # "False" is a truthy string and 1.5 shards is no shard count:
+        # running anyway would record a config that was not applied.
+        grid = run_grid(experiment, overrides=[override], quick=True,
+                        use_cache=False, retries=1, jobs=1)
+        [result] = grid.results
+        assert result.status == "error"
+        assert "ConfigError: " in result.error
+        assert next(iter(override)) in result.error
+        assert result.attempts == 1
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_library_error_runs_once(self, jobs):
         [result] = run_shards([_shard("model_error_entrypoint", "T-MODEL")],

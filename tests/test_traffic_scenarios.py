@@ -341,14 +341,6 @@ class TestScheduleBatchTraceIdentity:
         looped = run(False)
         assert batched == looped
 
-    def test_payloads_delivered_in_order(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_batch([1.0, 2.0, 3.0], seen.append,
-                           payloads=["a", "b", "c"])
-        sim.run()
-        assert seen == ["a", "b", "c"]
-
     def test_default_payloads_are_indices(self):
         sim = Simulator()
         seen = []
@@ -373,18 +365,13 @@ class TestScheduleBatchTraceIdentity:
         with pytest.raises(SimulationError, match="past"):
             sim.schedule_batch([0.5], lambda _p: None)
 
-    def test_rejects_payload_count_mismatch(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="payload count"):
-            sim.schedule_batch([1.0, 2.0], lambda _p: None, payloads=["a"])
-
     def test_accepts_numpy_arrays(self):
         sim = Simulator()
         seen = []
-        sim.schedule_batch(np.array([0.25, 0.75]), seen.append,
-                           payloads=np.array([10, 20]))
+        sim.schedule_batch(np.array([0.25, 0.75]), seen.append)
         sim.run()
-        assert seen == [10, 20]
+        assert seen == [0, 1]
+        assert sim.now == 0.75
 
 
 class TestCalendarCounters:
@@ -413,7 +400,8 @@ class TestCalendarCounters:
             # The pre-scheduled batch set the horizon to its last
             # arrival, so this push lands below it.
             samples.append((refills.value, len(sim._near)))
-            sim.schedule_batch([sim.now + 0.5], follow_up, payloads=[index])
+            sim.schedule_batch([sim.now + 0.5],
+                               lambda _first, index=index: follow_up(index))
 
         sim.schedule_batch([float(i) for i in range(n)], arrival)
         sim.run()
